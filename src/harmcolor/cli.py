@@ -35,7 +35,14 @@ from .bounds import (
     theorem_bound,
     theorem_ceil_colors,
 )
-from .coloring import bad_edges, is_harmonious, parse_coloring, pattern_collisions, serialize_coloring
+from .coloring import (
+    bad_edges,
+    colors_used,
+    is_harmonious,
+    parse_coloring,
+    pattern_collisions,
+    serialize_coloring,
+)
 from .hypergraph import (
     FormatError,
     GenerationFailure,
@@ -49,6 +56,7 @@ from .hypergraph import (
 )
 from .solver import (
     DEFAULT_NODE_BUDGET,
+    EVENT_SCANS,
     NodeBudgetExceeded,
     SolverConfig,
     exact_harmonious_number,
@@ -71,6 +79,27 @@ T_POLICIES = ("fixed", "lcl-min", "theorem-ceil")
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
+
+
+# field -> (accepted type, whether JSON null is allowed); list fields hold ints
+SPEC_TYPES: dict[str, tuple[type | tuple[type, ...], bool]] = {
+    "trials": (int, False), "t_policy": (str, False), "t_fixed": (int, True),
+    "eps": ((int, float), False), "base_seed": (int, False), "output": (str, False),
+    "exact": (bool, False), "exact_node_budget": (int, False),
+    "max_resamples": (int, True), "event_scan": (str, False),
+}
+TYPE_NAMES = {int: "an integer", str: "a string", bool: "true or false", (int, float): "a number"}
+
+
+def _check_spec_type(key: str, value: object, kind: type | tuple[type, ...],
+                     nullable: bool = False) -> None:
+    """Raise ValueError unless value has the JSON type the spec key needs;
+    true and false are not numbers here, though bool subclasses int."""
+    if value is None and nullable:
+        return
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise ValueError(f"experiment spec key {key!r} must be {TYPE_NAMES[kind]}"
+                         f"{' or null' if nullable else ''}, got {json.dumps(value)}")
 
 
 @dataclass(frozen=True)
@@ -110,8 +139,14 @@ class ExperimentSpec:
             raise ValueError(f"t_policy must be one of {T_POLICIES}, got {self.t_policy!r}")
         if self.t_policy == "fixed" and self.t_fixed is None:
             raise ValueError("t_policy 'fixed' needs a t value")
+        if self.t_fixed is not None and self.t_fixed < 1:
+            raise ValueError(f"t must be at least 1, got {self.t_fixed}")
         if self.eps < 0:
             raise ValueError("eps must be nonnegative")
+        if self.max_resamples is not None and self.max_resamples < 0:
+            raise ValueError("max_resamples must be nonnegative")
+        if self.event_scan not in EVENT_SCANS:
+            raise ValueError(f"event_scan must be one of {EVENT_SCANS}, got {self.event_scan!r}")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
@@ -136,6 +171,10 @@ class ExperimentSpec:
             value = data[key]
             if field_name.endswith("_values"):
                 value = tuple(value) if isinstance(value, list) else (value,)
+                for item in value:
+                    _check_spec_type(key, item, int)
+            else:
+                _check_spec_type(key, value, *SPEC_TYPES[field_name])
             kwargs[field_name] = value
         return cls(**kwargs)  # type: ignore[arg-type]
 
@@ -281,8 +320,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"verify: {exc}", file=sys.stderr)
         return EXIT_IO
     if ok:
-        used = len(set(coloring.assignment.values()))
-        print(f"harmonious: t={coloring.t} colors_used={used}")
+        print(f"harmonious: t={coloring.t} colors_used={colors_used(coloring)}")
         return EXIT_OK
     for bad in bad_edges(instance, coloring):
         verts = instance.edges[bad.edge]
@@ -387,8 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.0, help="slack for theorem-ceil")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-resamples", type=int, default=None)
-    p.add_argument("--scan", choices=("deterministic", "random"),
-                   default="deterministic")
+    p.add_argument("--scan", choices=EVENT_SCANS, default="deterministic")
     p.add_argument("--output", default=None, help="coloring file (default stdout)")
     p.set_defaults(func=cmd_solve)
 

@@ -9,16 +9,19 @@ a greedy first-fit baseline.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import combinations
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .bounds import lower_bound_colors
-from .coloring import BadEdge, Coloring, SamePattern, pattern_collisions
+from .coloring import BadEdge, Coloring, SamePattern, colors_used, pattern_collisions
 from .hypergraph import Hypergraph
 
 DEFAULT_RESAMPLES_PER_EDGE = 10 ** 5
 DEFAULT_NODE_BUDGET = 5_000_000
+EVENT_SCANS = ("deterministic", "random")
 
 
 class NodeBudgetExceeded(RuntimeError):
@@ -47,7 +50,7 @@ class SolverConfig:
             raise ValueError(f"palette size must be at least 1, got {self.t}")
         if self.max_resamples is not None and self.max_resamples < 0:
             raise ValueError("max_resamples must be nonnegative")
-        if self.event_scan not in ("deterministic", "random"):
+        if self.event_scan not in EVENT_SCANS:
             raise ValueError(f"unknown event_scan {self.event_scan!r}")
         if self.trace_limit < 0:
             raise ValueError("trace_limit must be nonnegative")
@@ -101,6 +104,161 @@ def sample_uniform_coloring(h: Hypergraph, t: int, seed: int = 0) -> Coloring:
     return Coloring(t=t, assignment={v: rng.randint(1, t) for v in range(h.n)})
 
 
+class EdgeKeyIndex:
+    """Every edge keyed by the sorted tuple of its distinct colors under the
+    list ``colors``, and each key's edges in ascending order. An edge is bad
+    iff its key has fewer than k colors. Once no edge is bad, all edges are
+    rainbow and two edges show the same pattern iff they share a key, so the
+    groups double as an exact collision index. After the colors of some
+    vertices change, ``refresh`` the edges through them.
+    """
+
+    def __init__(self, h: Hypergraph, colors: list[int]):
+        self.h, self.k, self.colors = h, h.k, colors
+        self.keys = [tuple(sorted({colors[v] for v in e})) for e in h.edges]
+        self.groups: dict[tuple[int, ...], list[int]] = {}
+        for idx, key in enumerate(self.keys):  # ascending ids keep groups sorted
+            grp = self.groups.get(key)
+            if grp is None:
+                self.groups[key] = [idx]
+            else:
+                grp.append(idx)
+
+    def move(self, idx: int, key: tuple[int, ...]) -> tuple[list[int], list[int]]:
+        """File edge idx under key; returns the group it left (possibly
+        emptied) and the group it joined."""
+        old = self.keys[idx]
+        self.keys[idx] = key
+        left = self.groups[old]
+        del left[bisect_left(left, idx)]
+        if not left:
+            del self.groups[old]
+        joined = self.groups.get(key)
+        if joined is None:
+            joined = self.groups[key] = []
+        insort(joined, idx)
+        return left, joined
+
+
+class LeastEventIndex(EdgeKeyIndex):
+    """The deterministic scan: the least bad edge, else the least pair of
+    edges sharing a key. Two min-heaps with lazy deletion hold the bad edges
+    and the minima of the rainbow groups with two or more members; an entry
+    that no longer holds is dropped when it reaches the top. Group minima are
+    distinct, so the group with the least minimum holds the least pair."""
+
+    def __init__(self, h: Hypergraph, colors: list[int]):
+        super().__init__(h, colors)
+        k = self.k
+        # ascending lists are valid heaps
+        self.bad_heap = [idx for idx, key in enumerate(self.keys) if len(key) < k]
+        self.pair_heap = sorted(grp[0] for key, grp in self.groups.items()
+                                if len(grp) >= 2 and len(key) == k)
+
+    def refresh(self, edge_ids: Iterable[int]) -> None:
+        keys, edges, colors, k = self.keys, self.h.edges, self.colors, self.k
+        for idx in edge_ids:
+            old, key = keys[idx], tuple(sorted({colors[v] for v in edges[idx]}))
+            if key == old:
+                continue
+            left, joined = self.move(idx, key)
+            if len(key) < k:
+                if len(old) == k:
+                    heappush(self.bad_heap, idx)
+            elif len(joined) >= 2 and (joined[0] == idx or len(joined) == 2):
+                heappush(self.pair_heap, joined[0])
+            if len(old) == k and len(left) >= 2 and idx < left[0]:
+                heappush(self.pair_heap, left[0])
+
+    def pick(self) -> Union[BadEdge, SamePattern, None]:
+        keys, k = self.keys, self.k
+        bad_heap, pair_heap = self.bad_heap, self.pair_heap
+        while bad_heap:
+            if len(keys[bad_heap[0]]) < k:
+                return BadEdge(bad_heap[0])
+            heappop(bad_heap)
+        # no bad edge left: every key has k colors
+        while pair_heap:
+            a = pair_heap[0]
+            grp = self.groups[keys[a]]
+            if len(grp) >= 2 and grp[0] == a:
+                shared = len(set(self.h.edges[a]).intersection(self.h.edges[grp[1]]))
+                return SamePattern(a, grp[1], k - shared)
+            heappop(pair_heap)
+        return None
+
+
+class RandomEventIndex(EdgeKeyIndex):
+    """The random scan: a uniform pick from the event list, which is the bad
+    edges in id order followed by the confirmed pattern pairs (e, f, i) in
+    order. Both parts are kept sorted as edges change, and each edge knows its
+    pairs, so a refresh re-confirms only the pairs of that edge."""
+
+    def __init__(self, h: Hypergraph, colors: list[int], rng: random.Random):
+        super().__init__(h, colors)
+        self.rng = rng
+        self.bad = [idx for idx, key in enumerate(self.keys) if len(key) < self.k]
+        self.pairs: list[tuple[int, int, int]] = []
+        self.pairs_of: dict[int, list[tuple[int, int, int]]] = {}
+        for grp in self.groups.values():
+            for a, b in combinations(grp, 2):
+                pair = self._confirmed(a, b)
+                if pair:
+                    self.pairs.append(pair)
+                    self._link(pair)
+        self.pairs.sort()
+
+    def _confirmed(self, a: int, b: int) -> tuple[int, int, int] | None:
+        # with bad edges present a shared key is necessary but not sufficient,
+        # so confirm against the definition
+        ea, eb, colors = self.h.edges[a], self.h.edges[b], self.colors
+        da = [v for v in ea if v not in eb]
+        if {colors[v] for v in da} != {colors[v] for v in eb if v not in ea}:
+            return None
+        return (a, b, len(da))
+
+    def _link(self, pair: tuple[int, int, int]) -> None:
+        self.pairs_of.setdefault(pair[0], []).append(pair)
+        self.pairs_of.setdefault(pair[1], []).append(pair)
+
+    def refresh(self, edge_ids: Iterable[int]) -> None:
+        keys, edges, colors, k = self.keys, self.h.edges, self.colors, self.k
+        pairs, pairs_of = self.pairs, self.pairs_of
+        for idx in edge_ids:
+            old, key = keys[idx], tuple(sorted({colors[v] for v in edges[idx]}))
+            if key == old and len(key) == k:
+                continue  # all pairs within a rainbow group hold, whatever the color order
+            for pair in pairs_of.pop(idx, ()):
+                del pairs[bisect_left(pairs, pair)]
+                other = pair[1] if pair[0] == idx else pair[0]
+                theirs = pairs_of[other]
+                theirs.remove(pair)
+                if not theirs:
+                    del pairs_of[other]
+            if key != old:
+                self.move(idx, key)
+                if len(key) < k <= len(old):
+                    insort(self.bad, idx)
+                elif len(old) < k <= len(key):
+                    del self.bad[bisect_left(self.bad, idx)]
+            for other in self.groups[key]:
+                if other != idx:
+                    pair = self._confirmed(min(idx, other), max(idx, other))
+                    if pair:
+                        insort(pairs, pair)
+                        self._link(pair)
+
+    def pick(self) -> Union[BadEdge, SamePattern, None]:
+        n_bad = len(self.bad)
+        total = n_bad + len(self.pairs)
+        if not total:
+            return None
+        pos = self.rng.randrange(total)
+        if pos < n_bad:
+            return BadEdge(self.bad[pos])
+        return SamePattern(*self.pairs[pos - n_bad])
+
+
 def resample_solve(h: Hypergraph, cfg: SolverConfig) -> SolveReport:
     """Build a harmonious coloring with at most cfg.t colors by resampling.
 
@@ -109,92 +267,32 @@ def resample_solve(h: Hypergraph, cfg: SolverConfig) -> SolveReport:
     its scope — all k vertices of a bad edge, or the symmetric difference of a
     same-pattern pair, the exact variable set the event depends on. Rejects
     t < k up front: no edge can be rainbow then.
+
+    The events live in an index that each redraw updates through the edges
+    meeting the scope, so a pick plus its refresh costs O(kΔ log m) rather
+    than a scan of all m edges.
     """
     if cfg.t < h.k:
         raise ValueError(f"t={cfg.t} < k={h.k}: no edge can be rainbow")
-    t, k = cfg.t, h.k
+    t = cfg.t
     rng = random.Random(cfg.seed)
     colors = [rng.randint(1, t) for _ in range(h.n)]
     budget = (cfg.max_resamples if cfg.max_resamples is not None
               else DEFAULT_RESAMPLES_PER_EDGE * max(h.m, 1))
-    edge_sets = [set(e) for e in h.edges]
-
-    # Incremental state: every edge keyed by the sorted tuple of its distinct
-    # colors. An edge is bad iff it has < k distinct colors. Once no edge is
-    # bad, all edges are rainbow and two edges show the same pattern iff they
-    # share a key, so the groups double as an exact collision index.
-    edge_key: list[tuple[int, ...] | None] = [None] * h.m
-    groups: dict[tuple[int, ...], set[int]] = {}
-    bad: set[int] = set()
-
-    def refresh(idx: int) -> None:
-        old = edge_key[idx]
-        if old is not None:
-            grp = groups[old]
-            grp.discard(idx)
-            if not grp:
-                del groups[old]
-        distinct = {colors[v] for v in h.edges[idx]}
-        key = tuple(sorted(distinct))
-        edge_key[idx] = key
-        groups.setdefault(key, set()).add(idx)
-        if len(distinct) < k:
-            bad.add(idx)
-        else:
-            bad.discard(idx)
-
-    for idx in range(h.m):
-        refresh(idx)
-
-    def confirmed_pattern(a: int, b: int) -> SamePattern | None:
-        da = edge_sets[a] - edge_sets[b]
-        db = edge_sets[b] - edge_sets[a]
-        if {colors[v] for v in da} != {colors[v] for v in db}:
-            return None
-        return SamePattern(a, b, len(da))
-
-    def first_event() -> Union[BadEdge, SamePattern, None]:
-        if bad:
-            return BadEdge(min(bad))
-        best: tuple[int, int] | None = None
-        for ids in groups.values():
-            if len(ids) >= 2:
-                a, b = sorted(ids)[:2]
-                if best is None or (a, b) < best:
-                    best = (a, b)
-        if best is None:
-            return None
-        i = k - len(edge_sets[best[0]] & edge_sets[best[1]])
-        return SamePattern(best[0], best[1], i)
-
-    def random_event() -> Union[BadEdge, SamePattern, None]:
-        events: list[Union[BadEdge, SamePattern]] = [BadEdge(i) for i in sorted(bad)]
-        pattern_events = []
-        for ids in groups.values():
-            if len(ids) < 2:
-                continue
-            # with bad edges still present a shared key is necessary but not
-            # sufficient, so confirm against the definition
-            for a, b in combinations(sorted(ids), 2):
-                hit = confirmed_pattern(a, b)
-                if hit is not None:
-                    pattern_events.append(hit)
-        pattern_events.sort()
-        events.extend(pattern_events)
-        if not events:
-            return None
-        return events[rng.randrange(len(events))]
-
-    pick = first_event if cfg.event_scan == "deterministic" else random_event
+    index: LeastEventIndex | RandomEventIndex
+    if cfg.event_scan == "deterministic":
+        index = LeastEventIndex(h, colors)
+    else:
+        index = RandomEventIndex(h, colors, rng)
 
     resamples = 0
     count_bad = 0
-    count_pattern = {i: 0 for i in range(1, k + 1)}
+    count_pattern = {i: 0 for i in range(1, h.k + 1)}
     trace: list[TraceStep] = []
     trace_truncated = False
     success = True
     while True:
-        event = pick()
+        event = index.pick()
         if event is None:
             break
         if resamples >= budget:
@@ -204,14 +302,12 @@ def resample_solve(h: Hypergraph, cfg: SolverConfig) -> SolveReport:
             scope = h.edges[event.edge]
             count_bad += 1
         else:
-            scope = tuple(sorted(edge_sets[event.e] ^ edge_sets[event.f]))
+            scope = tuple(sorted(set(h.edges[event.e]).symmetric_difference(h.edges[event.f])))
             count_pattern[event.i] += 1
         for v in scope:
             colors[v] = rng.randint(1, t)
         resamples += 1
-        touched = {idx for v in scope for idx in h.incidence[v]}
-        for idx in sorted(touched):
-            refresh(idx)
+        index.refresh({idx for v in scope for idx in h.incidence[v]})
         if cfg.trace_limit:
             if len(trace) < cfg.trace_limit:
                 trace.append(TraceStep(event=event, scope=tuple(scope),
@@ -226,7 +322,7 @@ def resample_solve(h: Hypergraph, cfg: SolverConfig) -> SolveReport:
         resamples_total=resamples,
         resamples_bad_edge=count_bad,
         resamples_same_pattern=count_pattern,
-        colors_used=len(set(colors)),
+        colors_used=colors_used(coloring),
         seed=cfg.seed,
         t=t,
         trace=tuple(trace),

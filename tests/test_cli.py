@@ -2,9 +2,14 @@
 the experiment harness's reproducibility contract."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import harmcolor
 from harmcolor import (
     ExperimentSpec,
     builtin_instance,
@@ -249,3 +254,48 @@ def test_experiment_bad_spec_values_exit_2(tmp_path, capsys):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(json.dumps(spec_dict(tmp_path, trials=0)))
     assert main(["experiment", "--spec", str(spec_file)]) == 2
+
+
+@pytest.mark.parametrize("bad", [
+    {"k": "3"},
+    {"n": [8, "10"]},
+    {"m": [5.0]},
+    {"max_degree": True},
+    {"trials": 1.5},
+    {"t_policy": 3},
+    {"t_policy": "fixed", "t": "4"},
+    {"t_policy": "fixed", "t": -5},
+    {"eps": "0.1"},
+    {"base_seed": None},
+    {"output": 5},
+    {"exact": 1},
+    {"exact_node_budget": [10]},
+    {"max_resamples": False},
+    {"max_resamples": -1},
+    {"event_scan": None},
+    {"event_scan": "sideways"},
+], ids=lambda bad: ",".join(f"{key}={json.dumps(value)}" for key, value in bad.items()))
+def test_experiment_wrongly_typed_or_invalid_spec_exits_2(tmp_path, capsys, bad):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec_dict(tmp_path, **bad)))
+    assert main(["experiment", "--spec", str(spec_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "rows.csv").exists()
+
+
+def test_experiment_spec_accepts_null_where_allowed(tmp_path):
+    spec = ExperimentSpec.from_json(json.dumps(spec_dict(tmp_path, t=None, max_resamples=None)))
+    assert spec.t_fixed is None and spec.max_resamples is None
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(harmcolor.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "harmcolor", "bound", "--k", "2", "--delta", "1", "--m", "1"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == ["lcl_min", "21"]

@@ -1,15 +1,21 @@
 """Resampling solver, exact branch and bound, and the greedy upper bound."""
 
+import hashlib
 import random
 from collections import Counter
+from itertools import combinations
 from math import sqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from harmcolor import (
+    BadEdge,
+    Coloring,
     GeneratorConfig,
     Hypergraph,
     NodeBudgetExceeded,
+    SamePattern,
     SolverConfig,
     builtin_instance,
     exact_harmonious_number,
@@ -18,10 +24,13 @@ from harmcolor import (
     is_harmonious,
     lcl_min_colors,
     lower_bound_colors,
+    max_degree,
     resample_solve,
     sample_uniform_coloring,
+    serialize_coloring,
 )
-from oracles import naive_h
+from harmcolor.solver import EVENT_SCANS, LeastEventIndex, RandomEventIndex
+from oracles import naive_bad_edges, naive_h, naive_pattern_pairs
 
 GREEDY_TRAP = Hypergraph(2, 5, [(0, 2), (1, 2), (0, 3), (1, 4)])
 
@@ -159,6 +168,155 @@ def test_trace_truncation_flag():
     assert report.success and report.resamples_total > 1
     assert report.trace_truncated
     assert len(report.trace) == 1
+
+
+@st.composite
+def small_runs(draw):
+    """A small instance with a tight palette and a budget that many runs
+    exhaust, on either scan, traced in full."""
+    k = draw(st.integers(2, 3))
+    n = draw(st.integers(k + 1, 8))
+    edges = draw(st.lists(st.sampled_from(list(combinations(range(n), k))),
+                          min_size=1, max_size=10, unique=True))
+    cfg = SolverConfig(t=draw(st.integers(k, k + 4)), seed=draw(st.integers(0, 2 ** 16)),
+                       max_resamples=draw(st.integers(0, 60)),
+                       event_scan=draw(st.sampled_from(EVENT_SCANS)), trace_limit=100)
+    return Hypergraph(k, n, edges), cfg
+
+
+@given(small_runs())
+@settings(max_examples=200, deadline=None)
+def test_every_step_takes_an_event_the_oracles_see(run):
+    h, cfg = run
+    report = resample_solve(h, cfg)
+    assert not report.trace_truncated and len(report.trace) == report.resamples_total
+    current = sample_uniform_coloring(h, cfg.t, cfg.seed)
+    taken = Counter()
+    for step in report.trace:
+        events = ([BadEdge(idx) for idx in naive_bad_edges(h, current)]
+                  + [SamePattern(*pair) for pair in naive_pattern_pairs(h, current)])
+        if cfg.event_scan == "deterministic":
+            # the least bad edge, else the lexicographically least pair
+            assert step.event == events[0]
+        else:
+            assert step.event in events
+        if isinstance(step.event, BadEdge):
+            assert step.scope == h.edges[step.event.edge]
+            taken["bad"] += 1
+        else:
+            e, f = set(h.edges[step.event.e]), set(h.edges[step.event.f])
+            assert step.scope == tuple(sorted(e ^ f))
+            taken[step.event.i] += 1
+        after = dict(enumerate(step.colors_after))
+        assert all(after[v] == current.assignment[v] for v in range(h.n) if v not in step.scope)
+        current = Coloring(t=cfg.t, assignment=after)
+    assert current == report.coloring
+    assert taken["bad"] == report.resamples_bad_edge
+    assert all(taken[i] == count for i, count in report.resamples_same_pattern.items())
+    left = naive_bad_edges(h, current) or naive_pattern_pairs(h, current)
+    assert report.success == (not left)
+    if not report.success:
+        assert report.resamples_total == cfg.max_resamples
+
+
+@st.composite
+def recoloring_walks(draw):
+    """A small instance, a tight palette, a start coloring and a walk of
+    recolorings, each of one to k vertices."""
+    k = draw(st.integers(2, 3))
+    n = draw(st.integers(k + 1, 7))
+    edges = draw(st.lists(st.sampled_from(list(combinations(range(n), k))),
+                          min_size=1, max_size=12, unique=True))
+    t = draw(st.integers(k, k + 2))
+    color = st.integers(1, t)
+    start = draw(st.lists(color, min_size=n, max_size=n))
+    moves = draw(st.lists(st.dictionaries(st.integers(0, n - 1), color, min_size=1, max_size=k),
+                          max_size=25))
+    return Hypergraph(k, n, edges), t, start, moves
+
+
+def walk_event_indexes(h: Hypergraph, t: int, start: list[int], moves: list[dict[int, int]]):
+    """Apply each recoloring, refresh the edges it meets, and check both
+    indexes against the oracles: the random scan's event lists exactly, the
+    deterministic scan's pick as the least event."""
+    colors = list(start)
+    least = LeastEventIndex(h, colors)
+    rand = RandomEventIndex(h, colors, random.Random(0))
+    for move in [{}] + moves:
+        for v, c in move.items():
+            colors[v] = c
+        touched = {idx for v in move for idx in h.incidence[v]}
+        least.refresh(touched)
+        rand.refresh(touched)
+        current = Coloring(t=t, assignment=dict(enumerate(colors)))
+        bad, pairs = naive_bad_edges(h, current), naive_pattern_pairs(h, current)
+        assert rand.bad == bad and rand.pairs == pairs
+        if bad:
+            assert least.pick() == BadEdge(bad[0])
+        elif pairs:
+            assert least.pick() == SamePattern(*pairs[0])
+        else:
+            assert least.pick() is None
+
+
+@given(recoloring_walks())
+@settings(max_examples=300, deadline=None)
+def test_event_indexes_track_the_oracles_through_recolorings(walk):
+    walk_event_indexes(*walk)
+
+
+def test_least_pair_survives_its_group_minimum_leaving_and_returning():
+    # three disjoint edges share the key (1, 2); edge 0 leaves the group,
+    # so its next minimum must surface, then rejoins as the new minimum
+    h = builtin_instance("matching", 3, k=2)
+    walk_event_indexes(h, 4, [1, 2, 1, 2, 1, 2], [{0: 3, 1: 4}, {0: 1, 1: 2}])
+
+
+def golden_instance(seed: int, k: int, n: int, m: int) -> Hypergraph:
+    """m distinct random k-edges on n vertices, from this file's own stream."""
+    rng = random.Random(seed)
+    edges = set()
+    while len(edges) < m:
+        edges.add(tuple(sorted(rng.sample(range(n), k))))
+    return Hypergraph(k, n, sorted(edges))
+
+
+# (k, n, m, palette, budget) -> SHA-256 of the coloring file plus the report
+# record, per scan; recorded before the event index replaced the full scans.
+# The first four runs succeed in under 700 resamples; the budget only stops
+# a broken index from running on.
+RUN_GOLDENS = {
+    (2, 2000, 2000, "certified", 20_000): (
+        "8448b5301e8e864f5ec253bcb3d193e8cca12ffe0f51ae578d0adf685a02bdb4",
+        "da4ad55e887697410824c6783b5b57f7ff9e288d445b4aefa482faaeaa60cb9e"),
+    (2, 2000, 2000, "3x", 20_000): (
+        "225b19e6484c3fb548e74d5d169ddadf813387e67140a62cbcf8410c209020b8",
+        "172743d7c00e2899c8407e8c1b630978a324418f9a57a97aa9ee508a307b9a27"),
+    (3, 3000, 3000, "certified", 20_000): (
+        "234f9d7474e95e1ed25253d8297c5386c32306403a22e1bf34373f72e20e51c4",
+        "6b87757c46aa157e37aa7d0a4b8f9694d7c81cb5549e072c6ec67b584ca82b85"),
+    (3, 3000, 3000, "3x", 20_000): (
+        "98319025b6a841bf4d802d8c8eec19ebb58d353063b0e7a88800f9ecc9819152",
+        "3488cf5fdf3e2108275f6a0b04c18153600a0572ffeb1943aa5ff6be701534b7"),
+    (3, 40, 40, "1x", 2000): (  # C(8, 3) = 56 keys for 40 edges: the budget runs out
+        "0c766d3436fec9e986b9754733e181540305b63b51869004d03bf3e9410ca265",
+        "59b81a41546f67cd8a3defb8c12af3496f8f2ad8fb16ccaa1613a784375d1327"),
+}
+
+
+@pytest.mark.parametrize("case", RUN_GOLDENS, ids=lambda c: f"k{c[0]}-m{c[2]}-{c[3]}")
+def test_fixed_seed_runs_match_their_goldens(case):
+    k, n, m, palette, budget = case
+    h = golden_instance(k * 1000 + m, k, n, m)
+    if palette == "certified":
+        t = lcl_min_colors(k, max_degree(h), m)
+    else:
+        t = int(palette[0]) * lower_bound_colors(k, m)
+    for scan, expected in zip(EVENT_SCANS, RUN_GOLDENS[case]):
+        report = resample_solve(h, SolverConfig(t=t, seed=7, max_resamples=budget, event_scan=scan))
+        assert report.success == (palette != "1x")
+        text = serialize_coloring(report.coloring, h.n) + repr(report.as_record())
+        assert hashlib.sha256(text.encode()).hexdigest() == expected, scan
 
 
 # ----------------------------------------------------------- exact solver
