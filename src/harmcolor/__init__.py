@@ -8,8 +8,6 @@ branch-and-bound exact solver, and a seeded experiment harness.
 """
 
 from .bounds import (
-    BoundInputs,
-    LclParams,
     LclResult,
     bad_edge_prob_bound,
     bad_edge_prob_exact,
@@ -23,7 +21,6 @@ from .bounds import (
     theorem_bound,
     theorem_ceil_colors,
 )
-from .cli import ExperimentSpec, main, run_experiment
 from .coloring import (
     BadEdge,
     BadEvent,
@@ -63,10 +60,19 @@ from .solver import (
 
 __version__ = "0.1.0"
 
+
+def __getattr__(name: str):
+    # the CLI loads on first use, so ``python -m harmcolor.cli`` does not find
+    # the module already imported by the package
+    if name in ("ExperimentSpec", "main", "run_experiment"):
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 __all__ = [
     "BadEdge",
     "BadEvent",
-    "BoundInputs",
     "Coloring",
     "ExperimentSpec",
     "FormatError",
@@ -74,7 +80,6 @@ __all__ = [
     "GeneratorConfig",
     "Hypergraph",
     "InfeasibleConfigError",
-    "LclParams",
     "LclResult",
     "LocalEvents",
     "NodeBudgetExceeded",

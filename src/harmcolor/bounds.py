@@ -17,40 +17,9 @@ remark_bound) use floating point, to at least 12 significant digits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, exp, factorial, log
 from typing import NamedTuple
-
-import numpy as np
-
-
-@dataclass(frozen=True)
-class BoundInputs:
-    """Instance parameters (k, delta, m) plus the slack factor eps >= 0."""
-
-    k: int
-    delta: int
-    m: int
-    eps: float = 0.0
-
-    def __post_init__(self):
-        _check_inputs(self.k, self.delta, self.m, self.eps)
-
-
-@dataclass(frozen=True)
-class LclParams:
-    """Certificate parameters: a rational tau >= 1 and a palette size t >= 1."""
-
-    tau: Fraction
-    t: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "tau", Fraction(self.tau))
-        if self.tau < 1:
-            raise ValueError(f"tau must be at least 1, got {self.tau}")
-        if self.t < 1:
-            raise ValueError(f"t must be at least 1, got {self.t}")
 
 
 class LclResult(NamedTuple):
@@ -187,8 +156,8 @@ def lcl_condition(k: int, delta: int, m: int, t: int,
     """
     _check_inputs(k, delta, m)
     tau = Fraction(k, k - 1) if tau is None else Fraction(tau)
-    params = LclParams(tau=tau, t=t)
-    tau, t = params.tau, params.t
+    if tau < 1:
+        raise ValueError(f"tau must be at least 1, got {tau}")
     rhs = 1 + delta * bad_edge_prob_bound(k, t) * tau ** k
     rhs += delta * m * pattern_prob_bound(k, t) * tau ** k
     for i in range(1, k):
@@ -264,6 +233,8 @@ def monte_carlo_event_probs(k: int, i: int, t: int, trials: int,
         raise ValueError(f"t must be at least 1, got {t}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    import numpy as np  # only this sampler needs numpy; keep it out of the import path
+
     rng = np.random.default_rng(seed)
 
     edges = np.sort(rng.integers(1, t + 1, size=(trials, k)), axis=1)

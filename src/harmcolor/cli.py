@@ -139,8 +139,9 @@ class ExperimentSpec:
             raise ValueError(f"t_policy must be one of {T_POLICIES}, got {self.t_policy!r}")
         if self.t_policy == "fixed" and self.t_fixed is None:
             raise ValueError("t_policy 'fixed' needs a t value")
-        if self.t_fixed is not None and self.t_fixed < 1:
-            raise ValueError(f"t must be at least 1, got {self.t_fixed}")
+        if self.t_fixed is not None and self.t_fixed < max(self.k_values):
+            raise ValueError(f"t={self.t_fixed} is below k={max(self.k_values)}: "
+                             "no edge can be rainbow")
         if self.eps < 0:
             raise ValueError("eps must be nonnegative")
         if self.max_resamples is not None and self.max_resamples < 0:
@@ -183,8 +184,8 @@ def _policy_t(policy: str, t_fixed: int | None, eps: float,
               k: int, delta: int, m: int) -> int:
     if policy == "fixed":
         assert t_fixed is not None
-        t = t_fixed
-    elif policy == "lcl-min":
+        return t_fixed
+    if policy == "lcl-min":
         t = lcl_min_colors(k, delta, m)
     else:
         t = theorem_ceil_colors(k, delta, m, eps)

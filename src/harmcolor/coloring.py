@@ -35,9 +35,6 @@ class Coloring:
             if not 1 <= c <= self.t:
                 raise ValueError(f"vertex {v} has color {c} outside 1..{self.t}")
 
-    def color(self, v: int) -> int | None:
-        return self.assignment.get(v)
-
     def is_total_on(self, vertices) -> bool:
         return all(v in self.assignment for v in vertices)
 
@@ -100,6 +97,15 @@ def bad_edges(h: Hypergraph, c: Coloring) -> list[BadEdge]:
     return out
 
 
+def edge_key(colors, edge: tuple[int, ...]) -> tuple[int, ...]:
+    """The sorted distinct colors of an edge under ``colors`` (a list or a
+    mapping that colors every vertex of the edge). Two rainbow edges show the
+    same pattern iff their keys are equal; an edge is rainbow iff its key has
+    k colors."""
+    # map keeps the loop out of a comprehension frame; the search calls this per node
+    return tuple(sorted(set(map(colors.__getitem__, edge))))
+
+
 def _confirm_pair(h: Hypergraph, assignment: Mapping[int, int],
                   a: int, b: int) -> SamePattern | None:
     """Check the pattern definition on one candidate pair of edge indices."""
@@ -136,16 +142,14 @@ def pattern_collisions(h: Hypergraph, c: Coloring) -> list[SamePattern]:
     uncolored vertices, so those candidates come from the incidence lists.
     """
     assignment = c.assignment
-    get = assignment.get
     groups: dict[tuple[int, ...], list[int]] = {}
-    uncolored_of: dict[int, tuple[int, ...]] = {}
+    uncolored_of: dict[int, list[int]] = {}
     for idx, e in enumerate(h.edges):
-        missing = tuple(v for v in e if v not in assignment)
+        missing = [v for v in e if v not in assignment]
         if missing:
             uncolored_of[idx] = missing
         else:
-            key = tuple(sorted({assignment[v] for v in e}))
-            groups.setdefault(key, []).append(idx)
+            groups.setdefault(edge_key(assignment, e), []).append(idx)
 
     found: dict[tuple[int, int], SamePattern] = {}
     for ids in groups.values():
@@ -157,35 +161,38 @@ def pattern_collisions(h: Hypergraph, c: Coloring) -> list[SamePattern]:
                 found[(hit.e, hit.f)] = hit
 
     for idx, missing in uncolored_of.items():
-        # every uncolored vertex of this edge must lie in the partner too
-        candidates = set(h.incidence[missing[0]])
-        for v in missing[1:]:
-            candidates &= set(h.incidence[v])
-        for other in candidates:
-            if other == idx:
-                continue
-            pair = (min(idx, other), max(idx, other))
-            if pair in found:
-                continue
-            hit = _confirm_pair(h, assignment, idx, other)
-            if hit is not None:
-                found[pair] = hit
+        for hit in _partial_collisions(h, assignment, idx, missing):
+            found[(hit.e, hit.f)] = hit
 
     return [found[pair] for pair in sorted(found)]
 
 
+def _partial_collisions(h: Hypergraph, assignment: Mapping[int, int], idx: int,
+                        missing: list[int]) -> Iterator[SamePattern]:
+    """The pattern collisions of edge idx, whose uncolored vertices are
+    ``missing``. Every uncolored vertex of the edge must lie in the partner
+    too, so only the edges containing all of them are candidates."""
+    candidates = set(h.incidence[missing[0]]).intersection(*(h.incidence[v] for v in missing[1:]))
+    for other in candidates:
+        if other != idx:
+            hit = _confirm_pair(h, assignment, idx, other)
+            if hit is not None:
+                yield hit
+
+
 def is_harmonious(h: Hypergraph, c: Coloring) -> bool:
-    """True iff c is rainbow and no two edges show the same pattern.
+    """True iff c is rainbow and no two edges show the same pattern, that is,
+    iff the m edge keys are distinct and each has k colors.
 
     Requires c to be total on the support of h; a partial coloring is rejected
     with ValueError since the question is not yet decided.
     """
-    for v in range(h.n):
-        if h.degrees[v] > 0 and v not in c.assignment:
+    assignment = c.assignment
+    for v in h.support:
+        if v not in assignment:
             raise ValueError(f"partial coloring: vertex {v} lies in an edge but has no color")
-    if bad_edges(h, c):
-        return False
-    return not pattern_collisions(h, c)
+    keys = {edge_key(assignment, e) for e in h.edges}
+    return len(keys) == h.m and all(len(key) == h.k for key in keys)
 
 
 def local_bad_events(h: Hypergraph, c: Coloring, v: int) -> LocalEvents:

@@ -16,7 +16,8 @@ from itertools import combinations
 from typing import Iterable, Mapping, Union
 
 from .bounds import lower_bound_colors
-from .coloring import BadEdge, Coloring, SamePattern, colors_used, pattern_collisions
+from .coloring import (BadEdge, Coloring, SamePattern, _partial_collisions, colors_used,
+                       edge_key)
 from .hypergraph import Hypergraph
 
 DEFAULT_RESAMPLES_PER_EDGE = 10 ** 5
@@ -115,7 +116,7 @@ class EdgeKeyIndex:
 
     def __init__(self, h: Hypergraph, colors: list[int]):
         self.h, self.k, self.colors = h, h.k, colors
-        self.keys = [tuple(sorted({colors[v] for v in e})) for e in h.edges]
+        self.keys = [edge_key(colors, e) for e in h.edges]
         self.groups: dict[tuple[int, ...], list[int]] = {}
         for idx, key in enumerate(self.keys):  # ascending ids keep groups sorted
             grp = self.groups.get(key)
@@ -158,7 +159,7 @@ class LeastEventIndex(EdgeKeyIndex):
     def refresh(self, edge_ids: Iterable[int]) -> None:
         keys, edges, colors, k = self.keys, self.h.edges, self.colors, self.k
         for idx in edge_ids:
-            old, key = keys[idx], tuple(sorted({colors[v] for v in edges[idx]}))
+            old, key = keys[idx], edge_key(colors, edges[idx])
             if key == old:
                 continue
             left, joined = self.move(idx, key)
@@ -225,7 +226,7 @@ class RandomEventIndex(EdgeKeyIndex):
         keys, edges, colors, k = self.keys, self.h.edges, self.colors, self.k
         pairs, pairs_of = self.pairs, self.pairs_of
         for idx in edge_ids:
-            old, key = keys[idx], tuple(sorted({colors[v] for v in edges[idx]}))
+            old, key = keys[idx], edge_key(colors, edges[idx])
             if key == old and len(key) == k:
                 continue  # all pairs within a rainbow group hold, whatever the color order
             for pair in pairs_of.pop(idx, ()):
@@ -343,7 +344,7 @@ def exact_harmonious_number(h: Hypergraph, node_budget: int = DEFAULT_NODE_BUDGE
     """
     if h.m == 0:
         return 0
-    support = [v for v in range(h.n) if h.degrees[v] > 0]
+    support = h.support
     remaining = [node_budget]
     for t in range(lower_bound_colors(h.k, h.m), h.n + 1):
         if _search(h, t, support, remaining):
@@ -351,34 +352,44 @@ def exact_harmonious_number(h: Hypergraph, node_budget: int = DEFAULT_NODE_BUDGE
     raise AssertionError("unreachable: an injective coloring is harmonious")
 
 
-def _search(h: Hypergraph, t: int, support: list[int], remaining: list[int]) -> bool:
-    colors: dict[int, int] = {}
-    used_keys: set[tuple[int, ...]] = set()
-
-    def try_place(v: int, c: int) -> tuple[bool, list[tuple[int, ...]]]:
-        added: list[tuple[int, ...]] = []
-        for idx in h.incidence[v]:
-            edge = h.edges[idx]
-            full = True
-            for u in edge:
-                if u == v:
-                    continue
+def _place(h: Hypergraph, colors: dict[int, int], used_keys: set[tuple[int, ...]],
+           v: int, c: int) -> list[tuple[int, ...]] | None:
+    """Color v with c unless c repeats a color in an edge through v or
+    completes an edge whose key is already in used_keys. On success, adds the
+    keys of the edges v completes to used_keys and returns them; otherwise
+    leaves v uncolored and returns None."""
+    added: list[tuple[int, ...]] = []
+    for idx in h.incidence[v]:
+        edge = h.edges[idx]
+        full = True
+        for u in edge:
+            if u != v:
                 cu = colors.get(u)
-                if cu == c:  # repeat inside the edge can never be repaired
-                    for key in added:
-                        used_keys.discard(key)
-                    return False, []
+                if cu == c:  # a repeat inside an edge can never be repaired
+                    break
                 if cu is None:
                     full = False
-            if full:
-                key = tuple(sorted(colors.get(u, c) for u in edge))
-                if key in used_keys:
-                    for kk in added:
-                        used_keys.discard(kk)
-                    return False, []
+        else:
+            if not full:
+                continue
+            colors[v] = c  # edge_key reads the color of v
+            key = edge_key(colors, edge)
+            if key not in used_keys:
                 used_keys.add(key)
                 added.append(key)
-        return True, added
+                continue
+        # a repeat, or a complete edge whose key is taken
+        colors.pop(v, None)
+        for key in added:
+            used_keys.discard(key)
+        return None
+    colors[v] = c
+    return added
+
+
+def _search(h: Hypergraph, t: int, support: tuple[int, ...], remaining: list[int]) -> bool:
+    colors: dict[int, int] = {}
+    used_keys: set[tuple[int, ...]] = set()
 
     def place(pos: int, max_used: int) -> bool:
         if pos == len(support):
@@ -389,15 +400,13 @@ def _search(h: Hypergraph, t: int, support: list[int], remaining: list[int]) -> 
             if remaining[0] < 0:
                 raise NodeBudgetExceeded(
                     f"node budget exhausted at t={t}; the answer is unknown")
-            ok, added = try_place(v, c)
-            if not ok:
+            added = _place(h, colors, used_keys, v, c)
+            if added is None:
                 continue
-            colors[v] = c
             if place(pos + 1, max(max_used, c)):
                 return True
             del colors[v]
-            for key in added:
-                used_keys.discard(key)
+            used_keys.difference_update(added)
         return False
 
     return place(0, 0)
@@ -410,32 +419,38 @@ def greedy_upper(h: Hypergraph) -> tuple[Coloring, int]:
     is already fully colored, even if the edges themselves are not complete.
     A brand-new color always passes (it can only appear on the new vertex's
     side of any newly eligible pair), so the loop terminates and the result is
-    harmonious. The coloring is compacted to colors 1..T before returning;
-    returns (coloring, T)."""
+    harmonious, and it uses exactly the colors 1..T; returns (coloring, T).
+
+    No collision exists before a vertex is placed, so a candidate color is
+    checked only against the pairs through that vertex: _place covers the
+    pairs of complete edges by their keys, and each edge the vertex leaves
+    incomplete is confirmed against the partners that could still collide with
+    it. A candidate costs O(kΔ) edges plus one key lookup."""
     order = sorted(range(h.n), key=lambda v: (-h.degrees[v], v))
     assignment: dict[int, int] = {}
+    used_keys: set[tuple[int, ...]] = set()
     highest = 0
     for v in order:
         c = 1
-        while not _greedy_fits(h, assignment, v, c):
+        while True:
+            added = _place(h, assignment, used_keys, v, c)
+            if added is not None:
+                if not _collides_through(h, assignment, v):
+                    break
+                del assignment[v]
+                used_keys.difference_update(added)
             c += 1
             assert c <= highest + 1, "the fresh color should always fit"
-        assignment[v] = c
         highest = max(highest, c)
-    distinct = sorted(set(assignment.values()))
-    remap = {old: pos + 1 for pos, old in enumerate(distinct)}
-    final = {v: remap[c] for v, c in assignment.items()}
-    t = max(1, len(distinct))
-    return Coloring(t=t, assignment=final), t
+    t = max(1, highest)
+    return Coloring(t=t, assignment=assignment), t
 
 
-def _greedy_fits(h: Hypergraph, assignment: dict[int, int], v: int, c: int) -> bool:
+def _collides_through(h: Hypergraph, assignment: dict[int, int], v: int) -> bool:
+    """Whether an edge through v that v leaves incomplete shows the same
+    pattern as some partner."""
     for idx in h.incidence[v]:
-        for u in h.edges[idx]:
-            if u != v and assignment.get(u) == c:
-                return False
-    trial = dict(assignment)
-    trial[v] = c
-    palette = max(max(trial.values()), 1)
-    # no collision existed before this placement, so any hit involves v
-    return not pattern_collisions(h, Coloring(t=palette, assignment=trial))
+        missing = [u for u in h.edges[idx] if u not in assignment]
+        if missing and next(_partial_collisions(h, assignment, idx, missing), None) is not None:
+            return True
+    return False

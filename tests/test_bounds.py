@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from harmcolor import (
-    BoundInputs,
     bad_edge_prob_bound,
     bad_edge_prob_exact,
     lcl_condition,
@@ -30,7 +29,7 @@ def test_input_validation():
     for bad in [dict(k=1, delta=1, m=1), dict(k=2, delta=0, m=1),
                 dict(k=2, delta=1, m=0), dict(k=2, delta=1, m=1, eps=-0.1)]:
         with pytest.raises(ValueError):
-            BoundInputs(**bad)
+            theorem_bound(**bad)
     with pytest.raises(ValueError):
         lcl_condition(2, 1, 1, t=0)
     with pytest.raises(ValueError):

@@ -265,6 +265,7 @@ def test_experiment_bad_spec_values_exit_2(tmp_path, capsys):
     {"t_policy": 3},
     {"t_policy": "fixed", "t": "4"},
     {"t_policy": "fixed", "t": -5},
+    {"t_policy": "fixed", "t": 1},
     {"eps": "0.1"},
     {"base_seed": None},
     {"output": 5},
@@ -289,13 +290,24 @@ def test_experiment_spec_accepts_null_where_allowed(tmp_path):
     assert spec.t_fixed is None and spec.max_resamples is None
 
 
-def test_python_dash_m_runs_the_cli():
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run the interpreter on args with this checkout's package on the path."""
     src = str(Path(harmcolor.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "harmcolor", "bound", "--k", "2", "--delta", "1", "--m", "1"],
-        capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+@pytest.mark.parametrize("module", ["harmcolor", "harmcolor.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    proc = run_python("-m", module, "bound", "--k", "2", "--delta", "1", "--m", "1")
     assert proc.returncode == 0, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert proc.stdout.splitlines()[-1].split() == ["lcl_min", "21"]
+
+
+def test_loading_the_cli_does_not_import_numpy():
+    proc = run_python("-c", "import sys, harmcolor.cli; print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

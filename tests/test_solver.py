@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 from collections import Counter
 from itertools import combinations
 from math import sqrt
@@ -272,12 +273,18 @@ def test_least_pair_survives_its_group_minimum_leaving_and_returning():
     walk_event_indexes(h, 4, [1, 2, 1, 2, 1, 2], [{0: 3, 1: 4}, {0: 1, 1: 2}])
 
 
-def golden_instance(seed: int, k: int, n: int, m: int) -> Hypergraph:
-    """m distinct random k-edges on n vertices, from this file's own stream."""
+def golden_instance(seed: int, k: int, n: int, m: int, dmax: int | None = None) -> Hypergraph:
+    """m distinct random k-edges on n vertices, with no vertex in more than
+    dmax of them, from this file's own stream."""
     rng = random.Random(seed)
+    degree = [0] * n
     edges = set()
     while len(edges) < m:
-        edges.add(tuple(sorted(rng.sample(range(n), k))))
+        e = tuple(sorted(rng.sample(range(n), k)))
+        if e not in edges and (dmax is None or all(degree[v] < dmax for v in e)):
+            edges.add(e)
+            for v in e:
+                degree[v] += 1
     return Hypergraph(k, n, sorted(edges))
 
 
@@ -365,6 +372,20 @@ def test_exact_respects_node_budget():
         exact_harmonious_number(builtin_instance("cycle", 5), node_budget=3)
 
 
+# EXACT_GOLDENS position -> the least node budget that settles the search,
+# recorded before greedy and the exact search came to share one placement check
+EXACT_NODE_GOLDENS = {5: 37, 8: 19, 12: 14}
+
+
+@pytest.mark.parametrize("pos", EXACT_NODE_GOLDENS, ids=lambda pos: f"case{pos}")
+def test_exact_search_visits_the_recorded_number_of_nodes(pos):
+    h, expected = EXACT_GOLDENS[pos]
+    nodes = EXACT_NODE_GOLDENS[pos]
+    assert exact_harmonious_number(h, node_budget=nodes) == expected
+    with pytest.raises(NodeBudgetExceeded):
+        exact_harmonious_number(h, node_budget=nodes - 1)
+
+
 # ----------------------------------------------------------------- greedy
 
 def test_greedy_single_edge_uses_exactly_k_colors():
@@ -407,3 +428,66 @@ def test_bound_sandwich_lower_exact_greedy():
         exact = exact_harmonious_number(h)
         _, greedy_t = greedy_upper(h)
         assert lower_bound_colors(h.k, h.m) <= exact == expected <= greedy_t
+
+
+# SHA-256 of greedy's coloring files, recorded before greedy stopped rerunning
+# the full verifier for every candidate color: the EXACT_GOLDENS family (it
+# includes GREEDY_TRAP) in order, and golden_instance(1000 * k + m, k, n, m, dmax)
+GREEDY_GOLDENS = {
+    "exact-goldens": "f956b4920a7a482ef839cb1bfb5ee853ef4fa08a88d2beb2313ef800ac0c27bd",
+    (2, 400, 300, 3): "70d0c410bb478443bcf93f729745bf8cc2a831b7c6a6f7e0e4fdfe63e5240d2c",
+    (3, 300, 200, 3): "f4e840ececd6c6188ee3353ce861a207cb205fbce94b4e4b3ad4643eeb627a4c",
+    (4, 600, 200, 2): "0480d5f27d067e23db406c18b7cddfc53923797e36417651b00c0067026fc264",
+    (3, 2000, 1000, 3): "958666d5c67f59f930853aaa92d8ad0820f4c3989c23c4e94e0fc24b7631f7e1",
+}
+
+
+@pytest.mark.parametrize("case", GREEDY_GOLDENS, ids=str)
+def test_greedy_matches_its_goldens(case):
+    if case == "exact-goldens":
+        family = [h for h, _ in EXACT_GOLDENS]
+    else:
+        k, n, m, dmax = case
+        family = [golden_instance(1000 * k + m, k, n, m, dmax)]
+        assert max_degree(family[0]) == dmax
+    start = time.perf_counter()
+    text = "".join(serialize_coloring(greedy_upper(h)[0], h.n) for h in family)
+    # each candidate color is checked locally; a full verifier pass per
+    # candidate takes minutes at m = 1000
+    assert time.perf_counter() - start < 10
+    assert hashlib.sha256(text.encode()).hexdigest() == GREEDY_GOLDENS[case]
+
+
+def oracle_fits(h: Hypergraph, partial: dict[int, int]) -> bool:
+    """No edge repeats a color among its colored vertices, and the oracles
+    see no bad edge and no same-pattern pair. naive_bad_edges judges complete
+    edges only, so the repeat check covers the incomplete ones."""
+    for e in h.edges:
+        cols = [partial[u] for u in e if u in partial]
+        if len(set(cols)) < len(cols):
+            return False
+    current = Coloring(t=max(partial.values()), assignment=partial)
+    return not naive_bad_edges(h, current) and not naive_pattern_pairs(h, current)
+
+
+@st.composite
+def small_instances(draw):
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(k, 7))
+    edges = draw(st.lists(st.sampled_from(list(combinations(range(n), k))),
+                          max_size=10, unique=True))
+    return Hypergraph(k, n, edges)
+
+
+@given(small_instances())
+@settings(max_examples=200, deadline=None)
+def test_greedy_is_first_fit_under_the_oracles(h):
+    coloring, t = greedy_upper(h)
+    partial: dict[int, int] = {}
+    for v in sorted(range(h.n), key=lambda v: (-h.degrees[v], v)):
+        c = 1
+        while not oracle_fits(h, {**partial, v: c}):
+            c += 1
+        partial[v] = c
+    assert coloring.assignment == partial
+    assert t == max(partial.values(), default=1)
