@@ -16,7 +16,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -165,6 +165,11 @@ class ExperimentSpec:
         unknown = set(data) - set(known)
         if unknown:
             raise ValueError(f"unknown experiment spec keys: {sorted(unknown)}")
+        required = {f.name for f in fields(cls) if f.default is MISSING}
+        missing = [key for key, field_name in known.items()
+                   if field_name in required and key not in data]
+        if missing:
+            raise ValueError(f"experiment spec lacks required keys: {missing}")
         kwargs: dict[str, object] = {}
         for key, field_name in known.items():
             if key not in data:

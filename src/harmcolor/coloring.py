@@ -106,26 +106,25 @@ def edge_key(colors, edge: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(set(map(colors.__getitem__, edge))))
 
 
+def _pattern_size(ea: tuple[int, ...], eb: tuple[int, ...], colors) -> int | None:
+    """|ea\\eb| if edges ea and eb show the same pattern under ``colors``,
+    else None. ``colors`` is a list or a mapping indexed by vertex, and a
+    vertex the mapping lacks is uncolored. This is the one statement of the
+    pattern definition; |ea\\eb| = |eb\\ea| since both edges have k vertices."""
+    da = [v for v in ea if v not in eb]
+    try:
+        if {colors[v] for v in da} != {colors[v] for v in eb if v not in ea}:
+            return None
+    except KeyError:  # a vertex of ea\eb or eb\ea is uncolored
+        return None
+    return len(da)
+
+
 def _confirm_pair(h: Hypergraph, assignment: Mapping[int, int],
                   a: int, b: int) -> SamePattern | None:
     """Check the pattern definition on one candidate pair of edge indices."""
-    ea, eb = set(h.edges[a]), set(h.edges[b])
-    da, db = ea - eb, eb - ea
-    colors_a = set()
-    for v in da:
-        col = assignment.get(v)
-        if col is None:
-            return None
-        colors_a.add(col)
-    colors_b = set()
-    for v in db:
-        col = assignment.get(v)
-        if col is None:
-            return None
-        colors_b.add(col)
-    if colors_a != colors_b:
-        return None
-    return SamePattern(min(a, b), max(a, b), len(da))
+    i = _pattern_size(h.edges[a], h.edges[b], assignment)
+    return None if i is None else SamePattern(min(a, b), max(a, b), i)
 
 
 def pattern_collisions(h: Hypergraph, c: Coloring) -> list[SamePattern]:

@@ -250,23 +250,32 @@ def generate_random_bounded_degree(cfg: GeneratorConfig) -> Hypergraph:
     fixed seed. Raises GenerationFailure when the restart budget (default
     100*m) is exhausted — a distinct condition from up-front infeasibility,
     which GeneratorConfig itself rejects.
+
+    The k vertices are drawn as ranks among the vertices with capacity, by
+    ``rng.sample(range(live), k)``, and mapped to vertices through a Fenwick
+    tree. ``random.sample`` only takes the length of its population and
+    indexes it, so this makes the same RNG calls and picks the same vertices
+    as sampling from the ascending list of those vertices, rebuilt per edge:
+    each seed yields that O(n*m) generator's instance (tests/oracles.py keeps
+    it as ``naive_generate``). Cost: O(n + m*k*log n) per attempt.
     """
     rng = random.Random(cfg.seed)
+    k, n = cfg.k, cfg.n
     restarts = cfg.max_restarts if cfg.max_restarts is not None else 100 * cfg.m
     attempts = restarts + 1
     for _ in range(max(attempts, 1)):
-        capacity = [cfg.max_degree] * cfg.n
+        capacity = [cfg.max_degree] * n
+        live = _LiveVertices(n)
         chosen: list[tuple[int, ...]] = []
         taken: set[tuple[int, ...]] = set()
         dead = False
         while len(chosen) < cfg.m:
-            eligible = [v for v in range(cfg.n) if capacity[v] > 0]
-            if len(eligible) < cfg.k:
+            if live.size < k:
                 dead = True
                 break
             edge: tuple[int, ...] | None = None
             for _draw in range(100):
-                cand = tuple(sorted(rng.sample(eligible, cfg.k)))
+                cand = tuple(sorted(map(live.vertex, rng.sample(range(live.size), k))))
                 if cand not in taken:
                     edge = cand
                     break
@@ -277,9 +286,44 @@ def generate_random_bounded_degree(cfg: GeneratorConfig) -> Hypergraph:
             chosen.append(edge)
             for v in edge:
                 capacity[v] -= 1
+                if not capacity[v]:
+                    live.discard(v)
         if not dead:
-            return Hypergraph(cfg.k, cfg.n, chosen)
+            return Hypergraph(k, n, chosen)
     raise GenerationFailure(
         f"no valid instance after {attempts} attempts "
         f"(k={cfg.k}, n={cfg.n}, m={cfg.m}, max_degree={cfg.max_degree}, seed={cfg.seed})"
     )
+
+
+class _LiveVertices:
+    """A subset of 0..n-1, initially all of it, as a Fenwick tree over the
+    membership flags: O(n) to build, O(log n) to discard a member or to find
+    the member of a given rank. ``size`` is the number of members."""
+
+    __slots__ = ("tree", "top", "size")
+
+    def __init__(self, n: int):
+        self.tree = [i & -i for i in range(n + 1)]  # tree[i] sums flags (i - lowbit(i), i]
+        self.top = (1 << n.bit_length()) >> 1  # the largest power of 2 <= n
+        self.size = n
+
+    def vertex(self, rank: int) -> int:
+        """The member with exactly ``rank`` smaller members."""
+        tree, n = self.tree, len(self.tree) - 1
+        pos, step = 0, self.top
+        while step:
+            nxt = pos + step
+            if nxt <= n and tree[nxt] <= rank:
+                pos = nxt
+                rank -= tree[nxt]
+            step >>= 1
+        return pos  # the 1-based tree position pos + 1 is vertex pos
+
+    def discard(self, v: int) -> None:
+        """Remove member v."""
+        tree, i = self.tree, v + 1
+        while i < len(tree):
+            tree[i] -= 1
+            i += i & -i
+        self.size -= 1

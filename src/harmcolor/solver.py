@@ -16,8 +16,8 @@ from itertools import combinations
 from typing import Iterable, Mapping, Union
 
 from .bounds import lower_bound_colors
-from .coloring import (BadEdge, Coloring, SamePattern, _partial_collisions, colors_used,
-                       edge_key)
+from .coloring import (BadEdge, Coloring, SamePattern, _partial_collisions, _pattern_size,
+                       colors_used, edge_key)
 from .hypergraph import Hypergraph
 
 DEFAULT_RESAMPLES_PER_EDGE = 10 ** 5
@@ -101,8 +101,14 @@ def sample_uniform_coloring(h: Hypergraph, t: int, seed: int = 0) -> Coloring:
     the same seed)."""
     if t < 1:
         raise ValueError(f"palette size must be at least 1, got {t}")
-    rng = random.Random(seed)
-    return Coloring(t=t, assignment={v: rng.randint(1, t) for v in range(h.n)})
+    colors = _uniform_colors(random.Random(seed), h.n, t)
+    return Coloring(t=t, assignment=dict(enumerate(colors)))
+
+
+def _uniform_colors(rng: random.Random, n: int, t: int) -> list[int]:
+    """The initial draw of sample_uniform_coloring and resample_solve: one
+    uniform color from 1..t per vertex, in vertex order."""
+    return [rng.randint(1, t) for _ in range(n)]
 
 
 class EdgeKeyIndex:
@@ -193,7 +199,9 @@ class RandomEventIndex(EdgeKeyIndex):
     """The random scan: a uniform pick from the event list, which is the bad
     edges in id order followed by the confirmed pattern pairs (e, f, i) in
     order. Both parts are kept sorted as edges change, and each edge knows its
-    pairs, so a refresh re-confirms only the pairs of that edge."""
+    pairs, so a refresh re-confirms only the pairs of that edge. With bad
+    edges present a shared key is necessary for a pattern pair but not
+    sufficient, so each pair within a group is confirmed by _pattern_size."""
 
     def __init__(self, h: Hypergraph, colors: list[int], rng: random.Random):
         super().__init__(h, colors)
@@ -201,22 +209,15 @@ class RandomEventIndex(EdgeKeyIndex):
         self.bad = [idx for idx, key in enumerate(self.keys) if len(key) < self.k]
         self.pairs: list[tuple[int, int, int]] = []
         self.pairs_of: dict[int, list[tuple[int, int, int]]] = {}
+        edges = h.edges
         for grp in self.groups.values():
             for a, b in combinations(grp, 2):
-                pair = self._confirmed(a, b)
-                if pair:
+                i = _pattern_size(edges[a], edges[b], colors)
+                if i is not None:
+                    pair = (a, b, i)
                     self.pairs.append(pair)
                     self._link(pair)
         self.pairs.sort()
-
-    def _confirmed(self, a: int, b: int) -> tuple[int, int, int] | None:
-        # with bad edges present a shared key is necessary but not sufficient,
-        # so confirm against the definition
-        ea, eb, colors = self.h.edges[a], self.h.edges[b], self.colors
-        da = [v for v in ea if v not in eb]
-        if {colors[v] for v in da} != {colors[v] for v in eb if v not in ea}:
-            return None
-        return (a, b, len(da))
 
     def _link(self, pair: tuple[int, int, int]) -> None:
         self.pairs_of.setdefault(pair[0], []).append(pair)
@@ -244,8 +245,9 @@ class RandomEventIndex(EdgeKeyIndex):
                     del self.bad[bisect_left(self.bad, idx)]
             for other in self.groups[key]:
                 if other != idx:
-                    pair = self._confirmed(min(idx, other), max(idx, other))
-                    if pair:
+                    i = _pattern_size(edges[idx], edges[other], colors)
+                    if i is not None:
+                        pair = (min(idx, other), max(idx, other), i)
                         insort(pairs, pair)
                         self._link(pair)
 
@@ -277,7 +279,7 @@ def resample_solve(h: Hypergraph, cfg: SolverConfig) -> SolveReport:
         raise ValueError(f"t={cfg.t} < k={h.k}: no edge can be rainbow")
     t = cfg.t
     rng = random.Random(cfg.seed)
-    colors = [rng.randint(1, t) for _ in range(h.n)]
+    colors = _uniform_colors(rng, h.n, t)
     budget = (cfg.max_resamples if cfg.max_resamples is not None
               else DEFAULT_RESAMPLES_PER_EDGE * max(h.m, 1))
     index: LeastEventIndex | RandomEventIndex

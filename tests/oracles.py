@@ -1,9 +1,10 @@
 """Slow, obviously-correct reference implementations used to cross-check the
 package. Everything here is brute force on purpose; keep it dumb."""
 
+import random
 from itertools import combinations, product
 
-from harmcolor import Coloring, Hypergraph
+from harmcolor import Coloring, GenerationFailure, GeneratorConfig, Hypergraph
 
 
 def naive_bad_edges(h: Hypergraph, coloring: Coloring) -> list[int]:
@@ -52,3 +53,41 @@ def naive_h(h: Hypergraph) -> int:
             if naive_is_harmonious(h, coloring):
                 return t
     raise AssertionError("an injective coloring is always harmonious")
+
+
+def naive_generate(cfg: GeneratorConfig) -> Hypergraph:
+    """The bounded-degree generator as first written: it rebuilds the list of
+    vertices with residual capacity for every edge, O(n*m). The fast
+    generator must return the same instance for every config and seed."""
+    rng = random.Random(cfg.seed)
+    restarts = cfg.max_restarts if cfg.max_restarts is not None else 100 * cfg.m
+    attempts = restarts + 1
+    for _ in range(max(attempts, 1)):
+        capacity = [cfg.max_degree] * cfg.n
+        chosen: list[tuple[int, ...]] = []
+        taken: set[tuple[int, ...]] = set()
+        dead = False
+        while len(chosen) < cfg.m:
+            eligible = [v for v in range(cfg.n) if capacity[v] > 0]
+            if len(eligible) < cfg.k:
+                dead = True
+                break
+            edge: tuple[int, ...] | None = None
+            for _draw in range(100):
+                cand = tuple(sorted(rng.sample(eligible, cfg.k)))
+                if cand not in taken:
+                    edge = cand
+                    break
+            if edge is None:  # only duplicates within the draw budget
+                dead = True
+                break
+            taken.add(edge)
+            chosen.append(edge)
+            for v in edge:
+                capacity[v] -= 1
+        if not dead:
+            return Hypergraph(cfg.k, cfg.n, chosen)
+    raise GenerationFailure(
+        f"no valid instance after {attempts} attempts "
+        f"(k={cfg.k}, n={cfg.n}, m={cfg.m}, max_degree={cfg.max_degree}, seed={cfg.seed})"
+    )

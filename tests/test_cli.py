@@ -187,6 +187,10 @@ def test_usage_errors_exit_2(capsys):
 
 # ------------------------------------------------------------- experiments
 
+# an override that removes its key from the spec
+ABSENT = object()
+
+
 def spec_dict(tmp_path, **overrides):
     base = {
         "k": 2, "n": [8, 10], "m": 5, "max_degree": 3, "trials": 3,
@@ -194,7 +198,7 @@ def spec_dict(tmp_path, **overrides):
         "output": str(tmp_path / "rows.csv"), "exact": True,
     }
     base.update(overrides)
-    return base
+    return {key: value for key, value in base.items() if value is not ABSENT}
 
 
 def test_experiment_spec_validation(tmp_path):
@@ -275,13 +279,24 @@ def test_experiment_bad_spec_values_exit_2(tmp_path, capsys):
     {"max_resamples": -1},
     {"event_scan": None},
     {"event_scan": "sideways"},
-], ids=lambda bad: ",".join(f"{key}={json.dumps(value)}" for key, value in bad.items()))
+    {"k": ABSENT},
+    {"n": ABSENT},
+    {"m": ABSENT},
+    {"max_degree": ABSENT},
+    {"trials": ABSENT},
+    {"t_policy": ABSENT},
+    {"trials": ABSENT, "t_policy": ABSENT},
+    {"k": ABSENT, "n": ABSENT, "m": ABSENT, "max_degree": ABSENT, "trials": ABSENT,
+     "t_policy": ABSENT},
+], ids=lambda bad: ",".join(f"no {key}" if value is ABSENT else f"{key}={json.dumps(value)}"
+                            for key, value in bad.items()))
 def test_experiment_wrongly_typed_or_invalid_spec_exits_2(tmp_path, capsys, bad):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(json.dumps(spec_dict(tmp_path, **bad)))
     assert main(["experiment", "--spec", str(spec_file)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert all(repr(key) in err for key, value in bad.items() if value is ABSENT)
     assert not (tmp_path / "rows.csv").exists()
 
 

@@ -1,5 +1,8 @@
 """Instance type, file format, builtin families, and the random generator."""
 
+import hashlib
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +18,7 @@ from harmcolor import (
     parse_hypergraph,
     serialize_hypergraph,
 )
+from oracles import naive_generate
 
 
 # ----------------------------------------------------------- construction
@@ -197,3 +201,57 @@ def test_generator_reports_failure_when_no_instance_exists():
     cfg = GeneratorConfig(k=2, n=2, m=2, max_degree=2, seed=0, max_restarts=50)
     with pytest.raises(GenerationFailure):
         generate_random_bounded_degree(cfg)
+
+
+@st.composite
+def generator_configs(draw):
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(k, 60))
+    dmax = draw(st.integers(1, 4))
+    m = draw(st.integers(0, n * dmax // k))
+    return GeneratorConfig(k=k, n=n, m=m, max_degree=dmax,
+                           seed=draw(st.integers(0, 2 ** 32)),
+                           max_restarts=draw(st.sampled_from([0, 3, None])))
+
+
+def generate_or_failure(generate, cfg):
+    try:
+        return generate(cfg)
+    except GenerationFailure:
+        return GenerationFailure
+
+
+@given(generator_configs())
+@settings(max_examples=300, deadline=None)
+def test_generator_matches_the_naive_generator(cfg):
+    assert generate_or_failure(generate_random_bounded_degree, cfg) == \
+        generate_or_failure(naive_generate, cfg)
+
+
+# SHA-256 of serialize_hypergraph, recorded with the O(n*m) generator:
+# (k, m) -> digest at n = 2m, max_degree = 3, seed = 7
+GENERATOR_GOLDENS = {
+    (2, 1000): "53179942f6af5926da9f2011c65dbe0ea88de5d422f472ab1bdda5c115d3d3cc",
+    (2, 4000): "3515979f4165018b62c1da952b3af0adf46c1258e82bb5afd0944cd7e74cd4fe",
+    (3, 1000): "a720e6fdab5358bbf4ac7e4df73114e7168fde91e5f2282581672515dce9db43",
+    (3, 4000): "e11c09a9178cfbae9080f9735a43f828e81f1dbbd299beeb8b38797b37b9a4a4",
+    (4, 1000): "d213f049617421a844305593cb25375926ff9b38136ccb6aa281ad88327a1933",
+    (4, 4000): "7bd730daa03ae4ea2687066ada17f32c2998b405309bc83307d00377d4124457",
+}
+
+
+@pytest.mark.parametrize("k, m", sorted(GENERATOR_GOLDENS))
+def test_generator_matches_its_goldens(k, m):
+    h = generate_random_bounded_degree(GeneratorConfig(k=k, n=2 * m, m=m, max_degree=3, seed=7))
+    digest = hashlib.sha256(serialize_hypergraph(h).encode()).hexdigest()
+    assert digest == GENERATOR_GOLDENS[(k, m)]
+
+
+def test_generator_scales_to_large_instances():
+    start = time.perf_counter()
+    h = generate_random_bounded_degree(GeneratorConfig(k=3, n=10 ** 5, m=5 * 10 ** 4,
+                                                       max_degree=3, seed=1))
+    # rebuilding the list of vertices with capacity for every edge takes
+    # minutes here
+    assert time.perf_counter() - start < 10
+    assert h.m == 5 * 10 ** 4 and max_degree(h) <= 3
