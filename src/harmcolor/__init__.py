@@ -23,7 +23,6 @@ from .bounds import (
 )
 from .coloring import (
     BadEdge,
-    BadEvent,
     Coloring,
     LocalEvents,
     SamePattern,
@@ -72,7 +71,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "BadEdge",
-    "BadEvent",
     "Coloring",
     "ExperimentSpec",
     "FormatError",

@@ -7,7 +7,7 @@ by branch and bound), ``bound`` (the bound calculators side by side), and
 
 Exit codes are a stable contract: 0 success, 1 negative answer (not
 harmonious / no solution within budget / no instance within restarts), 2 usage
-or infeasible parameters, 3 I/O or format errors.
+or infeasible parameters, 3 I/O or format errors, or out of memory.
 """
 
 from __future__ import annotations
@@ -485,6 +485,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     except (FormatError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError:  # e.g. a header or --n declaring more vertices than fit
+        print("error: out of memory", file=sys.stderr)
         return EXIT_IO
     except GenerationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)

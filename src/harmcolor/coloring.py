@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Mapping
 
-from .hypergraph import FormatError, Hypergraph
+from .hypergraph import FormatError, Hypergraph, _content_lines
 
 
 @dataclass(frozen=True)
@@ -34,9 +34,6 @@ class Coloring:
         for v, c in self.assignment.items():
             if not 1 <= c <= self.t:
                 raise ValueError(f"vertex {v} has color {c} outside 1..{self.t}")
-
-    def is_total_on(self, vertices) -> bool:
-        return all(v in self.assignment for v in vertices)
 
 
 @dataclass(frozen=True, order=True)
@@ -64,9 +61,6 @@ class SamePattern:
             object.__setattr__(self, "f", e)
         if self.i < 1:
             raise ValueError(f"|e\\f| must be at least 1, got {self.i}")
-
-
-BadEvent = BadEdge | SamePattern
 
 
 @dataclass(frozen=True)
@@ -223,25 +217,18 @@ def parse_coloring(text: str) -> tuple[Coloring, int]:
     """Parse the coloring format: header ``c <t> <n>``, then ``v <vertex>
     <color>`` lines. Returns (coloring, n) with n the declared vertex count.
     Comments (#) and blank lines are skipped; errors carry line numbers."""
-    header: tuple[int, int] | None = None
+    lines = _content_lines(text)
+    lineno, line, tokens = next(lines)
+    if len(tokens) != 3 or tokens[0] != "c":
+        raise FormatError(f"expected header 'c <t> <n>', got {line!r}", lineno)
+    try:
+        t, n = int(tokens[1]), int(tokens[2])
+    except ValueError:
+        raise FormatError(f"non-integer field in header {line!r}", lineno) from None
+    if t < 1 or n < 0:
+        raise FormatError(f"header out of range: t={t}, n={n}", lineno)
     assignment: dict[int, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if header is None:
-            if len(tokens) != 3 or tokens[0] != "c":
-                raise FormatError(f"expected header 'c <t> <n>', got {line!r}", lineno)
-            try:
-                t, n = int(tokens[1]), int(tokens[2])
-            except ValueError:
-                raise FormatError(f"non-integer field in header {line!r}", lineno) from None
-            if t < 1 or n < 0:
-                raise FormatError(f"header out of range: t={t}, n={n}", lineno)
-            header = (t, n)
-            continue
-        t, n = header
+    for lineno, line, tokens in lines:
         if tokens[0] != "v" or len(tokens) != 3:
             raise FormatError(f"expected 'v <vertex> <color>', got {line!r}", lineno)
         try:
@@ -255,9 +242,7 @@ def parse_coloring(text: str) -> tuple[Coloring, int]:
         if vertex in assignment:
             raise FormatError(f"vertex {vertex} colored twice", lineno)
         assignment[vertex] = color
-    if header is None:
-        raise FormatError("no header line found")
-    return Coloring(t=header[0], assignment=assignment), header[1]
+    return Coloring(t=t, assignment=assignment), n
 
 
 def serialize_coloring(c: Coloring, n: int) -> str:

@@ -3,6 +3,10 @@
 Vertices are dense integer ids 0..n-1. Edges are k-element sets stored as
 sorted tuples; edge identity is set identity and duplicate edges are rejected.
 Isolated vertices are allowed (n may exceed the support of the edges).
+
+``Hypergraph.__init__`` is the only code that checks and canonicalises an
+edge. ``parse_hypergraph`` checks the header, then streams the edge lines into
+the constructor and puts the line number on whatever it rejects.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class FormatError(ValueError):
@@ -48,16 +52,16 @@ class Hypergraph:
         canon: list[tuple[int, ...]] = []
         seen: set[tuple[int, ...]] = set()
         degrees = [0] * n
-        for pos, edge in enumerate(edges):
+        for edge in edges:
             e = tuple(sorted(edge))
-            if len(e) != k or len(set(e)) != k:
-                raise ValueError(
-                    f"edge {pos} must contain exactly {k} distinct vertices: {tuple(edge)}"
-                )
+            if len(e) != k:
+                raise ValueError(f"edge has {len(e)} vertices, expected {k}")
+            if len(set(e)) != k:
+                raise ValueError(f"repeated vertex in edge {tuple(edge)}")
             if e[0] < 0 or e[-1] >= n:
-                raise ValueError(f"edge {pos} has a vertex outside 0..{n - 1}: {tuple(edge)}")
+                raise ValueError(f"vertex id outside 0..{n - 1} in edge {tuple(edge)}")
             if e in seen:
-                raise ValueError(f"duplicate edge {e} (position {pos})")
+                raise ValueError(f"duplicate edge {e}")
             seen.add(e)
             canon.append(e)
             for v in e:
@@ -129,59 +133,64 @@ class GeneratorConfig:
             )
 
 
+def _content_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """(line number, stripped line, tokens) for each line of an instance or
+    coloring file that is neither blank nor a ``#`` comment, LF or CRLF.
+    Both formats take their header from the first such line; a text without
+    one raises FormatError."""
+    headless = True
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            headless = False
+            yield lineno, line, line.split()
+    if headless:
+        raise FormatError("no header line found")
+
+
 def parse_hypergraph(text: str) -> Hypergraph:
     """Parse the line-oriented instance format.
 
     Line 1 is ``p hg <k> <n> <m>``; each of the next m lines is
     ``e <v1> ... <vk>`` with 0-based vertex ids. ``#`` begins a comment line,
-    blank lines are skipped, LF and CRLF both accepted. Errors carry the
-    offending line number.
+    blank lines are skipped, LF and CRLF both accepted. The edges stream into
+    ``Hypergraph``, which checks them; its ValueError comes back as a
+    FormatError on the line of the offending edge.
     """
-    header: tuple[int, int, int] | None = None
-    edges: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if header is None:
-            if len(tokens) != 5 or tokens[0] != "p" or tokens[1] != "hg":
-                raise FormatError(f"expected header 'p hg <k> <n> <m>', got {line!r}", lineno)
+    lines = _content_lines(text)
+    lineno, line, tokens = next(lines)
+    if len(tokens) != 5 or tokens[0] != "p" or tokens[1] != "hg":
+        raise FormatError(f"expected header 'p hg <k> <n> <m>', got {line!r}", lineno)
+    try:
+        k, n, m = (int(tok) for tok in tokens[2:])
+    except ValueError:
+        raise FormatError(f"non-integer field in header {line!r}", lineno) from None
+    if k < 2 or n < 0 or m < 0:
+        raise FormatError(f"header out of range: k={k}, n={n}, m={m}", lineno)
+
+    def edges() -> Iterator[tuple[int, ...]]:
+        nonlocal lineno
+        found = 0
+        for lineno, line, tokens in lines:
+            if tokens[0] != "e":
+                raise FormatError(f"expected edge line 'e <v1> ... <v{k}>', got {line!r}", lineno)
+            if found == m:
+                raise FormatError(f"more than the declared {m} edges", lineno)
+            found += 1
             try:
-                k, n, m = (int(tok) for tok in tokens[2:])
+                verts = tuple(map(int, tokens[1:]))
             except ValueError:
-                raise FormatError(f"non-integer field in header {line!r}", lineno) from None
-            if k < 2 or n < 0 or m < 0:
-                raise FormatError(f"header out of range: k={k}, n={n}, m={m}", lineno)
-            header = (k, n, m)
-            continue
-        k, n, m = header
-        if tokens[0] != "e":
-            raise FormatError(f"expected edge line 'e <v1> ... <v{k}>', got {line!r}", lineno)
-        if len(edges) >= m:
-            raise FormatError(f"more than the declared {m} edges", lineno)
-        try:
-            verts = tuple(int(tok) for tok in tokens[1:])
-        except ValueError:
-            raise FormatError(f"non-integer vertex id in {line!r}", lineno) from None
-        if len(verts) != k:
-            raise FormatError(f"edge has {len(verts)} vertices, expected {k}", lineno)
-        if len(set(verts)) != k:
-            raise FormatError(f"repeated vertex in edge {verts}", lineno)
-        if min(verts) < 0 or max(verts) >= n:
-            raise FormatError(f"vertex id outside 0..{n - 1} in edge {verts}", lineno)
-        e = tuple(sorted(verts))
-        if e in seen:
-            raise FormatError(f"duplicate edge {e}", lineno)
-        seen.add(e)
-        edges.append(e)
-    if header is None:
-        raise FormatError("no header line found")
-    k, n, m = header
-    if len(edges) != m:
-        raise FormatError(f"declared {m} edges but found {len(edges)}")
-    return Hypergraph(k, n, edges)
+                raise FormatError(f"non-integer vertex id in {line!r}", lineno) from None
+            yield verts
+        if found != m:
+            raise FormatError(f"declared {m} edges but found {found}")
+
+    try:
+        return Hypergraph(k, n, edges())
+    except FormatError:
+        raise
+    except ValueError as exc:
+        raise FormatError(str(exc), lineno) from None
 
 
 def serialize_hypergraph(h: Hypergraph) -> str:

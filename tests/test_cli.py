@@ -131,6 +131,19 @@ def test_missing_and_malformed_files_exit_3(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_vertex_counts_too_large_for_memory_exit_3(tmp_path, capsys):
+    # a list of 2**62 slots is refused at once, before any memory is touched
+    huge = str(2 ** 62)
+    instance = tmp_path / "huge.hg"
+    instance.write_text(f"p hg 2 {huge} 0\n")
+    coloring = tmp_path / "huge.col"
+    coloring.write_text(f"c 1 {huge}\n")
+    assert main(["verify", "--input", str(instance), "--coloring", str(coloring)]) == 3
+    assert capsys.readouterr().err == "error: out of memory\n"
+    assert main(["gen", "--n", huge, "--m", "1", "--max-degree", "1", "--k", "2"]) == 3
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 def test_exact_prints_the_harmonious_number(triangle_file, capsys):
     assert main(["exact", "--input", str(triangle_file)]) == 0
     assert capsys.readouterr().out.strip() == "3"

@@ -1,12 +1,15 @@
-"""Instance type, file format, builtin families, and the random generator."""
+"""Instance type, file format, builtin families, the random generator, and
+fuzzing of both file parsers."""
 
 import hashlib
+import re
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from harmcolor import (
+    Coloring,
     FormatError,
     GenerationFailure,
     GeneratorConfig,
@@ -15,7 +18,9 @@ from harmcolor import (
     builtin_instance,
     generate_random_bounded_degree,
     max_degree,
+    parse_coloring,
     parse_hypergraph,
+    serialize_coloring,
     serialize_hypergraph,
 )
 from oracles import naive_generate
@@ -121,6 +126,13 @@ def test_parse_missing_edges_reported_without_line():
         parse_hypergraph("p hg 2 3 2\ne 0 1\n")
 
 
+@pytest.mark.parametrize("parse", [parse_hypergraph, parse_coloring])
+def test_text_without_a_header_line(parse):
+    for text in ("", "\n  \r\n", "# only a comment\n"):
+        with pytest.raises(FormatError, match="^no header line found$"):
+            parse(text)
+
+
 def test_serialize_round_trip_fixed():
     h = builtin_instance("k-star", 3, k=3)
     assert parse_hypergraph(serialize_hypergraph(h)) == h
@@ -142,6 +154,129 @@ def hypergraphs(draw):
 @settings(max_examples=60)
 def test_serialize_parse_round_trip(h):
     assert parse_hypergraph(serialize_hypergraph(h)) == h
+
+
+# ------------------------------------------------- one validator, two faces
+
+@st.composite
+def raw_edge_files(draw):
+    """(k, n, edges, text, edge_lines): raw edge lists, some of wrong arity,
+    with repeated or out-of-range vertices, or repeating an earlier edge in
+    another order; text declares them all, between comments and blank lines
+    under mixed line endings, and edge_lines[j] is the line of edge j."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(0, 8))
+    edges: list[list[int]] = []
+    for _ in range(draw(st.integers(0, 8))):
+        if edges and draw(st.integers(0, 4)) == 0:
+            edges.append(draw(st.permutations(draw(st.sampled_from(edges)))))
+        else:
+            size = draw(st.sampled_from([k] * 6 + [k - 1, k + 1]))
+            edges.append(draw(st.lists(st.integers(-1, n), min_size=size, max_size=size)))
+    body = [f"p hg {k} {n} {len(edges)}"] + ["e " + " ".join(map(str, e)) for e in edges]
+    lines: list[str] = []
+    edge_lines: list[int] = []
+    for pos, line in enumerate(body):
+        lines += draw(st.lists(st.sampled_from(["", "  ", "# note", " \t# e 0 1"]), max_size=2))
+        lines.append(line)
+        if pos:
+            edge_lines.append(len(lines))
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    return k, n, edges, text, edge_lines
+
+
+def construction_error(k, n, edges):
+    try:
+        Hypergraph(k, n, edges)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@given(raw_edge_files())
+@settings(max_examples=300)
+def test_the_parser_reports_the_constructors_verdict_on_the_offending_line(case):
+    k, n, edges, text, edge_lines = case
+    message = construction_error(k, n, edges)
+    if message is None:
+        assert parse_hypergraph(text) == Hypergraph(k, n, edges)
+        return
+    first_bad = next(j for j in range(len(edges))
+                     if construction_error(k, n, edges[:j + 1]) is not None)
+    with pytest.raises(FormatError) as err:
+        parse_hypergraph(text)
+    assert err.value.line == edge_lines[first_bad]
+    assert str(err.value) == f"line {edge_lines[first_bad]}: {message}"
+
+
+# ---------------------------------------------------------- parser fuzzing
+
+MAX_FUZZ_N = 10 ** 4
+
+
+def declares_at_most(text: str, field: int, limit: int) -> bool:
+    """False when the first content line has an integer token at position
+    ``field`` above ``limit``: a header declaring that many vertices would
+    allocate that much."""
+    for line in text.splitlines():
+        tokens = line.split()
+        if tokens and not tokens[0].startswith("#"):
+            try:
+                return int(tokens[field]) <= limit
+            except (IndexError, ValueError):
+                return True
+    return True
+
+
+@st.composite
+def one_token_mutations(draw, text: str):
+    """text with one whitespace-separated token replaced by arbitrary text or
+    a small integer, or deleted."""
+    parts = re.split(r"(\s+)", text)
+    at = draw(st.sampled_from([i for i in range(0, len(parts), 2) if parts[i]]))
+    parts[at] = draw(st.one_of(st.text(max_size=6), st.integers(-3, MAX_FUZZ_N).map(str)))
+    return "".join(parts)
+
+
+def parse_or_format_error(parse, text):
+    try:
+        parse(text)
+    except FormatError:
+        pass
+
+
+@given(st.text())
+@settings(max_examples=300)
+def test_arbitrary_text_gives_an_instance_or_a_format_error(text):
+    assume(declares_at_most(text, 3, MAX_FUZZ_N))
+    parse_or_format_error(parse_hypergraph, text)
+
+
+@given(hypergraphs().map(serialize_hypergraph).flatmap(one_token_mutations))
+@settings(max_examples=300)
+def test_mutated_instances_give_an_instance_or_a_format_error(text):
+    assume(declares_at_most(text, 3, MAX_FUZZ_N))
+    parse_or_format_error(parse_hypergraph, text)
+
+
+@given(st.text())
+@settings(max_examples=300)
+def test_arbitrary_text_gives_a_coloring_or_a_format_error(text):
+    parse_or_format_error(parse_coloring, text)
+
+
+@st.composite
+def coloring_files(draw):
+    n = draw(st.integers(0, 8))
+    t = draw(st.integers(1, 5))
+    colored = draw(st.sets(st.integers(0, n - 1))) if n else set()
+    return serialize_coloring(Coloring(t, {v: draw(st.integers(1, t)) for v in sorted(colored)}), n)
+
+
+@given(coloring_files().flatmap(one_token_mutations))
+@settings(max_examples=300)
+def test_mutated_colorings_give_a_coloring_or_a_format_error(text):
+    parse_or_format_error(parse_coloring, text)
 
 
 # -------------------------------------------------------------- generator
