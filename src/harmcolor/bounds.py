@@ -17,9 +17,12 @@ remark_bound) use floating point, to at least 12 significant digits.
 
 from __future__ import annotations
 
+import random
+import sys
 from fractions import Fraction
-from math import ceil, comb, exp, factorial, log
-from typing import NamedTuple
+from functools import wraps
+from math import ceil, comb, exp, factorial, inf, isfinite, log
+from typing import Callable, Iterator, NamedTuple
 
 
 class LclResult(NamedTuple):
@@ -34,8 +37,8 @@ def _check_inputs(k: int, delta: int, m: int, eps: float = 0.0) -> None:
         raise ValueError(f"delta must be at least 1, got {delta}")
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
-    if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
+    if not 0 <= eps <= sys.float_info.max:  # also false for nan
+        raise ValueError(f"eps must be a finite nonnegative number, got {eps}")
 
 
 def _int_root(x: int, k: int) -> int:
@@ -66,6 +69,24 @@ def _float_root(x: int, k: int) -> float:
     return exp(log(x) / k)
 
 
+def _float_range(closed_form: Callable[..., float]) -> Callable[..., float]:
+    """Make a closed form whose value leaves float range raise ValueError,
+    whether its arithmetic overflowed to inf or raised OverflowError."""
+
+    @wraps(closed_form)
+    def checked(*args, **kwargs) -> float:
+        try:
+            value = closed_form(*args, **kwargs)
+        except OverflowError:
+            value = inf
+        if not isfinite(value):
+            raise ValueError(f"{closed_form.__name__} is beyond float range")
+        return value
+
+    return checked
+
+
+@_float_range
 def theorem_bound(k: int, delta: int, m: int, eps: float = 0.0) -> float:
     """The existence bound (1+eps) * k/(k-1) * (delta*(k-1)*k!*m)^(1/k).
 
@@ -77,6 +98,7 @@ def theorem_bound(k: int, delta: int, m: int, eps: float = 0.0) -> float:
     return (1.0 + eps) * k * _float_root(radicand, k) / (k - 1)
 
 
+@_float_range
 def remark_bound(k: int, delta: int, m: int) -> float:
     """The additive refinement of the existence bound:
 
@@ -107,10 +129,20 @@ def lower_bound_colors(k: int, m: int) -> int:
         raise ValueError(f"k must be at least 2, got {k}")
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
-    r = k
-    while comb(r, k) < m:
-        r += 1
-    return r
+    return _least(lambda r: comb(r, k) >= m)  # comb(r, k) == 0 < m for r < k
+
+
+def _least(holds: Callable[[int], bool]) -> int:
+    """Least t >= 1 with holds(t), for a predicate monotone in t that holds
+    somewhere: doubling brackets it, bisection pins it down."""
+    hi = 1
+    while not holds(hi):
+        hi *= 2
+    lo = hi // 2  # holds(lo) is false (or lo == 0)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return hi
 
 
 def bad_edge_prob_exact(k: int, t: int) -> Fraction:
@@ -170,24 +202,13 @@ def lcl_min_colors(k: int, delta: int, m: int, tau: Fraction | None = None) -> i
     """Minimal t for which the certificate holds at tau (default k/(k-1)).
 
     The RHS is strictly decreasing in t and tends to 1 < tau, so a threshold
-    exists; exponential search brackets it and binary search pins it down.
-    Requires tau > 1 — at tau = 1 the inequality is never satisfiable.
+    exists. Requires tau > 1 — at tau = 1 the inequality is never satisfiable.
     """
     _check_inputs(k, delta, m)
     tau = Fraction(k, k - 1) if tau is None else Fraction(tau)
     if tau <= 1:
         raise ValueError(f"tau must exceed 1, got {tau}")
-    hi = 1
-    while not lcl_condition(k, delta, m, hi, tau).holds:
-        hi *= 2
-    lo = hi // 2  # certificate fails at lo (or lo == 0)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if lcl_condition(k, delta, m, mid, tau).holds:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _least(lambda t: lcl_condition(k, delta, m, t, tau).holds)
 
 
 def tau_grid_search(k: int, delta: int, m: int,
@@ -223,35 +244,40 @@ def monte_carlo_event_probs(k: int, i: int, t: int, trials: int,
     disjoint i-sets of fresh vertices receiving equal color sets conditioned on
     the first set being rainbow (for which the conditional probability is
     exactly i!/t^i when t >= i). Returns a 0.0 pattern estimate if the
-    conditioning event never occurs. Deterministic per seed.
+    conditioning event never occurs.
+
+    Deterministic per seed: ``random.Random(seed)`` draws k colors per trial
+    for all trials, then 2i per trial (first i-set, then second). The draws
+    come in blocks of bounded size, so memory does not grow with ``trials``.
     """
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     if i < 1:
         raise ValueError(f"i must be at least 1, got {i}")
+    if i > k:  # |e\f| <= k, which also keeps every drawn row within k colors
+        raise ValueError(f"i must be at most k={k}, got {i}")
     if t < 1:
         raise ValueError(f"t must be at least 1, got {t}")
+    if t > sys.maxsize:  # random.choices needs len(range(1, t + 1))
+        raise ValueError(f"t must be at most {sys.maxsize} for sampling, got {t}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    import numpy as np  # only this sampler needs numpy; keep it out of the import path
+    rng = random.Random(seed)
+    bad = sum(len(set(colors)) < k for colors in _color_rows(rng, t, k, trials))
+    rainbow = same = 0
+    i_sets = map(set, _color_rows(rng, t, i, 2 * trials))
+    for first, second in zip(i_sets, i_sets):  # a trial's two i-sets, in draw order
+        if len(first) == i:
+            rainbow += 1
+            same += first == second
+    return bad / trials, same / rainbow if rainbow else 0.0
 
-    rng = np.random.default_rng(seed)
 
-    edges = np.sort(rng.integers(1, t + 1, size=(trials, k)), axis=1)
-    bad = (edges[:, 1:] == edges[:, :-1]).any(axis=1)
-    bad_rate = float(bad.mean())
-
-    pairs = rng.integers(1, t + 1, size=(trials, 2 * i))
-    first = np.sort(pairs[:, :i], axis=1)
-    second = np.sort(pairs[:, i:], axis=1)
-    if i > 1:
-        rainbow = ~(first[:, 1:] == first[:, :-1]).any(axis=1)
-    else:
-        rainbow = np.ones(trials, dtype=bool)
-    n_rainbow = int(rainbow.sum())
-    if n_rainbow == 0:
-        return bad_rate, 0.0
-    # equal sorted rows == equal sets, since the first row has no repeats
-    same = (first == second).all(axis=1)
-    pattern_rate = float((same & rainbow).sum() / n_rainbow)
-    return bad_rate, pattern_rate
+def _color_rows(rng: random.Random, t: int, width: int,
+                rows: int) -> Iterator[tuple[int, ...]]:
+    """``rows`` tuples of ``width`` colors from 1..t; blocking keeps the stream
+    of one flat ``choices`` call, which draws one color at a time."""
+    per_block = max(1, 65536 // width)
+    for start in range(0, rows, per_block):
+        block = rng.choices(range(1, t + 1), k=width * min(per_block, rows - start))
+        yield from zip(*[iter(block)] * width)

@@ -142,8 +142,8 @@ class ExperimentSpec:
         if self.t_fixed is not None and self.t_fixed < max(self.k_values):
             raise ValueError(f"t={self.t_fixed} is below k={max(self.k_values)}: "
                              "no edge can be rainbow")
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
+        if not 0 <= self.eps <= sys.float_info.max:  # also false for NaN
+            raise ValueError(f"eps must be a finite nonnegative number, got {self.eps}")
         if self.max_resamples is not None and self.max_resamples < 0:
             raise ValueError("max_resamples must be nonnegative")
         if self.event_scan not in EVENT_SCANS:
@@ -353,8 +353,7 @@ def _bound_rows(args: argparse.Namespace) -> list[tuple[str, str]]:
         ("lcl_min", str(lcl_min_colors(k, delta, m))),
     ]
     if args.t is not None:
-        tau = Fraction(args.tau) if args.tau else None
-        result = lcl_condition(k, delta, m, args.t, tau)
+        result = lcl_condition(k, delta, m, args.t, args.tau)
         rows.append((f"lcl_holds_t{args.t}", "true" if result.holds else "false"))
         rows.append((f"lcl_slack_t{args.t}", str(result.slack)))
         rows.append((f"bad_edge_exact_t{args.t}", str(bad_edge_prob_exact(k, args.t))))
@@ -405,6 +404,15 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------------ parser
 
+def _rational(text: str) -> Fraction:
+    """argparse type for a rational like 3/2; a zero denominator is a usage
+    error like any other malformed number."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="harmcolor",
@@ -452,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.0)
     p.add_argument("--t", type=int, default=None,
                    help="also evaluate the certificate and event bounds at this t")
-    p.add_argument("--tau", default=None,
+    p.add_argument("--tau", type=_rational, default=None,
                    help="rational tau like 3/2 (default k/(k-1))")
     p.add_argument("--tau-grid", type=int, nargs="?", const=16, default=None,
                    help="search tau over a rational grid with this denominator")

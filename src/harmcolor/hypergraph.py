@@ -12,6 +12,7 @@ the constructor and puts the line number on whatever it rejects.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -49,6 +50,8 @@ class Hypergraph:
             raise ValueError(f"uniformity k must be at least 2, got {k}")
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
+        if n > sys.maxsize:  # no list of n degrees can exist
+            raise ValueError(f"vertex count must be at most {sys.maxsize}, got {n}")
         canon: list[tuple[int, ...]] = []
         seen: set[tuple[int, ...]] = set()
         degrees = [0] * n
@@ -120,6 +123,8 @@ class GeneratorConfig:
             raise ValueError(f"k must be at least 2, got {self.k}")
         if self.k > self.n:
             raise ValueError(f"k={self.k} exceeds vertex count n={self.n}")
+        if self.n > sys.maxsize:
+            raise ValueError(f"vertex count must be at most {sys.maxsize}, got {self.n}")
         if self.m < 0:
             raise ValueError(f"m must be nonnegative, got {self.m}")
         if self.max_degree < 1:

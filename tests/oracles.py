@@ -3,6 +3,7 @@ package. Everything here is brute force on purpose; keep it dumb."""
 
 import random
 from itertools import combinations, product
+from math import comb
 
 from harmcolor import Coloring, GenerationFailure, GeneratorConfig, Hypergraph
 
@@ -53,6 +54,31 @@ def naive_h(h: Hypergraph) -> int:
             if naive_is_harmonious(h, coloring):
                 return t
     raise AssertionError("an injective coloring is always harmonious")
+
+
+def naive_lower_bound_colors(k: int, m: int) -> int:
+    """Least r >= k with C(r, k) >= m, by walking r upward from k."""
+    r = k
+    while comb(r, k) < m:
+        r += 1
+    return r
+
+
+def naive_monte_carlo_event_probs(k: int, i: int, t: int, trials: int,
+                                  seed: int = 0) -> tuple[float, float]:
+    """The Monte Carlo sampler's documented draw order, as one flat draw per
+    estimate: k colors for each trial, then 2i (first i-set, then second)."""
+    rng = random.Random(seed)
+    colors = rng.choices(range(1, t + 1), k=k * trials)
+    bad = sum(len(set(colors[j * k:(j + 1) * k])) < k for j in range(trials))
+    colors = rng.choices(range(1, t + 1), k=2 * i * trials)
+    rainbow = same = 0
+    for j in range(0, 2 * i * trials, 2 * i):
+        first, second = set(colors[j:j + i]), set(colors[j + i:j + 2 * i])
+        if len(first) == i:
+            rainbow += 1
+            same += first == second
+    return bad / trials, same / rainbow if rainbow else 0.0
 
 
 def naive_generate(cfg: GeneratorConfig) -> Hypergraph:

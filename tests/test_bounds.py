@@ -2,6 +2,7 @@
 cross-checks. Expected values were computed independently ahead of time and
 are frozen here; all certificate decisions are exact rational arithmetic."""
 
+import sys
 from fractions import Fraction
 from math import comb, sqrt
 
@@ -21,13 +22,16 @@ from harmcolor import (
     theorem_bound,
     theorem_ceil_colors,
 )
+from oracles import naive_lower_bound_colors, naive_monte_carlo_event_probs
 
 
 # ------------------------------------------------------------- input guards
 
 def test_input_validation():
     for bad in [dict(k=1, delta=1, m=1), dict(k=2, delta=0, m=1),
-                dict(k=2, delta=1, m=0), dict(k=2, delta=1, m=1, eps=-0.1)]:
+                dict(k=2, delta=1, m=0), dict(k=2, delta=1, m=1, eps=-0.1),
+                dict(k=2, delta=1, m=1, eps=float("nan")),
+                dict(k=2, delta=1, m=1, eps=float("inf")), dict(k=2, delta=1, m=1, eps=10**400)]:
         with pytest.raises(ValueError):
             theorem_bound(**bad)
     with pytest.raises(ValueError):
@@ -36,6 +40,17 @@ def test_input_validation():
         lcl_condition(2, 1, 1, t=10, tau=Fraction(1, 2))
     with pytest.raises(ValueError):
         lcl_min_colors(2, 1, 1, tau=Fraction(1))  # needs tau > 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda: theorem_bound(2, 1, 1, 1e308),  # the product overflows to inf
+    lambda: theorem_ceil_colors(2, 1, 1, 1e308),
+    lambda: theorem_bound(2, 10**700, 1),  # the root leaves float range
+    lambda: remark_bound(3, 10**400, 5),  # delta^2 does not fit a float
+])
+def test_closed_forms_beyond_float_range_are_value_errors(call):
+    with pytest.raises(ValueError, match="beyond float range"):
+        call()
 
 
 # ------------------------------------------------------------ closed forms
@@ -91,6 +106,12 @@ def test_lower_bound_is_tight(k, m):
     assert r >= k and comb(r, k) >= m
     if r > k:
         assert comb(r - 1, k) < m
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_lower_bound_matches_the_linear_scan(k):
+    for m in [*range(1, 3000), 10**5, 10**6 + 7]:
+        assert lower_bound_colors(k, m) == naive_lower_bound_colors(k, m), (k, m)
 
 
 # ---------------------------------------------------------- event bounds
@@ -273,10 +294,26 @@ def test_monte_carlo_degenerate_palette():
     assert pattern_est == 0.0  # the rainbow condition never occurs
 
 
+def test_monte_carlo_keeps_the_stream_of_one_flat_draw():
+    # both phases draw more colors than one block holds, so the blocks must join up seamlessly
+    assert (monte_carlo_event_probs(3, 2, 7, 25_000, seed=3)
+            == naive_monte_carlo_event_probs(3, 2, 7, 25_000, seed=3))
+
+
 def test_monte_carlo_is_seeded():
     a = monte_carlo_event_probs(3, 2, 5, 2000, seed=9)
     assert a == monte_carlo_event_probs(3, 2, 5, 2000, seed=9)
     assert a != monte_carlo_event_probs(3, 2, 5, 2000, seed=10)
+
+
+def test_monte_carlo_input_validation():
+    assert monte_carlo_event_probs(2, 1, sys.maxsize, 10, seed=1) == (0.0, 0.0)
+    with pytest.raises(ValueError, match="t must be at most"):
+        monte_carlo_event_probs(2, 1, sys.maxsize + 1, 10)
+    # a row holds 2i colors, so i is capped by k like the edge's own k colors
+    assert monte_carlo_event_probs(3, 3, 5, 10, seed=1)
+    with pytest.raises(ValueError, match="i must be at most k=3"):
+        monte_carlo_event_probs(3, 4, 5, 10)
 
 
 # ---------------------------------------------- documented formula defects

@@ -1,13 +1,17 @@
 """Command-line behaviors: exit codes, file round trips, output formats, and
 the experiment harness's reproducibility contract."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import harmcolor
 from harmcolor import (
@@ -198,6 +202,98 @@ def test_usage_errors_exit_2(capsys):
                  "--max-degree", "1"]) == 2  # k < 2
 
 
+def test_vertex_counts_beyond_the_index_range_are_rejected(tmp_path, capsys):
+    # no list can have 2**63 slots: the size check comes before any allocation
+    huge = str(sys.maxsize + 1)
+    instance = tmp_path / "huge.hg"
+    instance.write_text(f"# too many vertices\np hg 2 {huge} 0\n")
+    assert main(["exact", "--input", str(instance)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: line 2: vertex count must be at most {sys.maxsize}, got {huge}\n")
+    assert main(["gen", "--k", "2", "--n", huge, "--m", "1", "--max-degree", "1"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: vertex count must be at most {sys.maxsize}, got {huge}\n")
+
+
+def test_bound_answers_a_huge_m_at_once(capsys):
+    m = 10**400  # a linear scan for the counting bound would not finish
+    assert main(["bound", "--k", "3", "--delta", "3", "--m", str(m)]) == 0
+    rows = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    assert set(rows) == {"theorem", "remark", "lower", "lcl_min"}
+    lower = int(rows["lower"])
+    assert comb(lower, 3) >= m > comb(lower - 1, 3)
+
+
+BOUND = ["bound", "--k", "2", "--delta", "1", "--m", "8"]
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (BOUND + ["--t", "4", "--tau", "1/0"], "not a rational number: '1/0'"),
+    (BOUND + ["--tau", "3/0"], "not a rational number: '3/0'"),
+    (BOUND + ["--eps", "nan"], "eps must be a finite nonnegative number, got nan"),
+    (BOUND + ["--eps", "inf"], "eps must be a finite nonnegative number, got inf"),
+    (["bound", "--k", "3", "--delta", str(10**400), "--m", "5"],
+     "remark_bound is beyond float range"),
+    (BOUND + ["--t", str(sys.maxsize + 1), "--mc-trials", "10"], "t must be at most"),
+], ids=["tau-1/0", "tau-3/0-without-t", "eps-nan", "eps-inf", "delta-1e400", "t-2**63-mc"])
+def test_non_finite_or_oversized_bound_numbers_exit_2(argv, needle, capsys):
+    assert main(argv) == 2
+    assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps", ["inf", "1e308"])
+def test_theorem_ceil_policy_with_a_non_finite_palette_exits_2(triangle_file, capsys, eps):
+    assert main(["solve", "--input", str(triangle_file), "--t-policy", "theorem-ceil",
+                 "--eps", eps]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+# ------------------------------------------------------------- fuzzing
+
+# a valid bound argv, then hostile numbers in its options
+JUNK = ["nan", "inf", "-inf", "3/2", "1/0", "0", "-1", "x", ""]
+SMALL = st.sampled_from(JUNK) | st.integers(-3, 10**6).map(str)
+NUMBERS = (st.sampled_from(JUNK + [str(10**30), str(sys.maxsize + 1), str(10**400)])
+           | st.integers(-3, 10**6).map(str))
+NUMBER_FLAGS = ("--delta", "--m", "--t", "--eps", "--tau")
+BOUND_BASE = {"--k": "3", "--delta": "2", "--m": "15", "--t": "141", "--eps": "0.1",
+              "--tau": "3/2", "--mc-trials": "100"}
+# the caps, and small numbers where several options change at once, keep each run
+# short: a large k, delta or tau grid is real work (k = 20 with a grid of 64 takes 1.4 s)
+BOUND_VALUES = {flag: SMALL for flag in NUMBER_FLAGS}
+BOUND_VALUES["--k"] = st.integers(-2, 20).map(str) | st.sampled_from(["nan", "3/2", "1/0", "x"])
+BOUND_VALUES["--tau-grid"] = st.integers(-1, 8).map(str)
+BOUND_VALUES["--mc-trials"] = st.integers(-1, 1000).map(str)
+
+
+def bound_argv(options: dict) -> list:
+    """The bound argv of an option -> value map; a None value drops the option."""
+    return ["bound"] + [token for flag, value in options.items() if value is not None
+                        for token in (flag, value)]
+
+
+@st.composite
+def bound_edits(draw):
+    flags = draw(st.lists(st.sampled_from(sorted(BOUND_VALUES)), min_size=1, max_size=3,
+                          unique=True))
+    return {flag: draw(st.none() | BOUND_VALUES[flag]) for flag in flags}
+
+
+@given(NUMBERS, bound_edits())
+@settings(max_examples=25, deadline=None)
+def test_bound_exits_with_a_contract_code_on_any_numbers(token, edits):
+    # the token (up to 10**400) in each number option of a valid argv, then the edits
+    argvs = [bound_argv({**BOUND_BASE, flag: token}) for flag in NUMBER_FLAGS]
+    for argv in argvs + [bound_argv({**BOUND_BASE, **edits})]:
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        if code == 0:  # a success prints finite values only
+            values = {line.split()[-1] for line in out.getvalue().splitlines()}
+            assert not values & {"nan", "inf"}
+
+
 # ------------------------------------------------------------- experiments
 
 # an override that removes its key from the spec
@@ -284,6 +380,8 @@ def test_experiment_bad_spec_values_exit_2(tmp_path, capsys):
     {"t_policy": "fixed", "t": -5},
     {"t_policy": "fixed", "t": 1},
     {"eps": "0.1"},
+    {"eps": float("nan")},  # json.loads accepts NaN and Infinity
+    {"eps": float("inf")},
     {"base_seed": None},
     {"output": 5},
     {"exact": 1},
@@ -313,6 +411,33 @@ def test_experiment_wrongly_typed_or_invalid_spec_exits_2(tmp_path, capsys, bad)
     assert not (tmp_path / "rows.csv").exists()
 
 
+VALID_SPEC = {"k": 2, "n": 8, "m": 5, "max_degree": 3, "trials": 1, "t_policy": "lcl-min"}
+SPEC_KEYS = ["k", "n", "m", "max_degree", "trials", "t_policy", "t", "eps", "base_seed",
+             "output", "exact", "exact_node_budget", "max_resamples", "event_scan", "stray"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**400, 10**400) | st.floats() | st.text(max_size=4)
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), "fixed", "random"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+
+
+@given(st.sampled_from([float("nan"), float("inf")]) | JSON_VALUES,  # NaN and Infinity often
+       st.dictionaries(st.sampled_from(SPEC_KEYS) | st.text(max_size=3),
+                       JSON_VALUES | st.just(ABSENT), max_size=4))
+@settings(max_examples=40)
+def test_spec_text_parses_or_raises_value_error(value, edits):
+    # the value in every key of a valid spec, then several edits at once, then the edits alone
+    specs = [{**VALID_SPEC, key: value} for key in SPEC_KEYS] + [{**VALID_SPEC, **edits}, edits]
+    for spec in specs:
+        text = json.dumps({key: v for key, v in spec.items() if v is not ABSENT})
+        try:
+            parsed = ExperimentSpec.from_json(text)  # json.loads accepts NaN and Infinity
+        except ValueError:
+            continue
+        assert 0 <= parsed.eps <= sys.float_info.max
+
+
 def test_experiment_spec_accepts_null_where_allowed(tmp_path):
     spec = ExperimentSpec.from_json(json.dumps(spec_dict(tmp_path, t=None, max_resamples=None)))
     assert spec.t_fixed is None and spec.max_resamples is None
@@ -333,6 +458,15 @@ def test_python_dash_m_runs_the_cli(module):
     assert proc.returncode == 0, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert proc.stdout.splitlines()[-1].split() == ["lcl_min", "21"]
+
+
+def test_the_package_runs_without_numpy():
+    proc = run_python("-c", "import sys; sys.modules['numpy'] = None\n"
+                      "from harmcolor import main\n"
+                      "sys.exit(main(['bound', '--k', '2', '--delta', '1', '--m', '8', '--t', '4',"
+                      " '--mc-trials', '2000', '--mc-i', '1']))")
+    assert proc.returncode == 0, proc.stderr
+    assert "mc_bad_edge_t4" in proc.stdout
 
 
 def test_loading_the_cli_does_not_import_numpy():
