@@ -14,7 +14,6 @@ from pathlib import Path
 
 from harmcolor import ExperimentSpec, run_experiment
 
-workdir = Path(tempfile.mkdtemp(prefix="harmcolor_demo_"))
 plan = {
     "k": [2, 3],
     "n": [24],
@@ -24,16 +23,21 @@ plan = {
     "t_policy": "lcl-min",
     "base_seed": 2024,
     "exact": True,
-    "output": str(workdir / "runs.csv"),
 }
 
-spec = ExperimentSpec.from_json(json.dumps(plan))
-rows = run_experiment(spec)
-print(f"ran {len(rows)} trials over "
-      f"{len(plan['k']) * len(plan['m'])} cells -> {spec.output}\n")
+with tempfile.TemporaryDirectory(prefix="harmcolor_demo_") as workdir:
+    plan["output"] = str(Path(workdir) / "runs.csv")
+    spec = ExperimentSpec.from_json(json.dumps(plan))
+    rows = run_experiment(spec)
+    print(f"ran {len(rows)} trials over "
+          f"{len(plan['k']) * len(plan['m'])} cells -> {spec.output}\n")
 
-with open(spec.output) as handle:
-    table = list(csv.DictReader(handle))
+    with open(spec.output) as handle:
+        table = list(csv.DictReader(handle))
+
+    # the certified palette is generous: solves rarely need any resample at
+    # all, and the colors actually used sit near the exact optimum, far below t
+    again = run_experiment(spec)
 
 print(f"{'k':>2} {'m':>3} {'seed':>5} {'t':>4} {'resamples':>9} "
       f"{'colors':>7} {'exact_h':>8} {'success':>8}")
@@ -42,7 +46,4 @@ for row in table:
           f"{row['resamples']:>9} {row['colors_used']:>7} "
           f"{row['exact_h']:>8} {row['success']:>8}")
 
-# the certified palette is generous: solves rarely need any resample at all,
-# and the colors actually used sit near the exact optimum, far below t
-again = run_experiment(spec)
 print("\nrerun produced identical rows:", again == rows)

@@ -405,8 +405,14 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ parser
 
 def _rational(text: str) -> Fraction:
-    """argparse type for a rational like 3/2; a zero denominator is a usage
-    error like any other malformed number."""
+    """argparse type for a rational like 3/2 or 1.5e-3; a zero denominator is
+    a usage error like any other malformed number. Fraction computes
+    10**exponent exactly, so an exponent beyond the int digit limit (Python's
+    default of 4300 when the limit is off) is refused before it is built."""
+    exponent = text.strip().lower().partition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    if exponent.isdecimal() and (len(exponent) > len(str(limit)) or int(exponent) > limit):
+        raise argparse.ArgumentTypeError(f"exponent beyond {limit}: {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

@@ -11,8 +11,9 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import combinations
+from math import comb
 from typing import Iterable, Mapping, Union
 
 from .bounds import lower_bound_colors
@@ -336,22 +337,67 @@ def resample_solve(h: Hypergraph, cfg: SolverConfig) -> SolveReport:
 def exact_harmonious_number(h: Hypergraph, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
     """The minimum t admitting a harmonious coloring, by branch and bound.
 
-    Tries t upward from lower_bound_colors(k, m), backtracking over vertices in
-    id order with two prunes: an immediate color repeat inside any edge, and a
-    color-set clash between fully colored edges. Symmetry breaking: a vertex
-    may only use colors up to (max color used so far) + 1, so the first vertex
-    placed — vertex 0 whenever it has positive degree — always gets color 1.
-    Raises NodeBudgetExceeded when the budget runs out (answer unknown).
-    An edgeless instance needs no colors at all: returns 0.
+    Tries t upward from lower_bound_colors(k, m). For each t it places the
+    support vertices in one fixed most-constrained-first order (see
+    _placement_order), trying colors up to (max color used so far) + 1 —
+    value precedence, so the first vertex placed always gets color 1. A node
+    is one candidate color tried for one vertex, and one node budget spans
+    every t; raises NodeBudgetExceeded when it runs out (answer unknown).
+
+    A candidate is rejected if it repeats a color inside an edge, completes an
+    edge whose color set another complete edge already has, or breaks the key
+    capacity of its color. The capacity argument: in a harmonious coloring the
+    edges through a vertex of color c are rainbow and have pairwise distinct
+    color sets, each a k-set containing c, and no edge holds c twice, so the
+    degrees of the vertices colored c sum to at most cap = C(t-1, k-1). The
+    search therefore rejects c for v when load[c] + deg(v) > cap, and
+    backtracks once the room left, sum over c of (cap - load[c]) // d_min with
+    d_min the least degree on the support, cannot seat the vertices still
+    unplaced, each of which takes at least d_min of some color's room.
+
+    The search runs on an explicit stack, so its depth is not limited by the
+    recursion limit. An edgeless instance needs no colors at all: returns 0.
     """
     if h.m == 0:
         return 0
-    support = h.support
+    order = _placement_order(h)
     remaining = [node_budget]
     for t in range(lower_bound_colors(h.k, h.m), h.n + 1):
-        if _search(h, t, support, remaining):
+        if _search(h, t, order, remaining):
             return t
     raise AssertionError("unreachable: an injective coloring is harmonious")
+
+
+def _placement_order(h: Hypergraph) -> tuple[int, ...]:
+    """The support in the exact search's placement order, most constrained
+    first: next comes the vertex that would complete the most edges, then the
+    one with the most placed co-members over its edges, then the highest
+    degree, then the least id. Both counts only grow, so a lazy heap whose
+    stale entries rank below the live one gives the order in
+    O((n + m k^2) log n)."""
+    degrees, edges, incidence, k = h.degrees, h.edges, h.incidence, h.k
+    placed_in = [0] * h.m  # placed members of each edge
+    completes = [0] * h.n
+    co_placed = [0] * h.n
+    done = [False] * h.n
+    heap = [(0, 0, -degrees[v], v) for v in h.support]
+    heapify(heap)
+    order: list[int] = []
+    while heap:
+        v = heappop(heap)[3]
+        if done[v]:
+            continue
+        done[v] = True
+        order.append(v)
+        for idx in incidence[v]:
+            placed_in[idx] += 1
+            for u in edges[idx]:
+                if not done[u]:
+                    co_placed[u] += 1
+                    if placed_in[idx] == k - 1:
+                        completes[u] += 1
+                    heappush(heap, (-completes[u], -co_placed[u], -degrees[u], u))
+    return tuple(order)
 
 
 def _place(h: Hypergraph, colors: dict[int, int], used_keys: set[tuple[int, ...]],
@@ -389,29 +435,59 @@ def _place(h: Hypergraph, colors: dict[int, int], used_keys: set[tuple[int, ...]
     return added
 
 
-def _search(h: Hypergraph, t: int, support: tuple[int, ...], remaining: list[int]) -> bool:
+def _search(h: Hypergraph, t: int, order: tuple[int, ...], remaining: list[int]) -> bool:
+    """Whether the vertices of order admit a harmonious coloring from 1..t;
+    see exact_harmonious_number. Depth pos of the stack holds the color tried
+    at order[pos] (0 before the first), the max color used before it, and the
+    keys its placement added."""
+    degrees, size = h.degrees, len(order)
+    cap = comb(t - 1, h.k - 1)
+    d_min = min(degrees[v] for v in order)
+    load = [0] * (t + 1)
+    free = t * (cap // d_min)
+    if free < size:
+        return False
     colors: dict[int, int] = {}
     used_keys: set[tuple[int, ...]] = set()
-
-    def place(pos: int, max_used: int) -> bool:
-        if pos == len(support):
+    tried = [0] * size
+    top = [0] * (size + 1)
+    added: list[list[tuple[int, ...]]] = [[]] * size
+    pos = 0
+    while pos >= 0:
+        if pos == size:
             return True
-        v = support[pos]
-        for c in range(1, min(t, max_used + 1) + 1):
+        v, c = order[pos], tried[pos]
+        dv = degrees[v]
+        if c:  # undo the placement at this depth before the next color
+            del colors[v]
+            used_keys.difference_update(added[pos])
+            load[c] -= dv
+            free += (cap - load[c]) // d_min - (cap - load[c] - dv) // d_min
+        limit = min(t, top[pos] + 1)
+        while c < limit:
+            c += 1
             remaining[0] -= 1
             if remaining[0] < 0:
                 raise NodeBudgetExceeded(
                     f"node budget exhausted at t={t}; the answer is unknown")
-            added = _place(h, colors, used_keys, v, c)
-            if added is None:
+            if load[c] + dv > cap:
                 continue
-            if place(pos + 1, max(max_used, c)):
-                return True
-            del colors[v]
-            used_keys.difference_update(added)
-        return False
-
-    return place(0, 0)
+            room = (cap - load[c]) // d_min - (cap - load[c] - dv) // d_min
+            if free - room < size - pos - 1:
+                continue
+            keys = _place(h, colors, used_keys, v, c)
+            if keys is None:
+                continue
+            free -= room
+            load[c] += dv
+            tried[pos], added[pos] = c, keys
+            top[pos + 1] = max(top[pos], c)
+            pos += 1
+            break
+        else:
+            tried[pos] = 0
+            pos -= 1
+    return False
 
 
 def greedy_upper(h: Hypergraph) -> tuple[Coloring, int]:

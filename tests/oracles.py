@@ -56,6 +56,23 @@ def naive_h(h: Hypergraph) -> int:
     raise AssertionError("an injective coloring is always harmonious")
 
 
+def naive_placement_order(h: Hypergraph) -> tuple[int, ...]:
+    """The exact search's order by its definition, recounted at every step:
+    most edges completed, then most placed co-members, then highest degree,
+    then least id."""
+    order: list[int] = []
+    while len(order) < len(h.support):
+        placed = set(order)
+
+        def rank(v):
+            through = [e for e in h.edges if v in e]
+            return (-sum(all(u in placed for u in e if u != v) for e in through),
+                    -sum(u in placed for e in through for u in e), -h.degrees[v], v)
+
+        order.append(min((v for v in h.support if v not in placed), key=rank))
+    return tuple(order)
+
+
 def naive_lower_bound_colors(k: int, m: int) -> int:
     """Least r >= k with C(r, k) >= m, by walking r upward from k."""
     r = k

@@ -6,7 +6,10 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
@@ -16,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import harmcolor
 from harmcolor import (
     ExperimentSpec,
+    Hypergraph,
     builtin_instance,
     main,
     parse_coloring,
@@ -158,6 +162,23 @@ def test_exact_node_budget_exhaustion_exits_1(triangle_file, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_exact_on_a_deep_matching_prints_the_counting_bound(tmp_path, capsys):
+    # 2,400 support vertices, more than the recursion limit; h is the counting bound
+    path = tmp_path / "matching.hg"
+    path.write_text(serialize_hypergraph(builtin_instance("matching", 1200, k=2)))
+    assert main(["exact", "--input", str(path)]) == 0
+    assert capsys.readouterr().out == "50\n"
+
+
+def test_exact_on_a_huge_matching_exits_1_on_its_budget(tmp_path, capsys):
+    path = tmp_path / "matching.hg"
+    path.write_text(serialize_hypergraph(builtin_instance("matching", 10**5, k=2)))
+    assert main(["exact", "--input", str(path), "--node-budget", "100000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: node budget exhausted at t=448; the answer is unknown\n"
+
+
 def test_bound_table_golden(capsys):
     assert main(["bound", "--k", "2", "--delta", "1", "--m", "8"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -213,6 +234,14 @@ def test_vertex_counts_beyond_the_index_range_are_rejected(tmp_path, capsys):
     assert main(["gen", "--k", "2", "--n", huge, "--m", "1", "--max-degree", "1"]) == 2
     assert capsys.readouterr().err == (
         f"error: vertex count must be at most {sys.maxsize}, got {huge}\n")
+
+
+def test_bound_refuses_a_huge_tau_exponent_at_once(capsys):
+    # Fraction would compute 10**1000000000 before any check could run
+    start = time.perf_counter()
+    assert main(["bound", "--k", "2", "--delta", "1", "--m", "8", "--tau", "1e1000000000"]) == 2
+    assert time.perf_counter() - start < 1
+    assert "exponent beyond" in capsys.readouterr().err
 
 
 def test_bound_answers_a_huge_m_at_once(capsys):
@@ -292,6 +321,34 @@ def test_bound_exits_with_a_contract_code_on_any_numbers(token, edits):
         if code == 0:  # a success prints finite values only
             values = {line.split()[-1] for line in out.getvalue().splitlines()}
             assert not values & {"nan", "inf"}
+
+
+# a small instance file (or junk) and a node budget (or junk) for exact
+INSTANCE_TEXT = (st.builds(lambda edges: serialize_hypergraph(Hypergraph(2, 7, edges)),
+                           st.lists(st.sampled_from(list(combinations(range(7), 2))),
+                                    max_size=8, unique=True))
+                 | st.builds(lambda edges: serialize_hypergraph(Hypergraph(3, 7, edges)),
+                             st.lists(st.sampled_from(list(combinations(range(7), 3))),
+                                      max_size=6, unique=True))
+                 | st.sampled_from(["", "p hg 2 3 1\ne 0 0\n", "p hg 1 2 0\n", "x\n"]))
+BUDGETS = st.sampled_from(JUNK + ["0", str(10**400)]) | st.integers(-3, 10**4).map(str)
+
+
+@given(INSTANCE_TEXT, st.none() | BUDGETS)
+@settings(max_examples=60, deadline=None)
+def test_exact_exits_with_a_contract_code_on_any_argv(text, budget):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instance.hg"
+        path.write_text(text)
+        argv = ["exact", "--input", str(path)]
+        if budget is not None:
+            argv += ["--node-budget", budget]
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert out.getvalue().strip().isdigit()
 
 
 # ------------------------------------------------------------- experiments
@@ -473,3 +530,12 @@ def test_loading_the_cli_does_not_import_numpy():
     proc = run_python("-c", "import sys, harmcolor.cli; print('numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[demo.stem for demo in DEMOS])
+def test_demo_runs(demo):
+    proc = run_python(str(demo))
+    assert proc.returncode == 0, proc.stderr

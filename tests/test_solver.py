@@ -30,8 +30,8 @@ from harmcolor import (
     sample_uniform_coloring,
     serialize_coloring,
 )
-from harmcolor.solver import EVENT_SCANS, LeastEventIndex, RandomEventIndex
-from oracles import naive_bad_edges, naive_h, naive_pattern_pairs
+from harmcolor.solver import EVENT_SCANS, LeastEventIndex, RandomEventIndex, _placement_order
+from oracles import naive_bad_edges, naive_h, naive_pattern_pairs, naive_placement_order
 
 GREEDY_TRAP = Hypergraph(2, 5, [(0, 2), (1, 2), (0, 3), (1, 4)])
 
@@ -351,18 +351,6 @@ def test_exact_goldens(h, expected):
     assert exact_harmonious_number(h) == expected
 
 
-def test_exact_matches_brute_force_on_small_instances():
-    rng = random.Random(1)
-    from itertools import combinations
-    for trial in range(12):
-        k = rng.choice((2, 3))
-        n = rng.randint(k, 6)
-        pool = list(combinations(range(n), k))
-        m = rng.randint(0, min(len(pool), 4))
-        h = Hypergraph(k, n, rng.sample(pool, m))
-        assert exact_harmonious_number(h) == naive_h(h)
-
-
 def test_exact_edgeless_is_zero():
     assert exact_harmonious_number(Hypergraph(3, 7, [])) == 0
 
@@ -373,14 +361,50 @@ def test_exact_respects_node_budget():
 
 
 # EXACT_GOLDENS position -> the least node budget that settles the search,
-# recorded before greedy and the exact search came to share one placement check
-EXACT_NODE_GOLDENS = {5: 37, 8: 19, 12: 14}
+# recorded with the most-constrained-first order and the key-capacity prune
+EXACT_NODE_GOLDENS = {5: 19, 8: 11, 12: 13}
 
 
 @pytest.mark.parametrize("pos", EXACT_NODE_GOLDENS, ids=lambda pos: f"case{pos}")
 def test_exact_search_visits_the_recorded_number_of_nodes(pos):
     h, expected = EXACT_GOLDENS[pos]
     nodes = EXACT_NODE_GOLDENS[pos]
+    assert exact_harmonious_number(h, node_budget=nodes) == expected
+    with pytest.raises(NodeBudgetExceeded):
+        exact_harmonious_number(h, node_budget=nodes - 1)
+
+
+@st.composite
+def tiny_instances(draw):
+    """k in {2, 3}, at most 6 vertices and 5 edges: small enough for naive_h."""
+    k = draw(st.integers(2, 3))
+    n = draw(st.integers(k, 6))
+    edges = draw(st.lists(st.sampled_from(list(combinations(range(n), k))),
+                          max_size=5, unique=True))
+    return Hypergraph(k, n, edges)
+
+
+@given(tiny_instances())
+@settings(max_examples=150, deadline=None)
+def test_exact_matches_brute_force_on_small_instances(h):
+    assert exact_harmonious_number(h) == naive_h(h)
+
+
+NINE_TRIANGLES = Hypergraph(2, 27, [
+    e for j in range(9) for e in ((3 * j, 3 * j + 1), (3 * j, 3 * j + 2), (3 * j + 1, 3 * j + 2))])
+MIXED_DEGREES = Hypergraph(3, 11, [(2, 6, 7), (3, 8, 10), (0, 3, 9), (0, 6, 7), (3, 4, 6),
+                                   (7, 8, 9), (2, 5, 8), (1, 2, 10), (0, 1, 9), (4, 5, 10)])
+
+
+# Nine disjoint triangles need nine edge-disjoint triangles of color pairs and
+# K_8 packs only eight, so h = 9 above the counting bound of 8; the capacity
+# prune refutes t = 8 at the root, as 8 colors with room for 3 degree-2
+# vertices each cannot seat 27. On degrees 2 and 3 the node count also pins
+# the bookkeeping of the room left as vertices are placed and undone.
+@pytest.mark.parametrize("h, expected, nodes",
+                         [(NINE_TRIANGLES, 9, 500), (MIXED_DEGREES, 6, 102)],
+                         ids=["nine-triangles", "mixed-degrees"])
+def test_key_capacity_settles_in_the_recorded_number_of_nodes(h, expected, nodes):
     assert exact_harmonious_number(h, node_budget=nodes) == expected
     with pytest.raises(NodeBudgetExceeded):
         exact_harmonious_number(h, node_budget=nodes - 1)
@@ -491,3 +515,11 @@ def test_greedy_is_first_fit_under_the_oracles(h):
         partial[v] = c
     assert coloring.assignment == partial
     assert t == max(partial.values(), default=1)
+
+
+@given(small_instances())
+@settings(max_examples=100, deadline=None)
+def test_placement_order_is_the_most_constrained_permutation_of_the_support(h):
+    order = _placement_order(h)
+    assert sorted(order) == list(h.support)
+    assert order == naive_placement_order(h)
