@@ -81,12 +81,16 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-# field -> (accepted type, whether JSON null is allowed); list fields hold ints
-SPEC_TYPES: dict[str, tuple[type | tuple[type, ...], bool]] = {
-    "trials": (int, False), "t_policy": (str, False), "t_fixed": (int, True),
-    "eps": ((int, float), False), "base_seed": (int, False), "output": (str, False),
-    "exact": (bool, False), "exact_node_budget": (int, False),
-    "max_resamples": (int, True), "event_scan": (str, False),
+# JSON key -> (ExperimentSpec field, accepted type, whether JSON null is
+# allowed); a *_values field takes one integer or a list of them
+SPEC_KEYS: dict[str, tuple[str, type | tuple[type, ...], bool]] = {
+    "k": ("k_values", int, False), "n": ("n_values", int, False),
+    "m": ("m_values", int, False), "max_degree": ("max_degree_values", int, False),
+    "trials": ("trials", int, False), "t_policy": ("t_policy", str, False),
+    "t": ("t_fixed", int, True), "eps": ("eps", (int, float), False),
+    "base_seed": ("base_seed", int, False), "output": ("output", str, False),
+    "exact": ("exact", bool, False), "exact_node_budget": ("exact_node_budget", int, False),
+    "max_resamples": ("max_resamples", int, True), "event_scan": ("event_scan", str, False),
 }
 TYPE_NAMES = {int: "an integer", str: "a string", bool: "true or false", (int, float): "a number"}
 
@@ -144,6 +148,8 @@ class ExperimentSpec:
                              "no edge can be rainbow")
         if not 0 <= self.eps <= sys.float_info.max:  # also false for NaN
             raise ValueError(f"eps must be a finite nonnegative number, got {self.eps}")
+        if self.exact_node_budget < 0:
+            raise ValueError("exact_node_budget must be nonnegative")
         if self.max_resamples is not None and self.max_resamples < 0:
             raise ValueError("max_resamples must be nonnegative")
         if self.event_scan not in EVENT_SCANS:
@@ -154,33 +160,25 @@ class ExperimentSpec:
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("experiment spec must be a JSON object")
-        known = {
-            "k": "k_values", "n": "n_values", "m": "m_values",
-            "max_degree": "max_degree_values", "trials": "trials",
-            "t_policy": "t_policy", "t": "t_fixed", "eps": "eps",
-            "base_seed": "base_seed", "output": "output", "exact": "exact",
-            "exact_node_budget": "exact_node_budget",
-            "max_resamples": "max_resamples", "event_scan": "event_scan",
-        }
-        unknown = set(data) - set(known)
+        unknown = set(data) - set(SPEC_KEYS)
         if unknown:
             raise ValueError(f"unknown experiment spec keys: {sorted(unknown)}")
         required = {f.name for f in fields(cls) if f.default is MISSING}
-        missing = [key for key, field_name in known.items()
+        missing = [key for key, (field_name, _, _) in SPEC_KEYS.items()
                    if field_name in required and key not in data]
         if missing:
             raise ValueError(f"experiment spec lacks required keys: {missing}")
         kwargs: dict[str, object] = {}
-        for key, field_name in known.items():
+        for key, (field_name, kind, nullable) in SPEC_KEYS.items():
             if key not in data:
                 continue
             value = data[key]
             if field_name.endswith("_values"):
                 value = tuple(value) if isinstance(value, list) else (value,)
                 for item in value:
-                    _check_spec_type(key, item, int)
+                    _check_spec_type(key, item, kind)
             else:
-                _check_spec_type(key, value, *SPEC_TYPES[field_name])
+                _check_spec_type(key, value, kind, nullable)
             kwargs[field_name] = value
         return cls(**kwargs)  # type: ignore[arg-type]
 

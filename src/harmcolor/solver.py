@@ -35,10 +35,10 @@ class SolverConfig:
     """Knobs for resample_solve.
 
     max_resamples=None means the default budget of 10^5 per edge. event_scan
-    picks the violated event deterministically (first in scan order: bad edges
-    by index, then pattern pairs in lexicographic edge-index order) or
-    uniformly at random among all current events. trace_limit > 0 records up
-    to that many steps for debugging/verification.
+    is the pick rule over one sorted event list (bad edges by index, then
+    pattern pairs in lexicographic edge-index order): "deterministic" takes
+    its first event, "random" a uniform one. trace_limit > 0 records up to
+    that many steps for debugging/verification.
     """
 
     t: int
@@ -112,13 +112,19 @@ def _uniform_colors(rng: random.Random, n: int, t: int) -> list[int]:
     return [rng.randint(1, t) for _ in range(n)]
 
 
-class EdgeKeyIndex:
-    """Every edge keyed by the sorted tuple of its distinct colors under the
-    list ``colors``, and each key's edges in ascending order. An edge is bad
-    iff its key has fewer than k colors. Once no edge is bad, all edges are
-    rainbow and two edges show the same pattern iff they share a key, so the
-    groups double as an exact collision index. After the colors of some
-    vertices change, ``refresh`` the edges through them.
+class EventIndex:
+    """Every bad event of the resampler under the list ``colors``, as one
+    sorted event list: the bad edges in id order, then the confirmed
+    same-pattern pairs (e, f, i) in order. Each scan is a pick rule over this
+    list (see ``pick``).
+
+    Every edge is keyed by the sorted tuple of its distinct colors, and each
+    key's edges are kept in ascending order; an edge is bad iff its key has
+    fewer than k colors. A shared key is necessary for a pattern pair, and
+    sufficient once both edges are rainbow, so each pair within a group is
+    confirmed by _pattern_size. Each edge knows its pairs, so after the colors
+    of some vertices change, ``refresh`` of the edges through them re-keys
+    those edges and re-confirms only their pairs.
     """
 
     def __init__(self, h: Hypergraph, colors: list[int]):
@@ -131,87 +137,13 @@ class EdgeKeyIndex:
                 self.groups[key] = [idx]
             else:
                 grp.append(idx)
-
-    def move(self, idx: int, key: tuple[int, ...]) -> tuple[list[int], list[int]]:
-        """File edge idx under key; returns the group it left (possibly
-        emptied) and the group it joined."""
-        old = self.keys[idx]
-        self.keys[idx] = key
-        left = self.groups[old]
-        del left[bisect_left(left, idx)]
-        if not left:
-            del self.groups[old]
-        joined = self.groups.get(key)
-        if joined is None:
-            joined = self.groups[key] = []
-        insort(joined, idx)
-        return left, joined
-
-
-class LeastEventIndex(EdgeKeyIndex):
-    """The deterministic scan: the least bad edge, else the least pair of
-    edges sharing a key. Two min-heaps with lazy deletion hold the bad edges
-    and the minima of the rainbow groups with two or more members; an entry
-    that no longer holds is dropped when it reaches the top. Group minima are
-    distinct, so the group with the least minimum holds the least pair."""
-
-    def __init__(self, h: Hypergraph, colors: list[int]):
-        super().__init__(h, colors)
-        k = self.k
-        # ascending lists are valid heaps
-        self.bad_heap = [idx for idx, key in enumerate(self.keys) if len(key) < k]
-        self.pair_heap = sorted(grp[0] for key, grp in self.groups.items()
-                                if len(grp) >= 2 and len(key) == k)
-
-    def refresh(self, edge_ids: Iterable[int]) -> None:
-        keys, edges, colors, k = self.keys, self.h.edges, self.colors, self.k
-        for idx in edge_ids:
-            old, key = keys[idx], edge_key(colors, edges[idx])
-            if key == old:
-                continue
-            left, joined = self.move(idx, key)
-            if len(key) < k:
-                if len(old) == k:
-                    heappush(self.bad_heap, idx)
-            elif len(joined) >= 2 and (joined[0] == idx or len(joined) == 2):
-                heappush(self.pair_heap, joined[0])
-            if len(old) == k and len(left) >= 2 and idx < left[0]:
-                heappush(self.pair_heap, left[0])
-
-    def pick(self) -> Union[BadEdge, SamePattern, None]:
-        keys, k = self.keys, self.k
-        bad_heap, pair_heap = self.bad_heap, self.pair_heap
-        while bad_heap:
-            if len(keys[bad_heap[0]]) < k:
-                return BadEdge(bad_heap[0])
-            heappop(bad_heap)
-        # no bad edge left: every key has k colors
-        while pair_heap:
-            a = pair_heap[0]
-            grp = self.groups[keys[a]]
-            if len(grp) >= 2 and grp[0] == a:
-                shared = len(set(self.h.edges[a]).intersection(self.h.edges[grp[1]]))
-                return SamePattern(a, grp[1], k - shared)
-            heappop(pair_heap)
-        return None
-
-
-class RandomEventIndex(EdgeKeyIndex):
-    """The random scan: a uniform pick from the event list, which is the bad
-    edges in id order followed by the confirmed pattern pairs (e, f, i) in
-    order. Both parts are kept sorted as edges change, and each edge knows its
-    pairs, so a refresh re-confirms only the pairs of that edge. With bad
-    edges present a shared key is necessary for a pattern pair but not
-    sufficient, so each pair within a group is confirmed by _pattern_size."""
-
-    def __init__(self, h: Hypergraph, colors: list[int], rng: random.Random):
-        super().__init__(h, colors)
-        self.rng = rng
         self.bad = [idx for idx, key in enumerate(self.keys) if len(key) < self.k]
         self.pairs: list[tuple[int, int, int]] = []
         self.pairs_of: dict[int, list[tuple[int, int, int]]] = {}
         edges = h.edges
         for grp in self.groups.values():
+            if len(grp) < 2:  # almost every group is a singleton
+                continue
             for a, b in combinations(grp, 2):
                 i = _pattern_size(edges[a], edges[b], colors)
                 if i is not None:
@@ -225,8 +157,8 @@ class RandomEventIndex(EdgeKeyIndex):
         self.pairs_of.setdefault(pair[1], []).append(pair)
 
     def refresh(self, edge_ids: Iterable[int]) -> None:
-        keys, edges, colors, k = self.keys, self.h.edges, self.colors, self.k
-        pairs, pairs_of = self.pairs, self.pairs_of
+        keys, groups, edges, colors, k = self.keys, self.groups, self.h.edges, self.colors, self.k
+        bad, pairs, pairs_of = self.bad, self.pairs, self.pairs_of
         for idx in edge_ids:
             old, key = keys[idx], edge_key(colors, edges[idx])
             if key == old and len(key) == k:
@@ -239,12 +171,22 @@ class RandomEventIndex(EdgeKeyIndex):
                 if not theirs:
                     del pairs_of[other]
             if key != old:
-                self.move(idx, key)
+                keys[idx] = key
+                left = groups[old]
+                del left[bisect_left(left, idx)]
+                if not left:
+                    del groups[old]
                 if len(key) < k <= len(old):
-                    insort(self.bad, idx)
+                    insort(bad, idx)
                 elif len(old) < k <= len(key):
-                    del self.bad[bisect_left(self.bad, idx)]
-            for other in self.groups[key]:
+                    del bad[bisect_left(bad, idx)]
+                grp = groups.setdefault(key, [])
+                insort(grp, idx)
+            else:
+                grp = groups[key]
+            if len(grp) < 2:
+                continue
+            for other in grp:
                 if other != idx:
                     i = _pattern_size(edges[idx], edges[other], colors)
                     if i is not None:
@@ -252,12 +194,14 @@ class RandomEventIndex(EdgeKeyIndex):
                         insort(pairs, pair)
                         self._link(pair)
 
-    def pick(self) -> Union[BadEdge, SamePattern, None]:
+    def pick(self, rng: random.Random | None = None) -> Union[BadEdge, SamePattern, None]:
+        """The event at position rng.randrange(#events) of the event list, or
+        at position 0 (the least bad edge, else the least pair) without rng."""
         n_bad = len(self.bad)
         total = n_bad + len(self.pairs)
         if not total:
             return None
-        pos = self.rng.randrange(total)
+        pos = 0 if rng is None else rng.randrange(total)
         if pos < n_bad:
             return BadEdge(self.bad[pos])
         return SamePattern(*self.pairs[pos - n_bad])
@@ -272,9 +216,10 @@ def resample_solve(h: Hypergraph, cfg: SolverConfig) -> SolveReport:
     same-pattern pair, the exact variable set the event depends on. Rejects
     t < k up front: no edge can be rainbow then.
 
-    The events live in an index that each redraw updates through the edges
-    meeting the scope, so a pick plus its refresh costs O(kΔ log m) rather
-    than a scan of all m edges.
+    The events live in one EventIndex that both scans pick from and that each
+    redraw refreshes through the O(kΔ) edges meeting the scope, rather
+    than a scan of all m edges. The event lists are flat sorted lists, so each
+    insert or delete there also shifts O(#events) entries.
     """
     if cfg.t < h.k:
         raise ValueError(f"t={cfg.t} < k={h.k}: no edge can be rainbow")
@@ -283,11 +228,8 @@ def resample_solve(h: Hypergraph, cfg: SolverConfig) -> SolveReport:
     colors = _uniform_colors(rng, h.n, t)
     budget = (cfg.max_resamples if cfg.max_resamples is not None
               else DEFAULT_RESAMPLES_PER_EDGE * max(h.m, 1))
-    index: LeastEventIndex | RandomEventIndex
-    if cfg.event_scan == "deterministic":
-        index = LeastEventIndex(h, colors)
-    else:
-        index = RandomEventIndex(h, colors, rng)
+    index = EventIndex(h, colors)
+    pick_rng = rng if cfg.event_scan == "random" else None
 
     resamples = 0
     count_bad = 0
@@ -296,7 +238,7 @@ def resample_solve(h: Hypergraph, cfg: SolverConfig) -> SolveReport:
     trace_truncated = False
     success = True
     while True:
-        event = index.pick()
+        event = index.pick(pick_rng)
         if event is None:
             break
         if resamples >= budget:
@@ -357,7 +299,10 @@ def exact_harmonious_number(h: Hypergraph, node_budget: int = DEFAULT_NODE_BUDGE
 
     The search runs on an explicit stack, so its depth is not limited by the
     recursion limit. An edgeless instance needs no colors at all: returns 0.
+    A negative node_budget raises ValueError.
     """
+    if node_budget < 0:
+        raise ValueError(f"node budget must be nonnegative, got {node_budget}")
     if h.m == 0:
         return 0
     order = _placement_order(h)

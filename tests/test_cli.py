@@ -22,11 +22,13 @@ from harmcolor import (
     Hypergraph,
     builtin_instance,
     main,
+    max_degree,
     parse_coloring,
     parse_hypergraph,
     serialize_hypergraph,
 )
 from harmcolor.cli import CSV_COLUMNS
+from oracles import naive_is_harmonious
 
 
 @pytest.fixture
@@ -162,6 +164,13 @@ def test_exact_node_budget_exhaustion_exits_1(triangle_file, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_exact_negative_node_budget_is_a_usage_error(triangle_file, capsys):
+    assert main(["exact", "--input", str(triangle_file), "--node-budget", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: node budget must be nonnegative, got -1\n"
+
+
 def test_exact_on_a_deep_matching_prints_the_counting_bound(tmp_path, capsys):
     # 2,400 support vertices, more than the recursion limit; h is the counting bound
     path = tmp_path / "matching.hg"
@@ -295,25 +304,27 @@ BOUND_VALUES["--tau-grid"] = st.integers(-1, 8).map(str)
 BOUND_VALUES["--mc-trials"] = st.integers(-1, 1000).map(str)
 
 
-def bound_argv(options: dict) -> list:
-    """The bound argv of an option -> value map; a None value drops the option."""
-    return ["bound"] + [token for flag, value in options.items() if value is not None
+def option_argv(command: str, options: dict) -> list:
+    """The argv of a command and an option -> value map; a None value drops the option."""
+    return [command] + [token for flag, value in options.items() if value is not None
                         for token in (flag, value)]
 
 
 @st.composite
-def bound_edits(draw):
-    flags = draw(st.lists(st.sampled_from(sorted(BOUND_VALUES)), min_size=1, max_size=3,
-                          unique=True))
-    return {flag: draw(st.none() | BOUND_VALUES[flag]) for flag in flags}
+def option_edits(draw, values: dict, kept: tuple = ()):
+    """One to three options of values, each set to one of its values or,
+    unless it is kept, dropped."""
+    flags = draw(st.lists(st.sampled_from(sorted(values)), min_size=1, max_size=3, unique=True))
+    return {flag: draw(values[flag] if flag in kept else st.none() | values[flag])
+            for flag in flags}
 
 
-@given(NUMBERS, bound_edits())
+@given(NUMBERS, option_edits(BOUND_VALUES))
 @settings(max_examples=25, deadline=None)
 def test_bound_exits_with_a_contract_code_on_any_numbers(token, edits):
     # the token (up to 10**400) in each number option of a valid argv, then the edits
-    argvs = [bound_argv({**BOUND_BASE, flag: token}) for flag in NUMBER_FLAGS]
-    for argv in argvs + [bound_argv({**BOUND_BASE, **edits})]:
+    argvs = [option_argv("bound", {**BOUND_BASE, flag: token}) for flag in NUMBER_FLAGS]
+    for argv in argvs + [option_argv("bound", {**BOUND_BASE, **edits})]:
         out = io.StringIO()
         with redirect_stdout(out), redirect_stderr(io.StringIO()):
             code = main(argv)
@@ -349,6 +360,89 @@ def test_exact_exits_with_a_contract_code_on_any_argv(text, budget):
     assert code in (0, 1, 2, 3)
     if code == 0:
         assert out.getvalue().strip().isdigit()
+
+
+def hostile(values: st.SearchStrategy) -> st.SearchStrategy:
+    """An option's values as text, or, a third of the time, junk."""
+    return values.map(str) | values.map(str) | st.sampled_from(JUNK)
+
+
+# a valid solve argv, then edits; without a budget cap, an infeasible fixed palette
+# would run 10**5 resamples per edge, so --max-resamples is never dropped
+SOLVE_BASE = {"--t-policy": "fixed", "--colors": "4", "--eps": "0.1", "--seed": "0",
+              "--max-resamples": "200", "--scan": "deterministic"}
+SOLVE_VALUES = {
+    "--t-policy": st.sampled_from(["fixed", "lcl-min", "theorem-ceil", "magic"]),
+    "--colors": hostile(st.integers(-1, 12)),
+    "--eps": st.sampled_from(JUNK + ["0.1", "1e308"]) | st.integers(-1, 10**6).map(str),
+    "--seed": hostile(st.integers(-3, 10**6)),
+    "--max-resamples": hostile(st.integers(-1, 200)),
+    "--scan": st.sampled_from(["deterministic", "random", "sideways"]),
+}
+
+
+@st.composite
+def coloring_texts(draw):
+    """A coloring file for the 7-vertex instances of INSTANCE_TEXT, possibly
+    with vertices left out or the wrong vertex count, or junk."""
+    t, n = draw(st.integers(1, 8)), draw(st.sampled_from([7, 7, 7, 6]))
+    colors = draw(st.lists(st.integers(1, t), min_size=n, max_size=n))
+    left_out = draw(st.just(set()) | st.just(set()) | st.sets(st.integers(0, n - 1), max_size=2))
+    lines = [f"v {v} {c}" for v, c in enumerate(colors) if v not in left_out]
+    return "\n".join([f"c {t} {n}"] + lines) + "\n"
+
+
+COLORING_TEXT = coloring_texts() | st.sampled_from(["", "c 0 7\n", "c 3 7\nv 9 1\n", "x\n"])
+
+
+@given(INSTANCE_TEXT, option_edits(SOLVE_VALUES, kept=("--max-resamples",)), COLORING_TEXT)
+@settings(max_examples=60, deadline=None)
+def test_solve_and_verify_exit_with_a_contract_code_on_any_argv(text, edits, coloring_text):
+    with tempfile.TemporaryDirectory() as tmp:
+        instance, coloring = Path(tmp) / "instance.hg", Path(tmp) / "out.col"
+        instance.write_text(text)
+        verify = ["verify", "--input", str(instance), "--coloring", str(coloring)]
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(option_argv("solve", {"--input": str(instance), **SOLVE_BASE, **edits,
+                                              "--output": str(coloring)}))
+            assert code in (0, 1, 2, 3)
+            if code == 0:  # a solved coloring passes verify
+                assert main(verify) == 0
+            coloring.write_text(coloring_text)
+            code = main(verify)
+    assert code in (0, 1, 2, 3)
+    if code in (0, 1):  # verify judged the coloring: so must the oracle
+        judged, _ = parse_coloring(coloring_text)
+        assert naive_is_harmonious(parse_hypergraph(text), judged) == (code == 0)
+
+
+# a valid gen argv, then edits; sizes stay small enough to allocate, and
+# --max-restarts is never dropped, as 100 restarts per edge of a hopeless
+# instance would run for minutes
+GEN_BASE = {"--k": "3", "--n": "30", "--m": "12", "--max-degree": "2", "--seed": "0",
+            "--max-restarts": "20"}
+GEN_VALUES = {
+    "--k": hostile(st.integers(-1, 5)),
+    "--n": hostile(st.integers(-1, 10**4)),
+    "--m": hostile(st.integers(-1, 200)),
+    "--max-degree": hostile(st.integers(-1, 8)),
+    "--seed": hostile(st.integers(-3, 10**6)),
+    "--max-restarts": hostile(st.integers(-1, 20)),
+}
+
+
+@given(option_edits(GEN_VALUES, kept=("--max-restarts",)))
+@settings(max_examples=60, deadline=None)
+def test_gen_exits_with_a_contract_code_on_any_argv(edits):
+    options = {**GEN_BASE, **edits}
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(option_argv("gen", options))
+    assert code in (0, 1, 2, 3)
+    if code == 0:  # the instance has the asked shape and respects the degree cap
+        h = parse_hypergraph(out.getvalue())
+        assert [h.k, h.n, h.m] == [int(options[flag]) for flag in ("--k", "--n", "--m")]
+        assert max_degree(h) <= int(options["--max-degree"])
 
 
 # ------------------------------------------------------------- experiments
@@ -443,6 +537,7 @@ def test_experiment_bad_spec_values_exit_2(tmp_path, capsys):
     {"output": 5},
     {"exact": 1},
     {"exact_node_budget": [10]},
+    {"exact_node_budget": -1},
     {"max_resamples": False},
     {"max_resamples": -1},
     {"event_scan": None},

@@ -30,7 +30,7 @@ from harmcolor import (
     sample_uniform_coloring,
     serialize_coloring,
 )
-from harmcolor.solver import EVENT_SCANS, LeastEventIndex, RandomEventIndex, _placement_order
+from harmcolor.solver import EVENT_SCANS, EventIndex, _placement_order
 from oracles import naive_bad_edges, naive_h, naive_pattern_pairs, naive_placement_order
 
 GREEDY_TRAP = Hypergraph(2, 5, [(0, 2), (1, 2), (0, 3), (1, 4)])
@@ -237,27 +237,26 @@ def recoloring_walks(draw):
 
 
 def walk_event_indexes(h: Hypergraph, t: int, start: list[int], moves: list[dict[int, int]]):
-    """Apply each recoloring, refresh the edges it meets, and check both
-    indexes against the oracles: the random scan's event lists exactly, the
-    deterministic scan's pick as the least event."""
+    """Apply each recoloring, refresh the edges it meets, and check the index
+    against the oracles after every move: its event lists exactly, the
+    deterministic pick as the least event, and a seeded random pick as the
+    event at the rank that seed draws."""
     colors = list(start)
-    least = LeastEventIndex(h, colors)
-    rand = RandomEventIndex(h, colors, random.Random(0))
-    for move in [{}] + moves:
+    index = EventIndex(h, colors)
+    for seed, move in enumerate([{}] + moves):
         for v, c in move.items():
             colors[v] = c
-        touched = {idx for v in move for idx in h.incidence[v]}
-        least.refresh(touched)
-        rand.refresh(touched)
+        index.refresh({idx for v in move for idx in h.incidence[v]})
         current = Coloring(t=t, assignment=dict(enumerate(colors)))
         bad, pairs = naive_bad_edges(h, current), naive_pattern_pairs(h, current)
-        assert rand.bad == bad and rand.pairs == pairs
-        if bad:
-            assert least.pick() == BadEdge(bad[0])
-        elif pairs:
-            assert least.pick() == SamePattern(*pairs[0])
+        assert index.bad == bad and index.pairs == pairs
+        events = [BadEdge(idx) for idx in bad] + [SamePattern(*pair) for pair in pairs]
+        if events:
+            assert index.pick() == events[0]
+            rank = random.Random(seed).randrange(len(events))
+            assert index.pick(random.Random(seed)) == events[rank]
         else:
-            assert least.pick() is None
+            assert index.pick() is None and index.pick(random.Random(seed)) is None
 
 
 @given(recoloring_walks())
@@ -358,6 +357,9 @@ def test_exact_edgeless_is_zero():
 def test_exact_respects_node_budget():
     with pytest.raises(NodeBudgetExceeded):
         exact_harmonious_number(builtin_instance("cycle", 5), node_budget=3)
+    for h in (builtin_instance("cycle", 5), Hypergraph(3, 7, [])):  # also where no node is needed
+        with pytest.raises(ValueError, match="node budget must be nonnegative"):
+            exact_harmonious_number(h, node_budget=-1)
 
 
 # EXACT_GOLDENS position -> the least node budget that settles the search,
