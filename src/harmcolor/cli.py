@@ -501,10 +501,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MemoryError:  # e.g. a header or --n declaring more vertices than fit
         print("error: out of memory", file=sys.stderr)
         return EXIT_IO
-    except GenerationFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
-    except NodeBudgetExceeded as exc:
+    except (GenerationFailure, NodeBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
     except ValueError as exc:

@@ -6,13 +6,18 @@ pattern* when every vertex of e\\f and f\\e is colored and the color set of
 e\\f equals the color set of f\\e. A total coloring is *harmonious* when it is
 rainbow and no two edges show the same pattern — equivalently, when all edges
 receive pairwise-distinct k-sets of colors.
+
+``EventIndex`` keeps the bad edges and same-pattern pairs of a changing total
+coloring up to date for the resampler.
 """
 
 from __future__ import annotations
 
+import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Union
 
 from .hypergraph import FormatError, Hypergraph, _content_lines
 
@@ -114,11 +119,18 @@ def _pattern_size(ea: tuple[int, ...], eb: tuple[int, ...], colors) -> int | Non
     return len(da)
 
 
-def _confirm_pair(h: Hypergraph, assignment: Mapping[int, int],
-                  a: int, b: int) -> SamePattern | None:
-    """Check the pattern definition on one candidate pair of edge indices."""
-    i = _pattern_size(h.edges[a], h.edges[b], assignment)
-    return None if i is None else SamePattern(min(a, b), max(a, b), i)
+def _group_pairs(h: Hypergraph, colors,
+                 groups: Iterable[list[int]]) -> Iterator[tuple[int, int, int]]:
+    """The same-pattern pairs (a, b, i) within each group of ``groups``, lists
+    of fully colored edge ids sharing one key, each ascending so that a < b."""
+    edges = h.edges
+    for grp in groups:
+        if len(grp) < 2:  # almost every group is a singleton
+            continue
+        for a, b in combinations(grp, 2):
+            i = _pattern_size(edges[a], edges[b], colors)
+            if i is not None:
+                yield a, b, i
 
 
 def pattern_collisions(h: Hypergraph, c: Coloring) -> list[SamePattern]:
@@ -144,14 +156,8 @@ def pattern_collisions(h: Hypergraph, c: Coloring) -> list[SamePattern]:
         else:
             groups.setdefault(edge_key(assignment, e), []).append(idx)
 
-    found: dict[tuple[int, int], SamePattern] = {}
-    for ids in groups.values():
-        if len(ids) < 2:
-            continue
-        for a, b in combinations(ids, 2):
-            hit = _confirm_pair(h, assignment, a, b)
-            if hit is not None:
-                found[(hit.e, hit.f)] = hit
+    found = {(a, b): SamePattern(a, b, i)
+             for a, b, i in _group_pairs(h, assignment, groups.values())}
 
     for idx, missing in uncolored_of.items():
         for hit in _partial_collisions(h, assignment, idx, missing):
@@ -166,11 +172,87 @@ def _partial_collisions(h: Hypergraph, assignment: Mapping[int, int], idx: int,
     ``missing``. Every uncolored vertex of the edge must lie in the partner
     too, so only the edges containing all of them are candidates."""
     candidates = set(h.incidence[missing[0]]).intersection(*(h.incidence[v] for v in missing[1:]))
+    edge = h.edges[idx]
     for other in candidates:
         if other != idx:
-            hit = _confirm_pair(h, assignment, idx, other)
-            if hit is not None:
-                yield hit
+            i = _pattern_size(edge, h.edges[other], assignment)
+            if i is not None:
+                yield SamePattern(idx, other, i)
+
+
+class EventIndex:
+    """Every bad event of the resampler under the list ``colors``, as one
+    sorted event list: the bad edges in id order, then the confirmed
+    same-pattern pairs (e, f, i) in order. Each scan is a pick rule over this
+    list (see ``pick``).
+
+    Every edge is keyed by the sorted tuple of its distinct colors, and each
+    key's edges are kept in ascending order; an edge is bad iff its key has
+    fewer than k colors. A shared key is necessary for a pattern pair, and
+    sufficient once both edges are rainbow, so each pair within a group is
+    confirmed by _pattern_size. An edge's pairs thus all lie in its group:
+    after the colors of some vertices change, ``refresh`` of the edges through
+    them re-keys those edges, drops each one's pairs found through its old
+    group, and re-confirms it against its new group.
+    """
+
+    def __init__(self, h: Hypergraph, colors: list[int]):
+        self.h, self.k, self.colors = h, h.k, colors
+        self.keys = [edge_key(colors, e) for e in h.edges]
+        self.groups: dict[tuple[int, ...], list[int]] = {}
+        for idx, key in enumerate(self.keys):  # ascending ids keep groups sorted
+            grp = self.groups.get(key)
+            if grp is None:
+                self.groups[key] = [idx]
+            else:
+                grp.append(idx)
+        self.bad = [idx for idx, key in enumerate(self.keys) if len(key) < self.k]
+        self.pairs = sorted(_group_pairs(h, colors, self.groups.values()))
+
+    def refresh(self, edge_ids: Iterable[int]) -> None:
+        keys, groups, edges, colors, k = self.keys, self.groups, self.h.edges, self.colors, self.k
+        bad, pairs = self.bad, self.pairs
+        for idx in edge_ids:
+            old, key = keys[idx], edge_key(colors, edges[idx])
+            if key == old and len(key) == k:
+                continue  # all pairs within a rainbow group hold, whatever the color order
+            grp = groups[old]
+            for other in grp:
+                if other != idx:
+                    a, b = (idx, other) if idx < other else (other, idx)
+                    pos = bisect_left(pairs, (a, b))  # (a, b) fixes i = k - |e_a ∩ e_b|
+                    if pos < len(pairs) and pairs[pos][0] == a and pairs[pos][1] == b:
+                        del pairs[pos]
+            if key != old:
+                keys[idx] = key
+                del grp[bisect_left(grp, idx)]
+                if not grp:
+                    del groups[old]
+                if len(key) < k <= len(old):
+                    insort(bad, idx)
+                elif len(old) < k <= len(key):
+                    del bad[bisect_left(bad, idx)]
+                grp = groups.setdefault(key, [])
+                insort(grp, idx)
+            if len(grp) < 2:
+                continue
+            for other in grp:
+                if other != idx:
+                    i = _pattern_size(edges[idx], edges[other], colors)
+                    if i is not None:
+                        insort(pairs, (idx, other, i) if idx < other else (other, idx, i))
+
+    def pick(self, rng: random.Random | None = None) -> Union[BadEdge, SamePattern, None]:
+        """The event at position rng.randrange(#events) of the event list, or
+        at position 0 (the least bad edge, else the least pair) without rng."""
+        n_bad = len(self.bad)
+        total = n_bad + len(self.pairs)
+        if not total:
+            return None
+        pos = 0 if rng is None else rng.randrange(total)
+        if pos < n_bad:
+            return BadEdge(self.bad[pos])
+        return SamePattern(*self.pairs[pos - n_bad])
 
 
 def is_harmonious(h: Hypergraph, c: Coloring) -> bool:

@@ -106,9 +106,10 @@ class Hypergraph:
 class GeneratorConfig:
     """Parameters for bounded-degree random instances.
 
-    The handshake condition k*m <= n*max_degree is necessary for existence and
-    is checked eagerly; failing it raises InfeasibleConfigError rather than
-    burning the restart budget. max_restarts=None means the default 100*m.
+    Two conditions are necessary for existence and are checked eagerly: the
+    handshake k*m <= n*max_degree, and m <= C(n, k), the number of distinct
+    k-sets. Failing either raises InfeasibleConfigError rather than burning
+    the restart budget. max_restarts=None means the default 100*m.
     """
 
     k: int
@@ -135,6 +136,18 @@ class GeneratorConfig:
             raise InfeasibleConfigError(
                 f"infeasible: k*m = {self.k * self.m} exceeds "
                 f"n*max_degree = {self.n * self.max_degree}"
+            )
+        # C(n, j) grows with j up to min(k, n - k) <= n/2, so the running
+        # product can stop as soon as it reaches m
+        subsets = 1
+        for j in range(min(self.k, self.n - self.k)):
+            if subsets >= self.m:
+                break
+            subsets = subsets * (self.n - j) // (j + 1)
+        if subsets < self.m:
+            raise InfeasibleConfigError(
+                f"infeasible: m = {self.m} exceeds C(n, k) = {subsets}, "
+                f"the number of distinct {self.k}-sets of {self.n} vertices"
             )
 
 
@@ -277,7 +290,7 @@ def generate_random_bounded_degree(cfg: GeneratorConfig) -> Hypergraph:
     k, n = cfg.k, cfg.n
     restarts = cfg.max_restarts if cfg.max_restarts is not None else 100 * cfg.m
     attempts = restarts + 1
-    for _ in range(max(attempts, 1)):
+    for _ in range(attempts):
         capacity = [cfg.max_degree] * n
         live = _LiveVertices(n)
         chosen: list[tuple[int, ...]] = []

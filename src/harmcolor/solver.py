@@ -9,15 +9,13 @@ a greedy first-fit baseline.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import combinations
 from math import comb
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .bounds import lower_bound_colors
-from .coloring import (BadEdge, Coloring, SamePattern, _partial_collisions, _pattern_size,
+from .coloring import (BadEdge, Coloring, EventIndex, SamePattern, _partial_collisions,
                        colors_used, edge_key)
 from .hypergraph import Hypergraph
 
@@ -112,101 +110,6 @@ def _uniform_colors(rng: random.Random, n: int, t: int) -> list[int]:
     return [rng.randint(1, t) for _ in range(n)]
 
 
-class EventIndex:
-    """Every bad event of the resampler under the list ``colors``, as one
-    sorted event list: the bad edges in id order, then the confirmed
-    same-pattern pairs (e, f, i) in order. Each scan is a pick rule over this
-    list (see ``pick``).
-
-    Every edge is keyed by the sorted tuple of its distinct colors, and each
-    key's edges are kept in ascending order; an edge is bad iff its key has
-    fewer than k colors. A shared key is necessary for a pattern pair, and
-    sufficient once both edges are rainbow, so each pair within a group is
-    confirmed by _pattern_size. Each edge knows its pairs, so after the colors
-    of some vertices change, ``refresh`` of the edges through them re-keys
-    those edges and re-confirms only their pairs.
-    """
-
-    def __init__(self, h: Hypergraph, colors: list[int]):
-        self.h, self.k, self.colors = h, h.k, colors
-        self.keys = [edge_key(colors, e) for e in h.edges]
-        self.groups: dict[tuple[int, ...], list[int]] = {}
-        for idx, key in enumerate(self.keys):  # ascending ids keep groups sorted
-            grp = self.groups.get(key)
-            if grp is None:
-                self.groups[key] = [idx]
-            else:
-                grp.append(idx)
-        self.bad = [idx for idx, key in enumerate(self.keys) if len(key) < self.k]
-        self.pairs: list[tuple[int, int, int]] = []
-        self.pairs_of: dict[int, list[tuple[int, int, int]]] = {}
-        edges = h.edges
-        for grp in self.groups.values():
-            if len(grp) < 2:  # almost every group is a singleton
-                continue
-            for a, b in combinations(grp, 2):
-                i = _pattern_size(edges[a], edges[b], colors)
-                if i is not None:
-                    pair = (a, b, i)
-                    self.pairs.append(pair)
-                    self._link(pair)
-        self.pairs.sort()
-
-    def _link(self, pair: tuple[int, int, int]) -> None:
-        self.pairs_of.setdefault(pair[0], []).append(pair)
-        self.pairs_of.setdefault(pair[1], []).append(pair)
-
-    def refresh(self, edge_ids: Iterable[int]) -> None:
-        keys, groups, edges, colors, k = self.keys, self.groups, self.h.edges, self.colors, self.k
-        bad, pairs, pairs_of = self.bad, self.pairs, self.pairs_of
-        for idx in edge_ids:
-            old, key = keys[idx], edge_key(colors, edges[idx])
-            if key == old and len(key) == k:
-                continue  # all pairs within a rainbow group hold, whatever the color order
-            for pair in pairs_of.pop(idx, ()):
-                del pairs[bisect_left(pairs, pair)]
-                other = pair[1] if pair[0] == idx else pair[0]
-                theirs = pairs_of[other]
-                theirs.remove(pair)
-                if not theirs:
-                    del pairs_of[other]
-            if key != old:
-                keys[idx] = key
-                left = groups[old]
-                del left[bisect_left(left, idx)]
-                if not left:
-                    del groups[old]
-                if len(key) < k <= len(old):
-                    insort(bad, idx)
-                elif len(old) < k <= len(key):
-                    del bad[bisect_left(bad, idx)]
-                grp = groups.setdefault(key, [])
-                insort(grp, idx)
-            else:
-                grp = groups[key]
-            if len(grp) < 2:
-                continue
-            for other in grp:
-                if other != idx:
-                    i = _pattern_size(edges[idx], edges[other], colors)
-                    if i is not None:
-                        pair = (min(idx, other), max(idx, other), i)
-                        insort(pairs, pair)
-                        self._link(pair)
-
-    def pick(self, rng: random.Random | None = None) -> Union[BadEdge, SamePattern, None]:
-        """The event at position rng.randrange(#events) of the event list, or
-        at position 0 (the least bad edge, else the least pair) without rng."""
-        n_bad = len(self.bad)
-        total = n_bad + len(self.pairs)
-        if not total:
-            return None
-        pos = 0 if rng is None else rng.randrange(total)
-        if pos < n_bad:
-            return BadEdge(self.bad[pos])
-        return SamePattern(*self.pairs[pos - n_bad])
-
-
 def resample_solve(h: Hypergraph, cfg: SolverConfig) -> SolveReport:
     """Build a harmonious coloring with at most cfg.t colors by resampling.
 
@@ -216,10 +119,11 @@ def resample_solve(h: Hypergraph, cfg: SolverConfig) -> SolveReport:
     same-pattern pair, the exact variable set the event depends on. Rejects
     t < k up front: no edge can be rainbow then.
 
-    The events live in one EventIndex that both scans pick from and that each
-    redraw refreshes through the O(kΔ) edges meeting the scope, rather
-    than a scan of all m edges. The event lists are flat sorted lists, so each
-    insert or delete there also shifts O(#events) entries.
+    The events live in one coloring.EventIndex that both scans pick from and
+    that each redraw refreshes through the O(kΔ) edges meeting the scope,
+    rather than a scan of all m edges. A refreshed edge's pairs are found and
+    re-confirmed within its key group alone. The event lists are flat sorted
+    lists, so each insert or delete there also shifts O(#events) entries.
     """
     if cfg.t < h.k:
         raise ValueError(f"t={cfg.t} < k={h.k}: no edge can be rainbow")

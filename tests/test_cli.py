@@ -57,6 +57,10 @@ def test_gen_infeasible_is_a_usage_error(capsys):
     code = main(["gen", "--k", "2", "--n", "4", "--m", "7", "--max-degree", "3"])
     assert code == 2
     assert "infeasible" in capsys.readouterr().err
+    # the degrees fit (400 <= 400), but 20 vertices hold only C(20, 2) = 190 edges
+    code = main(["gen", "--k", "2", "--n", "20", "--m", "200", "--max-degree", "20"])
+    assert code == 2
+    assert "C(n, k) = 190" in capsys.readouterr().err
 
 
 def test_solve_verify_happy_path(tmp_path, triangle_file, capsys):
@@ -625,6 +629,18 @@ def test_loading_the_cli_does_not_import_numpy():
     proc = run_python("-c", "import sys, harmcolor.cli; print('numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_the_package_loads_the_cli_lazily_and_exports_what_it_lists():
+    proc = run_python("-c", "import sys, harmcolor\n"
+                      "print('harmcolor.cli' in sys.modules)\n"
+                      "print([name for name in harmcolor.__all__"
+                      " if not hasattr(harmcolor, name)])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["False", "[]"]
+    proc = run_python("-W", "error", "-m", "harmcolor.cli", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert "experiment" in proc.stdout
 
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))

@@ -4,6 +4,8 @@ fuzzing of both file parsers."""
 import hashlib
 import re
 import time
+from dataclasses import replace
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -332,10 +334,24 @@ def test_generator_forced_complete_graph():
 
 def test_generator_reports_failure_when_no_instance_exists():
     # feasible by the degree handshake (4 <= 4) yet no simple instance has
-    # two distinct edges on two vertices
-    cfg = GeneratorConfig(k=2, n=2, m=2, max_degree=2, seed=0, max_restarts=50)
+    # two distinct edges on two vertices: C(2, 2) = 1 < m
+    with pytest.raises(InfeasibleConfigError, match="C\\(n, k\\) = 1"):
+        GeneratorConfig(k=2, n=2, m=2, max_degree=2, seed=0, max_restarts=50)
+    # C(n, j) is never computed beyond m, so a huge n and k cost nothing
+    GeneratorConfig(k=10**6, n=2 * 10**6, m=1, max_degree=1)
+    # C(10, 9) = 10 though C(10, 5) = 252: the check must not stop at the middle
+    GeneratorConfig(k=9, n=10, m=10, max_degree=9)
+    with pytest.raises(InfeasibleConfigError):
+        GeneratorConfig(k=9, n=10, m=11, max_degree=10)
+
+
+def test_generator_fails_when_its_restarts_run_out():
+    # the only 2-regular graph on 4 vertices is a 4-cycle; seed 1 draws a
+    # dead end on the first attempt, and no restart is allowed
+    cfg = GeneratorConfig(k=2, n=4, m=4, max_degree=2, seed=1, max_restarts=0)
     with pytest.raises(GenerationFailure):
         generate_random_bounded_degree(cfg)
+    assert generate_random_bounded_degree(replace(cfg, max_restarts=None)).m == 4
 
 
 @st.composite
@@ -343,7 +359,7 @@ def generator_configs(draw):
     k = draw(st.integers(2, 5))
     n = draw(st.integers(k, 60))
     dmax = draw(st.integers(1, 4))
-    m = draw(st.integers(0, n * dmax // k))
+    m = draw(st.integers(0, min(n * dmax // k, comb(n, k))))
     return GeneratorConfig(k=k, n=n, m=m, max_degree=dmax,
                            seed=draw(st.integers(0, 2 ** 32)),
                            max_restarts=draw(st.sampled_from([0, 3, None])))

@@ -30,7 +30,8 @@ from harmcolor import (
     sample_uniform_coloring,
     serialize_coloring,
 )
-from harmcolor.solver import EVENT_SCANS, EventIndex, _placement_order
+from harmcolor.coloring import EventIndex
+from harmcolor.solver import EVENT_SCANS, _placement_order
 from oracles import naive_bad_edges, naive_h, naive_pattern_pairs, naive_placement_order
 
 GREEDY_TRAP = Hypergraph(2, 5, [(0, 2), (1, 2), (0, 3), (1, 4)])
@@ -265,11 +266,23 @@ def test_event_indexes_track_the_oracles_through_recolorings(walk):
     walk_event_indexes(*walk)
 
 
-def test_least_pair_survives_its_group_minimum_leaving_and_returning():
+FIXED_WALKS = {
     # three disjoint edges share the key (1, 2); edge 0 leaves the group,
     # so its next minimum must surface, then rejoins as the new minimum
-    h = builtin_instance("matching", 3, k=2)
-    walk_event_indexes(h, 4, [1, 2, 1, 2, 1, 2], [{0: 3, 1: 4}, {0: 1, 1: 2}])
+    "group-minimum-leaves-and-returns": (
+        builtin_instance("matching", 3, k=2), 4, [1, 2, 1, 2, 1, 2],
+        [{0: 3, 1: 4}, {0: 1, 1: 2}]),
+    # both edges are bad with the key (1, 2) throughout; recoloring vertex 3
+    # makes them a pair and then breaks it while edge 1 keeps its key
+    "kept-key-pair-comes-and-goes": (
+        Hypergraph(3, 5, [(0, 1, 2), (0, 3, 4)]), 2, [1, 1, 2, 2, 2],
+        [{3: 1}, {3: 2}]),
+}
+
+
+@pytest.mark.parametrize("name", FIXED_WALKS)
+def test_fixed_walks_track_the_oracles(name):
+    walk_event_indexes(*FIXED_WALKS[name])
 
 
 def golden_instance(seed: int, k: int, n: int, m: int, dmax: int | None = None) -> Hypergraph:
