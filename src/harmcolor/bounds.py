@@ -10,9 +10,12 @@ certificate inequality
              + sum_{i=1}^{k-1} D*(k*D/(k-i))*(i!/t^i)*tau^i
 
 whose truth at some tau > 1 certifies that a harmonious t-coloring exists.
-Everything feeding that go/no-go decision is evaluated in exact rational
-arithmetic; only the two real-valued closed forms (theorem_bound,
-remark_bound) use floating point, to at least 12 significant digits.
+Everything feeding that go/no-go decision is exact: with tau = p/q and
+L = lcm(1..k-1), both sides times q^k * L * t^k are integers, so the decision
+is one integer comparison and the slack one exact Fraction. Only the two
+real-valued closed forms (theorem_bound, remark_bound) use floating point, to
+at least 12 significant digits. The certificate calculators refuse k above
+LCL_MAX_K with ValueError.
 """
 
 from __future__ import annotations
@@ -21,8 +24,14 @@ import random
 import sys
 from fractions import Fraction
 from functools import wraps
-from math import ceil, comb, exp, factorial, inf, isfinite, log
+from math import ceil, comb, exp, factorial, inf, isfinite, lcm, log
 from typing import Callable, Iterator, NamedTuple
+
+
+# The certificate's integers have about k * log2(q * t) bits, and one search
+# evaluates it O(log t) times at O(k) products each: at k = 1000,
+# lcl_min_colors answers in well under a second, and tau_grid_search in a few.
+LCL_MAX_K = 1000
 
 
 class LclResult(NamedTuple):
@@ -47,7 +56,13 @@ def _int_root(x: int, k: int) -> int:
         raise ValueError("negative radicand")
     if x == 0:
         return 0
-    r = 1 << ((x.bit_length() + k - 1) // k)
+    # Start from the float root of x scaled into float range: from far above
+    # the root, Newton would take O(k) steps, each a huge power. One step from
+    # either side of the root lands on or above the floor root, and the loop
+    # then descends to it.
+    shift = max(0, x.bit_length() // k - 64)
+    r = (int(exp(log(x >> shift * k) / k)) + 1) << shift
+    r = ((k - 1) * r + x // r ** (k - 1)) // k
     while True:
         nr = ((k - 1) * r + x // r ** (k - 1)) // k
         if nr >= r:
@@ -178,24 +193,77 @@ def pattern_prob_bound(i: int, t: int) -> Fraction:
     return Fraction(factorial(i), t ** i)
 
 
+def _lcl_sides(k: int, delta: int, m: int,
+               tau: Fraction) -> Callable[[int], tuple[int, int]]:
+    """The certificate inequality at weight tau = p/q as a function of t that
+    returns (lhs, rhs): both sides multiplied by D = L * (q*t)^k, where
+    L = lcm(1..k-1), so that both are integers and lhs = tau * D. Term by
+    term, with a = q*t:
+
+        tau                                -> p * q^(k-1) * L * t^k
+        1                                  -> L * a^k
+        delta*(k^2/t)*tau^k                -> delta * k^2 * p^k * L * t^(k-1)
+        delta*m*(k!/t^k)*tau^k             -> delta * m * k! * p^k * L
+        delta*(k*delta/(k-i))*(i!/t^i)*tau^i
+                                -> delta^2 * k * (L/(k-i)) * i! * p^i * a^(k-i)
+
+    No coefficient depends on t, so they are built once; each t then costs one
+    Horner pass in a over the 1 term and the i-sum, k products of the running
+    sum by a, with no gcd and no Fraction."""
+    p, q = tau.numerator, tau.denominator
+    big_l = lcm(*range(1, k))
+    top = p * q ** (k - 1) * big_l
+    p_k_l = p ** k * big_l
+    bad = delta * k * k * p_k_l
+    pattern_k = delta * m * factorial(k) * p_k_l
+    horner = [big_l]  # a^k's coefficient, then a^(k-i)'s for i = 1..k-1
+    spread = delta * delta * k
+    i_factorial_p_i = 1
+    for i in range(1, k):
+        i_factorial_p_i *= i * p
+        horner.append(spread * (big_l // (k - i)) * i_factorial_p_i)
+
+    def sides(t: int) -> tuple[int, int]:
+        a = q * t
+        total = 0
+        for coefficient in horner:
+            total = total * a + coefficient
+        t_k1 = t ** (k - 1)
+        return top * t_k1 * t, total * a + bad * t_k1 + pattern_k
+
+    return sides
+
+
+def check_certificate_k(k: int) -> None:
+    """Raise ValueError for k above LCL_MAX_K, the certificate calculators' cap."""
+    if k > LCL_MAX_K:
+        raise ValueError(f"the certificate calculators take k up to {LCL_MAX_K}, got {k}")
+
+
+def _check_certificate_inputs(k: int, delta: int, m: int) -> None:
+    _check_inputs(k, delta, m)
+    check_certificate_k(k)
+
+
 def lcl_condition(k: int, delta: int, m: int, t: int,
                   tau: Fraction | None = None) -> LclResult:
-    """Evaluate the certificate inequality in exact rational arithmetic.
+    """Evaluate the certificate inequality exactly.
 
     Returns (holds, slack) where slack = tau - RHS; holds means slack >= 0.
-    tau defaults to k/(k-1). No floating point is involved, so the go/no-go
+    tau defaults to k/(k-1). Both sides are scaled to integers (see
+    _lcl_sides), so holds is one integer comparison, and slack is the exact
+    Fraction (lhs - rhs) / D. No floating point is involved, so the go/no-go
     answer cannot hinge on rounding.
     """
-    _check_inputs(k, delta, m)
+    _check_certificate_inputs(k, delta, m)
+    if t < 1:
+        raise ValueError(f"t must be at least 1, got {t}")
     tau = Fraction(k, k - 1) if tau is None else Fraction(tau)
     if tau < 1:
         raise ValueError(f"tau must be at least 1, got {tau}")
-    rhs = 1 + delta * bad_edge_prob_bound(k, t) * tau ** k
-    rhs += delta * m * pattern_prob_bound(k, t) * tau ** k
-    for i in range(1, k):
-        rhs += delta * Fraction(k * delta, k - i) * pattern_prob_bound(i, t) * tau ** i
-    slack = tau - rhs
-    return LclResult(holds=slack >= 0, slack=slack)
+    lhs, rhs = _lcl_sides(k, delta, m, tau)(t)
+    slack = Fraction(tau.numerator * (lhs - rhs), tau.denominator * lhs)  # D = lhs / tau
+    return LclResult(holds=lhs >= rhs, slack=slack)
 
 
 def lcl_min_colors(k: int, delta: int, m: int, tau: Fraction | None = None) -> int:
@@ -204,11 +272,21 @@ def lcl_min_colors(k: int, delta: int, m: int, tau: Fraction | None = None) -> i
     The RHS is strictly decreasing in t and tends to 1 < tau, so a threshold
     exists. Requires tau > 1 — at tau = 1 the inequality is never satisfiable.
     """
-    _check_inputs(k, delta, m)
+    _check_certificate_inputs(k, delta, m)
     tau = Fraction(k, k - 1) if tau is None else Fraction(tau)
     if tau <= 1:
         raise ValueError(f"tau must exceed 1, got {tau}")
-    return _least(lambda t: lcl_condition(k, delta, m, t, tau).holds)
+    return _least(_lcl_holds(k, delta, m, tau))
+
+
+def _lcl_holds(k: int, delta: int, m: int, tau: Fraction) -> Callable[[int], bool]:
+    sides = _lcl_sides(k, delta, m, tau)
+
+    def holds(t: int) -> bool:
+        lhs, rhs = sides(t)
+        return lhs >= rhs
+
+    return holds
 
 
 def tau_grid_search(k: int, delta: int, m: int,
@@ -216,16 +294,20 @@ def tau_grid_search(k: int, delta: int, m: int,
     """Search tau over {1 + j/denominator : j = 1..denominator} for the value
     minimizing lcl_min_colors; ties prefer smaller tau. The default k/(k-1) is
     not always optimal — e.g. (k=3, delta=2, m=15) certifies t=141 at tau=3/2
-    but t=140 at tau=49/32."""
-    _check_inputs(k, delta, m)
+    but t=140 at tau=49/32.
+
+    A tau whose certificate fails at the best t so far minus one cannot win
+    (the certificate holds for every t from its least one up), so it costs
+    one evaluation instead of a search."""
+    _check_certificate_inputs(k, delta, m)
     if denominator < 1:
         raise ValueError(f"denominator must be positive, got {denominator}")
     best: tuple[int, Fraction] | None = None
     for j in range(1, denominator + 1):
         tau = 1 + Fraction(j, denominator)
-        t = lcl_min_colors(k, delta, m, tau)
-        if best is None or (t, tau) < best:
-            best = (t, tau)
+        holds = _lcl_holds(k, delta, m, tau)
+        if best is None or (best[0] > 1 and holds(best[0] - 1)):
+            best = (_least(holds), tau)
     assert best is not None
     return best[1], best[0]
 

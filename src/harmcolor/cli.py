@@ -25,6 +25,7 @@ from typing import Iterable, Sequence
 from .bounds import (
     bad_edge_prob_bound,
     bad_edge_prob_exact,
+    check_certificate_k,
     lcl_condition,
     lcl_min_colors,
     lower_bound_colors,
@@ -137,6 +138,7 @@ class ExperimentSpec:
                 raise ValueError(f"{name} must be positive, got {values}")
         if any(k < 2 for k in self.k_values):
             raise ValueError("k must be at least 2")
+        check_certificate_k(max(self.k_values))  # every row reports lcl_min_colors
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if self.t_policy not in T_POLICIES:
@@ -184,12 +186,14 @@ class ExperimentSpec:
 
 
 def _policy_t(policy: str, t_fixed: int | None, eps: float,
-              k: int, delta: int, m: int) -> int:
+              k: int, delta: int, m: int, lcl_min: int | None = None) -> int:
+    """The palette a policy names; lcl_min, when given, is
+    lcl_min_colors(k, delta, m) already computed."""
     if policy == "fixed":
         assert t_fixed is not None
         return t_fixed
     if policy == "lcl-min":
-        t = lcl_min_colors(k, delta, m)
+        t = lcl_min if lcl_min is not None else lcl_min_colors(k, delta, m)
     else:
         t = theorem_ceil_colors(k, delta, m, eps)
     # a single edge already needs k colors; the closed forms can dip below k
@@ -230,7 +234,8 @@ def _run_cell(spec: ExperimentSpec, cell_index: int,
         cfg = GeneratorConfig(k=k, n=n, m=m, max_degree=dmax, seed=seed)
         instance = generate_random_bounded_degree(cfg)
         delta = max_degree(instance)
-        t = _policy_t(spec.t_policy, spec.t_fixed, spec.eps, k, delta, m)
+        lcl_min = lcl_min_colors(k, delta, m)
+        t = _policy_t(spec.t_policy, spec.t_fixed, spec.eps, k, delta, m, lcl_min)
         report = resample_solve(instance, SolverConfig(
             t=t, seed=seed, max_resamples=spec.max_resamples,
             event_scan=spec.event_scan))
@@ -250,7 +255,7 @@ def _run_cell(spec: ExperimentSpec, cell_index: int,
             "theorem_bound": _fmt(theorem_bound(k, delta, m, spec.eps)),
             "remark_bound": _fmt(remark_bound(k, delta, m)),
             "lower_bound": lower_bound_colors(k, m),
-            "lcl_min_colors": lcl_min_colors(k, delta, m),
+            "lcl_min_colors": lcl_min,
         })
     return out
 
@@ -344,6 +349,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
 
 def _bound_rows(args: argparse.Namespace) -> list[tuple[str, str]]:
     k, delta, m, eps = args.k, args.delta, args.m, args.eps
+    check_certificate_k(k)  # first: the closed forms' k! alone takes hours at k = 10**9
     rows = [
         ("theorem", _fmt(theorem_bound(k, delta, m, eps))),
         ("remark", _fmt(remark_bound(k, delta, m))),

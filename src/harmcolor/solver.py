@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import comb
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 from .bounds import lower_bound_colors
 from .coloring import (BadEdge, Coloring, EventIndex, SamePattern, _partial_collisions,
@@ -107,7 +107,18 @@ def sample_uniform_coloring(h: Hypergraph, t: int, seed: int = 0) -> Coloring:
 def _uniform_colors(rng: random.Random, n: int, t: int) -> list[int]:
     """The initial draw of sample_uniform_coloring and resample_solve: one
     uniform color from 1..t per vertex, in vertex order."""
-    return [rng.randint(1, t) for _ in range(n)]
+    getrandbits, bits = rng.getrandbits, t.bit_length()
+    return [_uniform_color(getrandbits, bits, t) for _ in range(n)]
+
+
+def _uniform_color(getrandbits: Callable[[int], int], bits: int, t: int) -> int:
+    """One uniform color from 1..t, given t.bit_length() as bits: the draw
+    of CPython's randint(1, t) (its _randbelow_with_getrandbits) without
+    the layers of calls around it, so the same seed gives the same stream."""
+    r = getrandbits(bits)
+    while r >= t:
+        r = getrandbits(bits)
+    return r + 1
 
 
 def resample_solve(h: Hypergraph, cfg: SolverConfig) -> SolveReport:
@@ -129,6 +140,7 @@ def resample_solve(h: Hypergraph, cfg: SolverConfig) -> SolveReport:
         raise ValueError(f"t={cfg.t} < k={h.k}: no edge can be rainbow")
     t = cfg.t
     rng = random.Random(cfg.seed)
+    getrandbits, bits = rng.getrandbits, t.bit_length()
     colors = _uniform_colors(rng, h.n, t)
     budget = (cfg.max_resamples if cfg.max_resamples is not None
               else DEFAULT_RESAMPLES_PER_EDGE * max(h.m, 1))
@@ -155,7 +167,7 @@ def resample_solve(h: Hypergraph, cfg: SolverConfig) -> SolveReport:
             scope = tuple(sorted(set(h.edges[event.e]).symmetric_difference(h.edges[event.f])))
             count_pattern[event.i] += 1
         for v in scope:
-            colors[v] = rng.randint(1, t)
+            colors[v] = _uniform_color(getrandbits, bits, t)
         resamples += 1
         index.refresh({idx for v in scope for idx in h.incidence[v]})
         if cfg.trace_limit:

@@ -2,8 +2,9 @@
 package. Everything here is brute force on purpose; keep it dumb."""
 
 import random
+from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import comb, factorial
 
 from harmcolor import Coloring, GenerationFailure, GeneratorConfig, Hypergraph
 
@@ -79,6 +80,25 @@ def naive_lower_bound_colors(k: int, m: int) -> int:
     while comb(r, k) < m:
         r += 1
     return r
+
+
+def naive_lcl_slack(k: int, delta: int, m: int, t: int, tau: Fraction) -> Fraction:
+    """tau minus the certificate's right side, summed term by term in
+    Fractions exactly as the inequality reads."""
+    rhs = 1 + delta * Fraction(k * k, t) * tau ** k
+    rhs += delta * m * Fraction(factorial(k), t ** k) * tau ** k
+    for i in range(1, k):
+        rhs += delta * Fraction(k * delta, k - i) * Fraction(factorial(i), t ** i) * tau ** i
+    return tau - rhs
+
+
+def naive_lcl_min_colors(k: int, delta: int, m: int, tau: Fraction) -> int:
+    """Least t >= 1 whose certificate slack at tau is nonnegative, by walking
+    t upward from 1."""
+    t = 1
+    while naive_lcl_slack(k, delta, m, t, tau) < 0:
+        t += 1
+    return t
 
 
 def naive_monte_carlo_event_probs(k: int, i: int, t: int, trials: int,

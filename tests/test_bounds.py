@@ -3,11 +3,12 @@ cross-checks. Expected values were computed independently ahead of time and
 are frozen here; all certificate decisions are exact rational arithmetic."""
 
 import sys
+import time
 from fractions import Fraction
-from math import comb, sqrt
+from math import comb, factorial, sqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from harmcolor import (
     bad_edge_prob_bound,
@@ -22,7 +23,9 @@ from harmcolor import (
     theorem_bound,
     theorem_ceil_colors,
 )
-from oracles import naive_lower_bound_colors, naive_monte_carlo_event_probs
+from harmcolor.bounds import LCL_MAX_K, _int_root
+from oracles import (naive_lcl_min_colors, naive_lcl_slack, naive_lower_bound_colors,
+                     naive_monte_carlo_event_probs)
 
 
 # ------------------------------------------------------------- input guards
@@ -82,6 +85,29 @@ def test_theorem_ceil_is_the_ceiling():
         t = theorem_ceil_colors(k, delta, m, eps)
         v = theorem_bound(k, delta, m, eps)
         assert t - 1 < v <= t
+
+
+@given(st.integers(0, 10**3000) | st.integers(0, 2**64),
+       st.integers(1, 40) | st.integers(10**4, 3 * 10**4))
+@settings(max_examples=150, deadline=None)
+def test_int_root_brackets_the_root(x, k):
+    r = _int_root(x, k)
+    assert r ** k <= x < (r + 1) ** k
+
+
+@given(st.integers(1, 10**60), st.integers(2, 12), st.integers(-1, 1))
+@settings(max_examples=150, deadline=None)
+def test_int_root_next_to_a_perfect_power(root, k, offset):
+    x = root ** k + offset
+    assert _int_root(x, k) == (root - 1 if offset < 0 else root)
+
+
+def test_large_k_roots_answer_at_once():
+    # from far above the root, Newton takes O(k) steps, each a huge power
+    start = time.perf_counter()
+    assert _int_root(factorial(20000), 20000) == 7359
+    assert theorem_bound(10**4, 1, 1) == 3684.587332938302
+    assert time.perf_counter() - start < 1
 
 
 def test_theorem_bound_monotone():
@@ -147,6 +173,32 @@ def test_lcl_condition_frozen_fractions():
     assert res.holds is False and res.slack == Fraction(-27, 25)
 
 
+TAUS = st.none() | st.builds(lambda a, b: 1 + Fraction(a, b), st.integers(0, 200),
+                             st.integers(1, 64))
+
+
+@given(st.integers(2, 9), st.integers(1, 50), st.integers(1, 10**6), st.integers(1, 5000), TAUS)
+@example(60, 7, 10**6, 10**9, None)
+@example(200, 1, 1, 2 * 10**8, Fraction(201, 200))
+@example(20, 10**150, 10**400, 10**350, Fraction(3, 2))
+@example(300, 1, 1, 73271554, None)  # the least certified t at k = 300, and one below
+@example(300, 1, 1, 73271553, None)
+@settings(max_examples=300, deadline=None)
+def test_lcl_condition_matches_the_fraction_oracle(k, delta, m, t, tau):
+    res = lcl_condition(k, delta, m, t, tau)
+    want = naive_lcl_slack(k, delta, m, t, Fraction(k, k - 1) if tau is None else tau)
+    assert res.slack == want and res.holds is (want >= 0)
+
+
+def test_certificate_calculators_cap_k():
+    for call in (lambda k: lcl_condition(k, 1, 1, 10**12), lambda k: lcl_min_colors(k, 1, 1),
+                 lambda k: tau_grid_search(k, 1, 1, 2)):
+        with pytest.raises(ValueError, match=f"k up to {LCL_MAX_K}"):
+            call(LCL_MAX_K + 1)
+        with pytest.raises(ValueError, match=f"k up to {LCL_MAX_K}"):
+            call(10**9)
+
+
 def test_lcl_condition_slack_is_monotone_in_t():
     previous = None
     for t in range(5, 200, 7):
@@ -183,6 +235,22 @@ def test_lcl_min_is_minimal(k, delta, m):
     assert lcl_condition(k, delta, m, t).holds
     if t > 1:
         assert not lcl_condition(k, delta, m, t - 1).holds
+
+
+@given(st.integers(2, 3), st.integers(1, 3), st.integers(1, 200), TAUS.filter(lambda tau: tau != 1))
+@settings(max_examples=30, deadline=None)
+def test_lcl_min_matches_the_upward_walk(k, delta, m, tau):
+    tau = Fraction(k, k - 1) if tau is None else tau
+    assert lcl_min_colors(k, delta, m, tau) == naive_lcl_min_colors(k, delta, m, tau)
+
+
+@given(st.integers(2, 5), st.integers(1, 5), st.integers(1, 10**6), st.integers(1, 40))
+@settings(max_examples=40, deadline=None)
+def test_tau_grid_search_is_the_least_pair_on_the_grid(k, delta, m, denominator):
+    # the search skips a tau whose certificate fails one below the best t so far
+    taus = [1 + Fraction(j, denominator) for j in range(1, denominator + 1)]
+    t, tau = min((lcl_min_colors(k, delta, m, tau), tau) for tau in taus)
+    assert tau_grid_search(k, delta, m, denominator) == (tau, t)
 
 
 def test_tau_grid_search_beats_the_default():
@@ -257,6 +325,22 @@ def test_decade_grid_first_hold(key, first_m):
     assert held and held[0] == first_m
     # once it certifies it stays certified on the rest of the decade grid
     assert held == [m for m in (10**p for p in range(1, 9)) if m >= first_m]
+
+
+# recorded with the term-by-term Fraction sum, which took 21-29 s and 4.5-5.7 s
+LCL_MIN_HOSTILE = int(
+    "2105263157894736842105263157894736842105263157894736842105263157894736842105"
+    "2631578947368421052631578947368421052631578947368421052631578947368421073831"
+    "8535604919803107377198508085008590814583656403028685144746012597074953025082"
+    "92204073777922691355247332418846335509289769937312202522372756224916883466")
+GRID_HOSTILE_T = int(
+    "1067067991347018841801846386671673475493426074349830987879982249703301112417"
+    "64637671090441583180182359154957978696433408430331616208096")
+
+
+def test_certificate_at_hostile_sizes_keeps_its_values():
+    assert lcl_min_colors(20, 10**150, 10**400) == LCL_MIN_HOSTILE
+    assert tau_grid_search(3, 3, 10**400, 64) == (Fraction(3, 2), GRID_HOSTILE_T)
 
 
 # ------------------------------------------------------------- Monte Carlo

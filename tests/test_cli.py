@@ -27,6 +27,7 @@ from harmcolor import (
     parse_hypergraph,
     serialize_hypergraph,
 )
+from harmcolor.bounds import LCL_MAX_K
 from harmcolor.cli import CSV_COLUMNS
 from oracles import naive_is_harmonious
 
@@ -266,6 +267,35 @@ def test_bound_answers_a_huge_m_at_once(capsys):
     assert comb(lower, 3) >= m > comb(lower - 1, 3)
 
 
+def test_bound_at_the_certificate_cap_answers_in_seconds(capsys):
+    start = time.perf_counter()
+    assert main(["bound", "--k", str(LCL_MAX_K), "--delta", "1", "--m", "1"]) == 0
+    assert time.perf_counter() - start < 5
+    rows = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    assert rows["lcl_min"] == "2716923576"
+
+
+@pytest.mark.parametrize("k", [LCL_MAX_K + 1, 10**9])
+def test_bound_above_the_certificate_cap_exits_2_at_once(k, capsys):
+    # k = 10**9 would spend hours in factorial(k) if the cap came after the closed forms
+    start = time.perf_counter()
+    assert main(["bound", "--k", str(k), "--delta", "1", "--m", "1"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        f"error: the certificate calculators take k up to {LCL_MAX_K}, got {k}\n")
+
+
+def test_solve_lcl_min_above_the_certificate_cap_exits_2_at_once(tmp_path, capsys):
+    k = LCL_MAX_K + 1
+    path = tmp_path / "wide.hg"
+    path.write_text(serialize_hypergraph(Hypergraph(k, k, [tuple(range(k))])))
+    start = time.perf_counter()
+    assert main(["solve", "--input", str(path), "--t-policy", "lcl-min"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        f"error: the certificate calculators take k up to {LCL_MAX_K}, got {k}\n")
+
+
 BOUND = ["bound", "--k", "2", "--delta", "1", "--m", "8"]
 
 
@@ -301,9 +331,9 @@ NUMBER_FLAGS = ("--delta", "--m", "--t", "--eps", "--tau")
 BOUND_BASE = {"--k": "3", "--delta": "2", "--m": "15", "--t": "141", "--eps": "0.1",
               "--tau": "3/2", "--mc-trials": "100"}
 # the caps, and small numbers where several options change at once, keep each run
-# short: a large k, delta or tau grid is real work (k = 20 with a grid of 64 takes 1.4 s)
+# short: a large k, delta or tau grid is real work (k = 100 with a grid of 8 takes 0.01 s)
 BOUND_VALUES = {flag: SMALL for flag in NUMBER_FLAGS}
-BOUND_VALUES["--k"] = st.integers(-2, 20).map(str) | st.sampled_from(["nan", "3/2", "1/0", "x"])
+BOUND_VALUES["--k"] = st.integers(-2, 100).map(str) | st.sampled_from(["nan", "3/2", "1/0", "x"])
 BOUND_VALUES["--tau-grid"] = st.integers(-1, 8).map(str)
 BOUND_VALUES["--mc-trials"] = st.integers(-1, 1000).map(str)
 
@@ -546,6 +576,7 @@ def test_experiment_bad_spec_values_exit_2(tmp_path, capsys):
     {"max_resamples": -1},
     {"event_scan": None},
     {"event_scan": "sideways"},
+    {"k": [2, LCL_MAX_K + 1]},  # every row reports lcl_min_colors
     {"k": ABSENT},
     {"n": ABSENT},
     {"m": ABSENT},

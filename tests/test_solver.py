@@ -31,7 +31,7 @@ from harmcolor import (
     serialize_coloring,
 )
 from harmcolor.coloring import EventIndex
-from harmcolor.solver import EVENT_SCANS, _placement_order
+from harmcolor.solver import EVENT_SCANS, _placement_order, _uniform_colors
 from oracles import naive_bad_edges, naive_h, naive_pattern_pairs, naive_placement_order
 
 GREEDY_TRAP = Hypergraph(2, 5, [(0, 2), (1, 2), (0, 3), (1, 4)])
@@ -62,6 +62,20 @@ def test_sample_uniform_frequencies_within_4_sigma():
     tol = 4.0 * sqrt(10_000 * 0.25 * 0.75)
     for color in range(1, 5):
         assert abs(counts[color] - expected) <= tol
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 7, 30, 129, 512, 513, 582, 2**16 + 1, 2**31 + 7, 2**64 + 3])
+def test_uniform_draw_is_the_stream_of_randint(t):
+    # every golden rests on this: a Python whose randint draws otherwise fails here first
+    fast, slow = random.Random(t), random.Random(t)
+    assert _uniform_colors(fast, 10**4, t) == [slow.randint(1, t) for _ in range(10**4)]
+
+
+@given(st.integers(1, 2**70), st.integers(0, 2**32))
+@settings(max_examples=100)
+def test_uniform_draw_is_the_stream_of_randint_for_any_t(t, seed):
+    fast, slow = random.Random(seed), random.Random(seed)
+    assert _uniform_colors(fast, 200, t) == [slow.randint(1, t) for _ in range(200)]
 
 
 # ------------------------------------------------------- resampling solver
