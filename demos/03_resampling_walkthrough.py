@@ -5,7 +5,7 @@ Watching the resampler work
 The solver samples a uniform coloring, then repeatedly picks a violated event
 (a bad edge, or a pair of edges with the same color pattern) and redraws only
 the colors inside that event's scope, until nothing is violated. The trace
-records every step.
+records every step: the event, its scope, and the scope's new colors.
 """
 
 from harmcolor import SolverConfig, builtin_instance, resample_solve
@@ -21,12 +21,11 @@ print(f"solved after {report.resamples_total} resamples "
       f"{sum(report.resamples_same_pattern.values())} same-pattern)\n")
 
 for step_number, step in enumerate(report.trace, start=1):
-    colors = " ".join(str(c) for c in step.colors_after)
+    redraws = "  ".join(f"{v}->{c}" for v, c in zip(step.scope, step.colors_after))
     print(f"step {step_number:>2}: {step.event}")
-    print(f"         redraw vertices {step.scope}  ->  colors {colors}")
+    print(f"         redraw  {redraws}")
 
-final = dict(report.coloring.assignment)
-print("\nfinal coloring:", final)
+print("\nfinal coloring, by vertex:", report.coloring.colors)
 print("colors actually used:", report.colors_used)
 
 # the same seed replays the identical run, including every redraw

@@ -5,7 +5,8 @@ an edge violating that is *bad*. Two distinct edges e, f show the *same
 pattern* when every vertex of e\\f and f\\e is colored and the color set of
 e\\f equals the color set of f\\e. A total coloring is *harmonious* when it is
 rainbow and no two edges show the same pattern — equivalently, when all edges
-receive pairwise-distinct k-sets of colors.
+receive pairwise-distinct k-sets of colors. A coloring is a list indexed by
+vertex, with 0 for an uncolored vertex.
 
 ``EventIndex`` keeps the bad edges and same-pattern pairs of a changing total
 coloring up to date for the resampler.
@@ -14,8 +15,10 @@ coloring up to date for the resampler.
 from __future__ import annotations
 
 import random
+import sys
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -24,21 +27,24 @@ from .hypergraph import FormatError, Hypergraph, _content_lines
 
 @dataclass(frozen=True)
 class Coloring:
-    """Assignment of colors 1..t to vertices; may be partial.
-
-    ``assignment`` maps vertex id -> color id; vertices absent from the map are
-    uncolored. ``t`` is the palette size, not the number of colors in use.
-    """
+    """Colors 1..t of the vertices 0..n-1, a list indexed by vertex with 0 for
+    an uncolored vertex; ``t`` is the palette size, not the number of colors
+    in use. The list is kept, not copied: do not change it afterwards."""
 
     t: int
-    assignment: Mapping[int, int]
+    colors: list[int]
 
     def __post_init__(self):
         if self.t < 1:
             raise ValueError(f"palette size must be at least 1, got {self.t}")
-        for v, c in self.assignment.items():
-            if not 1 <= c <= self.t:
-                raise ValueError(f"vertex {v} has color {c} outside 1..{self.t}")
+        if self.colors and not 0 <= min(self.colors) <= max(self.colors) <= self.t:
+            v, c = next((v, c) for v, c in enumerate(self.colors) if not 0 <= c <= self.t)
+            raise ValueError(f"vertex {v} has color {c} outside 1..{self.t} (0 is uncolored)")
+
+    @cached_property
+    def assignment(self) -> Mapping[int, int]:
+        """Vertex -> color of the colored vertices, built once; the package reads colors."""
+        return {v: c for v, c in enumerate(self.colors) if c}
 
 
 @dataclass(frozen=True, order=True)
@@ -78,6 +84,13 @@ class LocalEvents:
     b2: Mapping[int, tuple[SamePattern, ...]]
 
 
+def _colors_on(h: Hypergraph, c: Coloring) -> list[int]:
+    """The color list of c, which must hold one entry per vertex of h."""
+    if len(c.colors) != h.n:
+        raise ValueError(f"coloring has n={len(c.colors)} but the instance has n={h.n}")
+    return c.colors
+
+
 def bad_edges(h: Hypergraph, c: Coloring) -> list[BadEdge]:
     """Edges containing two distinct vertices of equal color, in index order.
 
@@ -85,37 +98,32 @@ def bad_edges(h: Hypergraph, c: Coloring) -> list[BadEdge]:
     reported bad (missing colors might still avoid the repeat elsewhere — the
     repeat itself is judged only on fully colored edges).
     """
-    get = c.assignment.get
+    colors, k = _colors_on(h, c), h.k
     out = []
     for idx, e in enumerate(h.edges):
-        colors = [get(v) for v in e]
-        if None in colors:
-            continue
-        if len(set(colors)) < len(colors):
+        key = edge_key(colors, e)
+        if key[0] and len(key) < k:
             out.append(BadEdge(idx))
     return out
 
 
-def edge_key(colors, edge: tuple[int, ...]) -> tuple[int, ...]:
-    """The sorted distinct colors of an edge under ``colors`` (a list or a
-    mapping that colors every vertex of the edge). Two rainbow edges show the
-    same pattern iff their keys are equal; an edge is rainbow iff its key has
-    k colors."""
+def edge_key(colors: list[int], edge: tuple[int, ...]) -> tuple[int, ...]:
+    """The sorted distinct colors of an edge under the list ``colors``. It
+    starts with 0 iff the edge has an uncolored vertex. Two rainbow edges
+    show the same pattern iff their keys are equal; an edge is rainbow iff
+    its key has k colors, none of them 0."""
     # map keeps the loop out of a comprehension frame; the search calls this per node
     return tuple(sorted(set(map(colors.__getitem__, edge))))
 
 
-def _pattern_size(ea: tuple[int, ...], eb: tuple[int, ...], colors) -> int | None:
-    """|ea\\eb| if edges ea and eb show the same pattern under ``colors``,
-    else None. ``colors`` is a list or a mapping indexed by vertex, and a
-    vertex the mapping lacks is uncolored. This is the one statement of the
-    pattern definition; |ea\\eb| = |eb\\ea| since both edges have k vertices."""
+def _pattern_size(ea: tuple[int, ...], eb: tuple[int, ...], colors: list[int]) -> int | None:
+    """|ea\\eb| if edges ea and eb show the same pattern under the list
+    ``colors``, else None. This is the one statement of the pattern
+    definition; |ea\\eb| = |eb\\ea| since both edges have k vertices."""
     da = [v for v in ea if v not in eb]
-    try:
-        if {colors[v] for v in da} != {colors[v] for v in eb if v not in ea}:
-            return None
-    except KeyError:  # a vertex of ea\eb or eb\ea is uncolored
-        return None
+    side = {colors[v] for v in da}
+    if 0 in side or side != {colors[v] for v in eb if v not in ea}:
+        return None  # equal sets without 0 leave both sides fully colored
     return len(da)
 
 
@@ -146,38 +154,31 @@ def pattern_collisions(h: Hypergraph, c: Coloring) -> list[SamePattern]:
     vertices can only collide with partners containing every one of their
     uncolored vertices, so those candidates come from the incidence lists.
     """
-    assignment = c.assignment
+    colors = _colors_on(h, c)
     groups: dict[tuple[int, ...], list[int]] = {}
-    uncolored_of: dict[int, list[int]] = {}
+    found: set[tuple[int, int, int]] = set()  # (a, b) fixes i, so a pair is found once
     for idx, e in enumerate(h.edges):
-        missing = [v for v in e if v not in assignment]
-        if missing:
-            uncolored_of[idx] = missing
+        key = edge_key(colors, e)
+        if key[0]:
+            groups.setdefault(key, []).append(idx)
         else:
-            groups.setdefault(edge_key(assignment, e), []).append(idx)
-
-    found = {(a, b): SamePattern(a, b, i)
-             for a, b, i in _group_pairs(h, assignment, groups.values())}
-
-    for idx, missing in uncolored_of.items():
-        for hit in _partial_collisions(h, assignment, idx, missing):
-            found[(hit.e, hit.f)] = hit
-
-    return [found[pair] for pair in sorted(found)]
+            found.update(_partial_collisions(h, colors, idx, [v for v in e if not colors[v]]))
+    found.update(_group_pairs(h, colors, groups.values()))
+    return [SamePattern(*pair) for pair in sorted(found)]
 
 
-def _partial_collisions(h: Hypergraph, assignment: Mapping[int, int], idx: int,
-                        missing: list[int]) -> Iterator[SamePattern]:
-    """The pattern collisions of edge idx, whose uncolored vertices are
-    ``missing``. Every uncolored vertex of the edge must lie in the partner
-    too, so only the edges containing all of them are candidates."""
+def _partial_collisions(h: Hypergraph, colors: list[int], idx: int,
+                        missing: list[int]) -> Iterator[tuple[int, int, int]]:
+    """The same-pattern pairs (a, b, i), a < b, of edge idx, whose uncolored
+    vertices are ``missing``. Every uncolored vertex of the edge must lie in
+    the partner too, so only the edges containing all of them are candidates."""
     candidates = set(h.incidence[missing[0]]).intersection(*(h.incidence[v] for v in missing[1:]))
     edge = h.edges[idx]
     for other in candidates:
         if other != idx:
-            i = _pattern_size(edge, h.edges[other], assignment)
+            i = _pattern_size(edge, h.edges[other], colors)
             if i is not None:
-                yield SamePattern(idx, other, i)
+                yield (idx, other, i) if idx < other else (other, idx, i)
 
 
 class EventIndex:
@@ -262,11 +263,11 @@ def is_harmonious(h: Hypergraph, c: Coloring) -> bool:
     Requires c to be total on the support of h; a partial coloring is rejected
     with ValueError since the question is not yet decided.
     """
-    assignment = c.assignment
-    for v in h.support:
-        if v not in assignment:
-            raise ValueError(f"partial coloring: vertex {v} lies in an edge but has no color")
-    keys = {edge_key(assignment, e) for e in h.edges}
+    colors = _colors_on(h, c)
+    keys = {edge_key(colors, e) for e in h.edges}
+    if keys and min(keys)[0] == 0:
+        v = next(v for v in h.support if not colors[v])
+        raise ValueError(f"partial coloring: vertex {v} lies in an edge but has no color")
     return len(keys) == h.m and all(len(key) == h.k for key in keys)
 
 
@@ -292,7 +293,7 @@ def local_bad_events(h: Hypergraph, c: Coloring, v: int) -> LocalEvents:
 
 def colors_used(c: Coloring) -> int:
     """Number of distinct color ids actually assigned."""
-    return len(set(c.assignment.values()))
+    return len(set(c.colors) - {0})
 
 
 def parse_coloring(text: str) -> tuple[Coloring, int]:
@@ -309,7 +310,9 @@ def parse_coloring(text: str) -> tuple[Coloring, int]:
         raise FormatError(f"non-integer field in header {line!r}", lineno) from None
     if t < 1 or n < 0:
         raise FormatError(f"header out of range: t={t}, n={n}", lineno)
-    assignment: dict[int, int] = {}
+    if n > sys.maxsize:  # no list of n colors can exist
+        raise FormatError(f"vertex count must be at most {sys.maxsize}, got {n}", lineno)
+    colors = [0] * n
     for lineno, line, tokens in lines:
         if tokens[0] != "v" or len(tokens) != 3:
             raise FormatError(f"expected 'v <vertex> <color>', got {line!r}", lineno)
@@ -321,14 +324,16 @@ def parse_coloring(text: str) -> tuple[Coloring, int]:
             raise FormatError(f"vertex {vertex} outside 0..{n - 1}", lineno)
         if not 1 <= color <= t:
             raise FormatError(f"color {color} outside 1..{t}", lineno)
-        if vertex in assignment:
+        if colors[vertex]:
             raise FormatError(f"vertex {vertex} colored twice", lineno)
-        assignment[vertex] = color
-    return Coloring(t=t, assignment=assignment), n
+        colors[vertex] = color
+    return Coloring(t=t, colors=colors), n
 
 
 def serialize_coloring(c: Coloring, n: int) -> str:
-    """Emit the coloring format with vertices ascending, LF line endings."""
+    """Emit the coloring format, colored vertices ascending, LF line endings."""
+    if n != len(c.colors):
+        raise ValueError(f"coloring has n={len(c.colors)}, not n={n}")
     lines = [f"c {c.t} {n}"]
-    lines.extend(f"v {v} {c.assignment[v]}" for v in sorted(c.assignment))
+    lines.extend(f"v {v} {color}" for v, color in enumerate(c.colors) if color)
     return "\n".join(lines) + "\n"

@@ -36,7 +36,7 @@ class SolverConfig:
     is the pick rule over one sorted event list (bad edges by index, then
     pattern pairs in lexicographic edge-index order): "deterministic" takes
     its first event, "random" a uniform one. trace_limit > 0 records up to
-    that many steps for debugging/verification.
+    that many steps: the event, its ascending scope, the scope's new colors.
     """
 
     t: int
@@ -100,8 +100,7 @@ def sample_uniform_coloring(h: Hypergraph, t: int, seed: int = 0) -> Coloring:
     the same seed)."""
     if t < 1:
         raise ValueError(f"palette size must be at least 1, got {t}")
-    colors = _uniform_colors(random.Random(seed), h.n, t)
-    return Coloring(t=t, assignment=dict(enumerate(colors)))
+    return Coloring(t=t, colors=_uniform_colors(random.Random(seed), h.n, t))
 
 
 def _uniform_colors(rng: random.Random, n: int, t: int) -> list[int]:
@@ -173,11 +172,11 @@ def resample_solve(h: Hypergraph, cfg: SolverConfig) -> SolveReport:
         if cfg.trace_limit:
             if len(trace) < cfg.trace_limit:
                 trace.append(TraceStep(event=event, scope=tuple(scope),
-                                       colors_after=tuple(colors)))
+                                       colors_after=tuple(colors[v] for v in scope)))
             else:
                 trace_truncated = True
 
-    coloring = Coloring(t=t, assignment={v: colors[v] for v in range(h.n)})
+    coloring = Coloring(t=t, colors=colors)
     return SolveReport(
         coloring=coloring,
         success=success,
@@ -261,7 +260,7 @@ def _placement_order(h: Hypergraph) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _place(h: Hypergraph, colors: dict[int, int], used_keys: set[tuple[int, ...]],
+def _place(h: Hypergraph, colors: list[int], used_keys: set[tuple[int, ...]],
            v: int, c: int) -> list[tuple[int, ...]] | None:
     """Color v with c unless c repeats a color in an edge through v or
     completes an edge whose key is already in used_keys. On success, adds the
@@ -273,10 +272,10 @@ def _place(h: Hypergraph, colors: dict[int, int], used_keys: set[tuple[int, ...]
         full = True
         for u in edge:
             if u != v:
-                cu = colors.get(u)
+                cu = colors[u]
                 if cu == c:  # a repeat inside an edge can never be repaired
                     break
-                if cu is None:
+                if not cu:
                     full = False
         else:
             if not full:
@@ -288,9 +287,8 @@ def _place(h: Hypergraph, colors: dict[int, int], used_keys: set[tuple[int, ...]
                 added.append(key)
                 continue
         # a repeat, or a complete edge whose key is taken
-        colors.pop(v, None)
-        for key in added:
-            used_keys.discard(key)
+        colors[v] = 0
+        used_keys.difference_update(added)
         return None
     colors[v] = c
     return added
@@ -308,7 +306,7 @@ def _search(h: Hypergraph, t: int, order: tuple[int, ...], remaining: list[int])
     free = t * (cap // d_min)
     if free < size:
         return False
-    colors: dict[int, int] = {}
+    colors = [0] * h.n
     used_keys: set[tuple[int, ...]] = set()
     tried = [0] * size
     top = [0] * (size + 1)
@@ -320,7 +318,7 @@ def _search(h: Hypergraph, t: int, order: tuple[int, ...], remaining: list[int])
         v, c = order[pos], tried[pos]
         dv = degrees[v]
         if c:  # undo the placement at this depth before the next color
-            del colors[v]
+            colors[v] = 0
             used_keys.difference_update(added[pos])
             load[c] -= dv
             free += (cap - load[c]) // d_min - (cap - load[c] - dv) // d_min
@@ -366,30 +364,30 @@ def greedy_upper(h: Hypergraph) -> tuple[Coloring, int]:
     incomplete is confirmed against the partners that could still collide with
     it. A candidate costs O(kΔ) edges plus one key lookup."""
     order = sorted(range(h.n), key=lambda v: (-h.degrees[v], v))
-    assignment: dict[int, int] = {}
+    colors = [0] * h.n
     used_keys: set[tuple[int, ...]] = set()
     highest = 0
     for v in order:
         c = 1
         while True:
-            added = _place(h, assignment, used_keys, v, c)
+            added = _place(h, colors, used_keys, v, c)
             if added is not None:
-                if not _collides_through(h, assignment, v):
+                if not _collides_through(h, colors, v):
                     break
-                del assignment[v]
+                colors[v] = 0
                 used_keys.difference_update(added)
             c += 1
             assert c <= highest + 1, "the fresh color should always fit"
         highest = max(highest, c)
     t = max(1, highest)
-    return Coloring(t=t, assignment=assignment), t
+    return Coloring(t=t, colors=colors), t
 
 
-def _collides_through(h: Hypergraph, assignment: dict[int, int], v: int) -> bool:
+def _collides_through(h: Hypergraph, colors: list[int], v: int) -> bool:
     """Whether an edge through v that v leaves incomplete shows the same
     pattern as some partner."""
     for idx in h.incidence[v]:
-        missing = [u for u in h.edges[idx] if u not in assignment]
-        if missing and next(_partial_collisions(h, assignment, idx, missing), None) is not None:
+        missing = [u for u in h.edges[idx] if not colors[u]]
+        if missing and next(_partial_collisions(h, colors, idx, missing), None) is not None:
             return True
     return False

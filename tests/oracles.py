@@ -9,6 +9,15 @@ from math import comb, factorial
 from harmcolor import Coloring, GenerationFailure, GeneratorConfig, Hypergraph
 
 
+def coloring_of(t: int, n: int, assignment: dict[int, int]) -> Coloring:
+    """The coloring of vertices 0..n-1 that gives each vertex of assignment
+    its color and leaves every other vertex uncolored."""
+    colors = [0] * n
+    for v, c in assignment.items():
+        colors[v] = c
+    return Coloring(t=t, colors=colors)
+
+
 def naive_bad_edges(h: Hypergraph, coloring: Coloring) -> list[int]:
     """Indices of fully colored edges with a repeated color."""
     out = []
@@ -51,7 +60,7 @@ def naive_h(h: Hypergraph) -> int:
     support = h.support
     for t in range(h.k, h.n + 1):
         for combo in product(range(1, t + 1), repeat=len(support)):
-            coloring = Coloring(t=t, assignment=dict(zip(support, combo)))
+            coloring = coloring_of(t, h.n, dict(zip(support, combo)))
             if naive_is_harmonious(h, coloring):
                 return t
     raise AssertionError("an injective coloring is always harmonious")

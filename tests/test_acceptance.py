@@ -15,7 +15,6 @@ from itertools import combinations, product
 from conftest import record
 
 from harmcolor import (
-    Coloring,
     GeneratorConfig,
     Hypergraph,
     SolverConfig,
@@ -36,7 +35,7 @@ from harmcolor import (
     theorem_bound,
     theorem_ceil_colors,
 )
-from oracles import naive_h, naive_is_harmonious
+from oracles import coloring_of, naive_h, naive_is_harmonious
 
 
 def test_criterion_1_exact_oracle_goldens():
@@ -97,7 +96,7 @@ def test_criterion_2_verifier_equivalence_exhaustive():
         # palettes t <= 4 are covered by enumerating all value assignments
         # from {1..4}: the verdict depends only on the assignment
         for values in product((1, 2, 3, 4), repeat=len(support)):
-            c = Coloring(t=4, assignment=dict(zip(support, values)))
+            c = coloring_of(4, h.n, dict(zip(support, values)))
             checked += 1
             if is_harmonious(h, c) != naive_is_harmonious(h, c):
                 disagreements.append((h, values))
@@ -134,7 +133,7 @@ def test_criterion_3_local_count_bounds():
         t = rng.randint(1, 2 * k)
         assignment = {v: rng.randint(1, t) for v in range(n)
                       if rng.random() < 0.9}  # partial colorings included
-        c = Coloring(t=t, assignment=assignment)
+        c = coloring_of(t, n, assignment)
         for v in range(n):
             ev = local_bad_events(h, c, v)
             if len(ev.b1) > delta:

@@ -159,6 +159,18 @@ def test_vertex_counts_too_large_for_memory_exit_3(tmp_path, capsys):
     assert capsys.readouterr().err == "error: out of memory\n"
 
 
+@pytest.mark.parametrize("n, err", [
+    (2 ** 63, f"error: line 1: vertex count must be at most {sys.maxsize}, got {2 ** 63}\n"),
+    (2 ** 62, "error: out of memory\n"),
+])
+def test_coloring_headers_too_large_for_memory_exit_3(tmp_path, triangle_file, capsys, n, err):
+    # the color list of the header's n is allocated before n meets the instance's
+    coloring = tmp_path / "huge.col"
+    coloring.write_text(f"c 1 {n}\n")
+    assert main(["verify", "--input", str(triangle_file), "--coloring", str(coloring)]) == 3
+    assert capsys.readouterr().err == err
+
+
 def test_exact_prints_the_harmonious_number(triangle_file, capsys):
     assert main(["exact", "--input", str(triangle_file)]) == 0
     assert capsys.readouterr().out.strip() == "3"

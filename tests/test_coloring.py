@@ -27,19 +27,20 @@ from harmcolor import (
 from oracles import naive_bad_edges, naive_is_harmonious, naive_pattern_pairs
 
 
-def col(t, *colors, offset=0):
-    return Coloring(t=t, assignment={offset + i: c for i, c in enumerate(colors)})
+def col(t, *colors):
+    return Coloring(t=t, colors=list(colors))
 
 
 # ------------------------------------------------------------- basic types
 
 def test_coloring_validation():
     with pytest.raises(ValueError):
-        Coloring(t=0, assignment={})
-    with pytest.raises(ValueError):
-        Coloring(t=2, assignment={0: 3})
-    with pytest.raises(ValueError):
-        Coloring(t=2, assignment={0: 0})
+        Coloring(t=0, colors=[])
+    with pytest.raises(ValueError, match="vertex 1 has color 3"):
+        Coloring(t=2, colors=[2, 3, -1])
+    with pytest.raises(ValueError, match="vertex 2 has color -1"):
+        Coloring(t=2, colors=[0, 1, -1])
+    assert Coloring(t=2, colors=[0, 2, 0]).assignment == {1: 2}  # 0 is uncolored
 
 
 def test_same_pattern_is_canonicalized():
@@ -52,7 +53,8 @@ def test_same_pattern_is_canonicalized():
 
 def test_colors_used():
     assert colors_used(col(9, 1, 5, 1, 5)) == 2
-    assert colors_used(Coloring(t=3, assignment={})) == 0
+    assert colors_used(col(9, 1, 0, 5, 0)) == 2
+    assert colors_used(col(3, 0, 0)) == 0
 
 
 # ------------------------------------------------------------- bad edges
@@ -66,7 +68,7 @@ def test_bad_edge_examples(path3, triangle):
 
 def test_bad_edges_skip_partially_colored_edges(path3):
     # vertex 2 uncolored: edge (1,2) is not reported even though edge (0,1) is
-    partial = Coloring(t=2, assignment={0: 1, 1: 1})
+    partial = col(2, 1, 1, 0)
     assert bad_edges(path3, partial) == [BadEdge(0)]
 
 
@@ -84,10 +86,10 @@ def test_pattern_needs_only_the_symmetric_difference_colored():
     # e = (0,1,2), f = (1,2,3): their shared vertices 1,2 stay uncolored, yet
     # the pair collides because 0 and 3 carry the same color
     h = Hypergraph(3, 4, [(0, 1, 2), (1, 2, 3)])
-    partial = Coloring(t=2, assignment={0: 1, 3: 1})
+    partial = col(2, 1, 0, 0, 1)
     assert pattern_collisions(h, partial) == [SamePattern(e=0, f=1, i=1)]
     # coloring a shared vertex does not change the verdict
-    partial2 = Coloring(t=2, assignment={0: 1, 1: 2, 3: 1})
+    partial2 = col(2, 1, 2, 0, 1)
     assert pattern_collisions(h, partial2) == [SamePattern(e=0, f=1, i=1)]
 
 
@@ -95,7 +97,7 @@ def test_pattern_collision_on_non_rainbow_edges_with_unequal_multisets():
     # e \ f colored (1,1,2) and f \ e colored (1,2,2): equal color sets,
     # unequal multisets — a multiset prefilter would miss this pair
     h = Hypergraph(4, 7, [(0, 1, 2, 6), (3, 4, 5, 6)])
-    c = Coloring(t=3, assignment={0: 1, 1: 1, 2: 2, 3: 1, 4: 2, 5: 2, 6: 3})
+    c = col(3, 1, 1, 2, 1, 2, 2, 3)
     assert pattern_collisions(h, c) == [SamePattern(e=0, f=1, i=3)]
 
 
@@ -126,12 +128,12 @@ def test_is_harmonious_examples(path3, path4, triangle):
 
 def test_is_harmonious_rejects_partial_colorings(path3):
     with pytest.raises(ValueError, match="vertex 2"):
-        is_harmonious(path3, Coloring(t=2, assignment={0: 1, 1: 2}))
+        is_harmonious(path3, col(2, 1, 2, 0))
 
 
 def test_isolated_vertices_need_no_color():
     h = Hypergraph(2, 5, [(0, 1)])  # vertices 2..4 isolated
-    assert is_harmonious(h, Coloring(t=2, assignment={0: 1, 1: 2})) is True
+    assert is_harmonious(h, col(2, 1, 2, 0, 0, 0)) is True
 
 
 def test_relabeling_colors_preserves_the_verdict(triangle, path4):
@@ -139,12 +141,11 @@ def test_relabeling_colors_preserves_the_verdict(triangle, path4):
     for h in (triangle, path4):
         for _ in range(20):
             t = 4
-            assignment = {v: rng.randint(1, t) for v in range(h.n)}
-            c = Coloring(t=t, assignment=assignment)
+            colors = [rng.randint(1, t) for v in range(h.n)]
+            c = Coloring(t=t, colors=colors)
             perm = list(range(1, t + 1))
             rng.shuffle(perm)
-            relabeled = Coloring(t=t, assignment={v: perm[c - 1]
-                                                  for v, c in assignment.items()})
+            relabeled = Coloring(t=t, colors=[perm[c - 1] for c in colors])
             assert is_harmonious(h, c) == is_harmonious(h, relabeled)
 
 
@@ -179,7 +180,7 @@ def test_local_event_count_bounds_hold_on_random_instances():
         edges = rng.sample(pool3, rng.randint(1, 8))
         h = Hypergraph(3, 7, edges)
         delta = max_degree(h)
-        c = Coloring(t=3, assignment={v: rng.randint(1, 3) for v in range(7)})
+        c = Coloring(t=3, colors=[rng.randint(1, 3) for v in range(7)])
         for v in range(7):
             ev = local_bad_events(h, c, v)
             assert len(ev.b1) <= delta
@@ -199,9 +200,7 @@ def instance_and_coloring(draw):
     edges = draw(st.permutations(pool))[:m]
     h = Hypergraph(k, n, edges)
     t = draw(st.integers(1, 4))
-    colored = draw(st.sets(st.integers(0, n - 1)))
-    assignment = {v: draw(st.integers(1, t)) for v in sorted(colored)}
-    return h, Coloring(t=t, assignment=assignment)
+    return h, Coloring(t=t, colors=draw(st.lists(st.integers(0, t), min_size=n, max_size=n)))
 
 
 @given(instance_and_coloring())
@@ -226,8 +225,29 @@ def test_coloring_round_trip():
 
 
 def test_coloring_serialization_skips_uncolored_vertices():
-    c = Coloring(t=2, assignment={2: 1})
+    c = col(2, 0, 0, 1, 0)
     assert serialize_coloring(c, 4) == "c 2 4\nv 2 1\n"
+
+
+@given(st.integers(1, 5).flatmap(
+    lambda t: st.tuples(st.just(t), st.lists(st.integers(0, t), max_size=9))))
+def test_partial_list_colorings_round_trip(case):
+    t, colors = case
+    c = Coloring(t=t, colors=colors)
+    assert c.assignment == {v: color for v, color in enumerate(colors) if color}
+    assert parse_coloring(serialize_coloring(c, len(colors))) == (c, len(colors))
+
+
+def test_a_color_list_of_another_length_is_refused(path3):
+    short, long = col(2, 1, 2), col(3, 1, 2, 3, 1)
+    for c in (short, long):
+        for check in (bad_edges, pattern_collisions, is_harmonious):
+            with pytest.raises(ValueError, match=f"n={len(c.colors)}"):
+                check(path3, c)
+        with pytest.raises(ValueError, match=f"n={len(c.colors)}"):
+            local_bad_events(path3, c, 0)
+        with pytest.raises(ValueError, match=f"n={len(c.colors)}"):
+            serialize_coloring(c, 3)
 
 
 @pytest.mark.parametrize("text, line, needle", [
@@ -237,6 +257,7 @@ def test_coloring_serialization_skips_uncolored_vertices():
     ("c 2 3\nv 5 1\n", 2, "outside"),
     ("c 2 3\nv 0 9\n", 2, "outside"),
     ("c 2 3\nx 0 1\n", 2, "expected"),
+    (f"c 2 {2 ** 63}\n", 1, "vertex count must be at most"),
 ])
 def test_coloring_parse_errors(text, line, needle):
     with pytest.raises(FormatError) as err:

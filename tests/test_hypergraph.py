@@ -271,8 +271,7 @@ def test_arbitrary_text_gives_a_coloring_or_a_format_error(text):
 def coloring_files(draw):
     n = draw(st.integers(0, 8))
     t = draw(st.integers(1, 5))
-    colored = draw(st.sets(st.integers(0, n - 1))) if n else set()
-    return serialize_coloring(Coloring(t, {v: draw(st.integers(1, t)) for v in sorted(colored)}), n)
+    return serialize_coloring(Coloring(t, draw(st.lists(st.integers(0, t), min_size=n, max_size=n))), n)
 
 
 @given(coloring_files().flatmap(one_token_mutations))

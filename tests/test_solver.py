@@ -32,7 +32,8 @@ from harmcolor import (
 )
 from harmcolor.coloring import EventIndex
 from harmcolor.solver import EVENT_SCANS, _placement_order, _uniform_colors
-from oracles import naive_bad_edges, naive_h, naive_pattern_pairs, naive_placement_order
+from oracles import (coloring_of, naive_bad_edges, naive_h, naive_pattern_pairs,
+                     naive_placement_order)
 
 GREEDY_TRAP = Hypergraph(2, 5, [(0, 2), (1, 2), (0, 3), (1, 4)])
 
@@ -42,8 +43,8 @@ GREEDY_TRAP = Hypergraph(2, 5, [(0, 2), (1, 2), (0, 3), (1, 4)])
 def test_sample_uniform_shape_and_determinism():
     h = builtin_instance("path", 6)
     c = sample_uniform_coloring(h, t=3, seed=5)
-    assert set(c.assignment) == set(range(6))
-    assert all(1 <= col <= 3 for col in c.assignment.values())
+    assert len(c.colors) == 6
+    assert all(1 <= col <= 3 for col in c.colors)
     assert c == sample_uniform_coloring(h, t=3, seed=5)
     assert c != sample_uniform_coloring(h, t=3, seed=6)
 
@@ -51,13 +52,13 @@ def test_sample_uniform_shape_and_determinism():
 def test_sample_uniform_single_color():
     h = builtin_instance("path", 4)
     c = sample_uniform_coloring(h, t=1, seed=0)
-    assert set(c.assignment.values()) == {1}
+    assert set(c.colors) == {1}
 
 
 def test_sample_uniform_frequencies_within_4_sigma():
     h = Hypergraph(2, 10_000, [(0, 1)])
     c = sample_uniform_coloring(h, t=4, seed=99)
-    counts = Counter(c.assignment.values())
+    counts = Counter(c.colors)
     expected = 10_000 / 4
     tol = 4.0 * sqrt(10_000 * 0.25 * 0.75)
     for color in range(1, 5):
@@ -89,7 +90,7 @@ def test_resample_single_edge_gets_a_permutation():
     h = builtin_instance("matching", 1, k=3)
     report = resample_solve(h, SolverConfig(t=3, seed=2))
     assert report.success
-    assert sorted(report.coloring.assignment.values()) == [1, 2, 3]
+    assert sorted(report.coloring.colors) == [1, 2, 3]
 
 
 def test_resample_triangle(triangle):
@@ -167,15 +168,12 @@ def test_trace_starts_at_the_uniform_sample_and_touches_only_scopes():
     report = resample_solve(h, cfg)
     assert report.success and not report.trace_truncated
     assert len(report.trace) == report.resamples_total >= 2
-    current = [sample_uniform_coloring(h, 5, seed=3).assignment[v]
-               for v in range(h.n)]
+    current = list(sample_uniform_coloring(h, 5, seed=3).colors)
     for step in report.trace:
-        scope = set(step.scope)
-        for v in range(h.n):
-            if v not in scope:
-                assert step.colors_after[v] == current[v]
-        current = list(step.colors_after)
-    assert {v: c for v, c in enumerate(current)} == dict(report.coloring.assignment)
+        assert len(step.colors_after) == len(step.scope)
+        for v, c in zip(step.scope, step.colors_after):
+            current[v] = c
+    assert current == report.coloring.colors
 
 
 def test_trace_truncation_flag():
@@ -223,9 +221,11 @@ def test_every_step_takes_an_event_the_oracles_see(run):
             e, f = set(h.edges[step.event.e]), set(h.edges[step.event.f])
             assert step.scope == tuple(sorted(e ^ f))
             taken[step.event.i] += 1
-        after = dict(enumerate(step.colors_after))
-        assert all(after[v] == current.assignment[v] for v in range(h.n) if v not in step.scope)
-        current = Coloring(t=cfg.t, assignment=after)
+        assert len(step.colors_after) == len(step.scope)
+        colors = list(current.colors)
+        for v, c in zip(step.scope, step.colors_after):
+            colors[v] = c
+        current = Coloring(t=cfg.t, colors=colors)
     assert current == report.coloring
     assert taken["bad"] == report.resamples_bad_edge
     assert all(taken[i] == count for i, count in report.resamples_same_pattern.items())
@@ -262,7 +262,7 @@ def walk_event_indexes(h: Hypergraph, t: int, start: list[int], moves: list[dict
         for v, c in move.items():
             colors[v] = c
         index.refresh({idx for v in move for idx in h.incidence[v]})
-        current = Coloring(t=t, assignment=dict(enumerate(colors)))
+        current = Coloring(t=t, colors=list(colors))
         bad, pairs = naive_bad_edges(h, current), naive_pattern_pairs(h, current)
         assert index.bad == bad and index.pairs == pairs
         events = [BadEdge(idx) for idx in bad] + [SamePattern(*pair) for pair in pairs]
@@ -472,7 +472,7 @@ def test_greedy_output_is_always_harmonious_and_compact():
             GeneratorConfig(k=k, n=n, m=m, max_degree=dmax, seed=100 + trial))
         coloring, t = greedy_upper(h)
         assert is_harmonious(h, coloring)
-        used = sorted(set(coloring.assignment.values()))
+        used = sorted(set(coloring.colors))
         assert used == list(range(1, t + 1))  # colors are compacted to 1..T
 
 
@@ -519,7 +519,7 @@ def oracle_fits(h: Hypergraph, partial: dict[int, int]) -> bool:
         cols = [partial[u] for u in e if u in partial]
         if len(set(cols)) < len(cols):
             return False
-    current = Coloring(t=max(partial.values()), assignment=partial)
+    current = coloring_of(max(partial.values()), h.n, partial)
     return not naive_bad_edges(h, current) and not naive_pattern_pairs(h, current)
 
 
