@@ -15,7 +15,8 @@ L = lcm(1..k-1), both sides times q^k * L * t^k are integers, so the decision
 is one integer comparison and the slack one exact Fraction. Only the two
 real-valued closed forms (theorem_bound, remark_bound) use floating point, to
 at least 12 significant digits. The certificate calculators refuse k above
-LCL_MAX_K with ValueError.
+LCL_MAX_K with ValueError, and lcl_condition refuses a t or tau whose
+integers would exceed LCL_MAX_BITS bits.
 """
 
 from __future__ import annotations
@@ -32,6 +33,13 @@ from typing import Callable, Iterator, NamedTuple
 # evaluates it O(log t) times at O(k) products each: at k = 1000,
 # lcl_min_colors answers in well under a second, and tau_grid_search in a few.
 LCL_MAX_K = 1000
+
+# lcl_condition takes its t and tau from the caller, so k alone does not bound
+# its integers (see _lcl_bits). Its Horner pass and the gcd that reduces its
+# slack both take time quadratic in their size. At this cap the slowest shape
+# found, k = 1000 with a tau of 75-digit numerator and denominator, answers in
+# about 0.7 s on a 2-vCPU VM, and k = 1000 at the default tau in 0.2 s.
+LCL_MAX_BITS = 2 ** 18
 
 
 class LclResult(NamedTuple):
@@ -245,6 +253,14 @@ def _check_certificate_inputs(k: int, delta: int, m: int) -> None:
     check_certificate_k(k)
 
 
+def _lcl_bits(k: int, delta: int, m: int, t: int, tau: Fraction) -> int:
+    """About the bit length of the largest integer that lcl_condition builds:
+    the sides of _lcl_sides are sums of products of a k-th power of p or
+    q*t (tau = p/q) with delta^2 or delta*m, and of factors that k bounds."""
+    p, q = tau.numerator, tau.denominator
+    return k * max(p, q * t).bit_length() + 2 * delta.bit_length() + m.bit_length()
+
+
 def lcl_condition(k: int, delta: int, m: int, t: int,
                   tau: Fraction | None = None) -> LclResult:
     """Evaluate the certificate inequality exactly.
@@ -253,7 +269,8 @@ def lcl_condition(k: int, delta: int, m: int, t: int,
     tau defaults to k/(k-1). Both sides are scaled to integers (see
     _lcl_sides), so holds is one integer comparison, and slack is the exact
     Fraction (lhs - rhs) / D. No floating point is involved, so the go/no-go
-    answer cannot hinge on rounding.
+    answer cannot hinge on rounding. Raises ValueError when those integers
+    would exceed LCL_MAX_BITS bits (see _lcl_bits).
     """
     _check_certificate_inputs(k, delta, m)
     if t < 1:
@@ -261,6 +278,10 @@ def lcl_condition(k: int, delta: int, m: int, t: int,
     tau = Fraction(k, k - 1) if tau is None else Fraction(tau)
     if tau < 1:
         raise ValueError(f"tau must be at least 1, got {tau}")
+    bits = _lcl_bits(k, delta, m, t, tau)
+    if bits > LCL_MAX_BITS:
+        raise ValueError(f"the exact certificate takes integers up to {LCL_MAX_BITS} bits, "
+                         f"about k * log2(max(p, q*t)) for tau = p/q; got {bits}")
     lhs, rhs = _lcl_sides(k, delta, m, tau)(t)
     slack = Fraction(tau.numerator * (lhs - rhs), tau.denominator * lhs)  # D = lhs / tau
     return LclResult(holds=lhs >= rhs, slack=slack)

@@ -127,14 +127,30 @@ def _pattern_size(ea: tuple[int, ...], eb: tuple[int, ...], colors: list[int]) -
     return len(da)
 
 
+def _key_groups(keys: Iterable[tuple[int, ...]]) -> dict[tuple[int, ...], int | list[int]]:
+    """The key-group map of the edge keys ``keys``, listed by edge id: a key
+    held by one edge maps to that edge's id, a key shared by two or more
+    edges to their ids in an ascending list. Nearly every group is a single
+    edge, so this saves a list per edge."""
+    groups: dict[tuple[int, ...], int | list[int]] = {}
+    setdefault = groups.setdefault
+    for idx, key in enumerate(keys):
+        held = setdefault(key, idx)
+        if held != idx:  # the key is shared
+            if held.__class__ is int:
+                groups[key] = [held, idx]
+            else:
+                held.append(idx)
+    return groups
+
+
 def _group_pairs(h: Hypergraph, colors,
                  groups: Iterable[list[int]]) -> Iterator[tuple[int, int, int]]:
-    """The same-pattern pairs (a, b, i) within each group of ``groups``, lists
-    of fully colored edge ids sharing one key, each ascending so that a < b."""
+    """The same-pattern pairs (a, b, i) within each group of ``groups``:
+    ascending lists of two or more fully colored edge ids sharing one key, so
+    that a < b."""
     edges = h.edges
     for grp in groups:
-        if len(grp) < 2:  # almost every group is a singleton
-            continue
         for a, b in combinations(grp, 2):
             i = _pattern_size(edges[a], edges[b], colors)
             if i is not None:
@@ -150,20 +166,27 @@ def pattern_collisions(h: Hypergraph, c: Coloring) -> list[SamePattern]:
     vertices contribute identically to both sides), so the groups are a
     complete prefilter and members only need confirming against the
     definition. A multiset key would miss non-rainbow pairs such as e\\f
-    colored (1,1,2) against f\\e colored (1,2,2). Edges with uncolored
-    vertices can only collide with partners containing every one of their
-    uncolored vertices, so those candidates come from the incidence lists.
+    colored (1,1,2) against f\\e colored (1,2,2). The group map is the one
+    ``EventIndex`` keeps (see _key_groups): a key held by a single edge maps
+    to its id and has no pair to confirm, so only the lists of shared keys
+    are confirmed. Edges with uncolored vertices (keys starting with 0) can
+    only collide with partners containing every one of their uncolored
+    vertices, so those candidates come from the incidence lists.
     """
     colors = _colors_on(h, c)
-    groups: dict[tuple[int, ...], list[int]] = {}
+    edges = h.edges
+    groups = _key_groups(edge_key(colors, e) for e in edges)
     found: set[tuple[int, int, int]] = set()  # (a, b) fixes i, so a pair is found once
-    for idx, e in enumerate(h.edges):
-        key = edge_key(colors, e)
+    shared = []
+    for key, held in groups.items():
         if key[0]:
-            groups.setdefault(key, []).append(idx)
-        else:
-            found.update(_partial_collisions(h, colors, idx, [v for v in e if not colors[v]]))
-    found.update(_group_pairs(h, colors, groups.values()))
+            if held.__class__ is list:
+                shared.append(held)
+            continue
+        for idx in [held] if held.__class__ is int else held:  # edges with an uncolored vertex
+            missing = [v for v in edges[idx] if not colors[v]]
+            found.update(_partial_collisions(h, colors, idx, missing))
+    found.update(_group_pairs(h, colors, shared))
     return [SamePattern(*pair) for pair in sorted(found)]
 
 
@@ -187,28 +210,27 @@ class EventIndex:
     same-pattern pairs (e, f, i) in order. Each scan is a pick rule over this
     list (see ``pick``).
 
-    Every edge is keyed by the sorted tuple of its distinct colors, and each
-    key's edges are kept in ascending order; an edge is bad iff its key has
-    fewer than k colors. A shared key is necessary for a pattern pair, and
-    sufficient once both edges are rainbow, so each pair within a group is
-    confirmed by _pattern_size. An edge's pairs thus all lie in its group:
-    after the colors of some vertices change, ``refresh`` of the edges through
-    them re-keys those edges, drops each one's pairs found through its old
-    group, and re-confirms it against its new group.
+    Every edge is keyed by the sorted tuple of its distinct colors; an edge
+    is bad iff its key has fewer than k colors. ``groups`` maps a key held by
+    one edge to that edge's id, and a key shared by two or more edges to
+    their ids in an ascending list (see _key_groups). A shared key is
+    necessary for a pattern pair, and sufficient once both edges are
+    rainbow, so each pair within a shared group is confirmed by
+    _pattern_size. An edge's pairs thus all lie in its group: after the
+    colors of some vertices change, ``refresh`` of the edges through them
+    re-keys those edges, drops each one's pairs found through its old group,
+    and re-confirms it against its new group. A group that shrinks to one
+    edge turns back into that edge's id, and an id turns into a list when a
+    second edge joins it.
     """
 
     def __init__(self, h: Hypergraph, colors: list[int]):
         self.h, self.k, self.colors = h, h.k, colors
         self.keys = [edge_key(colors, e) for e in h.edges]
-        self.groups: dict[tuple[int, ...], list[int]] = {}
-        for idx, key in enumerate(self.keys):  # ascending ids keep groups sorted
-            grp = self.groups.get(key)
-            if grp is None:
-                self.groups[key] = [idx]
-            else:
-                grp.append(idx)
+        self.groups = _key_groups(self.keys)
         self.bad = [idx for idx, key in enumerate(self.keys) if len(key) < self.k]
-        self.pairs = sorted(_group_pairs(h, colors, self.groups.values()))
+        self.pairs = sorted(_group_pairs(
+            h, colors, [grp for grp in self.groups.values() if grp.__class__ is list]))
 
     def refresh(self, edge_ids: Iterable[int]) -> None:
         keys, groups, edges, colors, k = self.keys, self.groups, self.h.edges, self.colors, self.k
@@ -217,27 +239,36 @@ class EventIndex:
             old, key = keys[idx], edge_key(colors, edges[idx])
             if key == old and len(key) == k:
                 continue  # all pairs within a rainbow group hold, whatever the color order
-            grp = groups[old]
-            for other in grp:
-                if other != idx:
-                    a, b = (idx, other) if idx < other else (other, idx)
-                    pos = bisect_left(pairs, (a, b))  # (a, b) fixes i = k - |e_a ∩ e_b|
-                    if pos < len(pairs) and pairs[pos][0] == a and pairs[pos][1] == b:
-                        del pairs[pos]
+            held = groups[old]
+            if held.__class__ is list:
+                for other in held:
+                    if other != idx:
+                        a, b = (idx, other) if idx < other else (other, idx)
+                        pos = bisect_left(pairs, (a, b))  # (a, b) fixes i = k - |e_a ∩ e_b|
+                        if pos < len(pairs) and pairs[pos][0] == a and pairs[pos][1] == b:
+                            del pairs[pos]
             if key != old:
                 keys[idx] = key
-                del grp[bisect_left(grp, idx)]
-                if not grp:
+                if held.__class__ is int:
                     del groups[old]
+                else:
+                    del held[bisect_left(held, idx)]
+                    if len(held) == 1:
+                        groups[old] = held[0]
                 if len(key) < k <= len(old):
                     insort(bad, idx)
                 elif len(old) < k <= len(key):
                     del bad[bisect_left(bad, idx)]
-                grp = groups.setdefault(key, [])
-                insort(grp, idx)
-            if len(grp) < 2:
+                held = groups.setdefault(key, idx)
+                if held == idx:
+                    continue  # the edge holds its new key alone
+                if held.__class__ is int:
+                    held = groups[key] = [held, idx] if held < idx else [idx, held]
+                else:
+                    insort(held, idx)
+            elif held.__class__ is int:
                 continue
-            for other in grp:
+            for other in held:
                 if other != idx:
                     i = _pattern_size(edges[idx], edges[other], colors)
                     if i is not None:

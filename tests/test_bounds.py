@@ -23,7 +23,7 @@ from harmcolor import (
     theorem_bound,
     theorem_ceil_colors,
 )
-from harmcolor.bounds import LCL_MAX_K, _int_root
+from harmcolor.bounds import LCL_MAX_BITS, LCL_MAX_K, _int_root
 from oracles import (naive_lcl_min_colors, naive_lcl_slack, naive_lower_bound_colors,
                      naive_monte_carlo_event_probs)
 
@@ -197,6 +197,27 @@ def test_certificate_calculators_cap_k():
             call(LCL_MAX_K + 1)
         with pytest.raises(ValueError, match=f"k up to {LCL_MAX_K}"):
             call(10**9)
+
+
+def test_lcl_condition_caps_the_size_of_its_integers():
+    # at k = 1000 and tau = 1000/999 the integers have about 1000 * (999 t).bit_length() bits
+    below = (2 ** 262 - 1) // 999
+    start = time.perf_counter()
+    res = lcl_condition(LCL_MAX_K, 1, 1, below)
+    assert time.perf_counter() - start < 5
+    assert res.holds and 0 < res.slack < Fraction(1, LCL_MAX_K - 1)
+    with pytest.raises(ValueError, match=f"integers up to {LCL_MAX_BITS} bits"):
+        lcl_condition(LCL_MAX_K, 1, 1, below + 1)
+    # a tau with many digits counts the same way, as does a huge m at small k
+    tau = Fraction(10**75 + 1, 10**75)
+    start = time.perf_counter()
+    assert lcl_condition(LCL_MAX_K, 1, 1, 1, tau).holds is False
+    assert time.perf_counter() - start < 5
+    with pytest.raises(ValueError, match=f"integers up to {LCL_MAX_BITS} bits"):
+        lcl_condition(LCL_MAX_K, 1, 1, 1, Fraction(10**79 + 1, 10**79))
+    assert lcl_condition(2, 1, 2 ** 200_000, 2).holds is False
+    with pytest.raises(ValueError, match=f"integers up to {LCL_MAX_BITS} bits"):
+        lcl_condition(2, 1, 2 ** LCL_MAX_BITS, 2)
 
 
 def test_lcl_condition_slack_is_monotone_in_t():

@@ -1,6 +1,7 @@
 """Command-line behaviors: exit codes, file round trips, output formats, and
 the experiment harness's reproducibility contract."""
 
+import hashlib
 import io
 import json
 import os
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import harmcolor
 from harmcolor import (
+    Coloring,
     ExperimentSpec,
     Hypergraph,
     builtin_instance,
@@ -25,9 +27,10 @@ from harmcolor import (
     max_degree,
     parse_coloring,
     parse_hypergraph,
+    serialize_coloring,
     serialize_hypergraph,
 )
-from harmcolor.bounds import LCL_MAX_K
+from harmcolor.bounds import LCL_MAX_BITS, LCL_MAX_K
 from harmcolor.cli import CSV_COLUMNS
 from oracles import naive_is_harmonious
 
@@ -119,6 +122,29 @@ def test_verify_reports_offenders_and_exits_1(tmp_path, triangle_file, capsys):
                  "--coloring", str(pattern)])
     assert code == 1
     assert "same pattern" in capsys.readouterr().out
+
+
+def test_verify_report_on_shared_key_groups_is_pinned(tmp_path, capsys):
+    # edges 0, 1, 2 share the rainbow key (1, 2, 3); the bad edges 3, 4, 6
+    # share the key (1, 2), where only 3-4 and 4-6 show the same pattern
+    h = Hypergraph(3, 15, [(0, 1, 2), (0, 3, 4), (5, 6, 7), (8, 9, 10), (11, 12, 13),
+                           (5, 8, 11), (9, 12, 13), (0, 6, 14)])
+    colors = [1, 2, 3, 2, 3, 1, 2, 3, 1, 1, 2, 1, 2, 2, 4]
+    instance, coloring = tmp_path / "shared.hg", tmp_path / "shared.col"
+    instance.write_text(serialize_hypergraph(h))
+    coloring.write_text(serialize_coloring(Coloring(t=4, colors=colors), h.n))
+    assert main(["verify", "--input", str(instance), "--coloring", str(coloring)]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[4:] == [
+        "same pattern: edges 0 and 1 (|e\\f| = 2)",
+        "same pattern: edges 0 and 2 (|e\\f| = 3)",
+        "same pattern: edges 1 and 2 (|e\\f| = 3)",
+        "same pattern: edges 3 and 4 (|e\\f| = 3)",
+        "same pattern: edges 4 and 6 (|e\\f| = 1)",
+    ]
+    # the whole report byte for byte, as recorded when every key group was a list
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a465074e63997ca1ccae405eedba47f4d768da83ce8c3bb02a25ae38544a4ddc")
 
 
 def test_verify_partial_coloring_is_a_format_problem(tmp_path, triangle_file, capsys):
@@ -295,6 +321,18 @@ def test_bound_above_the_certificate_cap_exits_2_at_once(k, capsys):
     assert time.perf_counter() - start < 1
     assert capsys.readouterr().err == (
         f"error: the certificate calculators take k up to {LCL_MAX_K}, got {k}\n")
+
+
+def test_bound_with_a_t_above_the_integer_cap_exits_2_at_once(capsys):
+    # the exact slack at this t would take seconds to reduce
+    start = time.perf_counter()
+    assert main(["bound", "--k", str(LCL_MAX_K), "--delta", "1", "--m", "1",
+                 "--t", str(10**400)]) == 2
+    assert time.perf_counter() - start < 3
+    assert capsys.readouterr().err.startswith(
+        f"error: the exact certificate takes integers up to {LCL_MAX_BITS} bits")
+    assert main(["bound", "--k", "3", "--delta", "3", "--m", "100", "--t", str(10**20)]) == 0
+    assert "lcl_holds_t" in capsys.readouterr().out
 
 
 def test_solve_lcl_min_above_the_certificate_cap_exits_2_at_once(tmp_path, capsys):

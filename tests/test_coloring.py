@@ -116,6 +116,29 @@ def test_each_pair_reported_once():
     assert len({(p.e, p.f) for p in hits}) == len(hits)
 
 
+SHARED_KEY_CASES = {
+    # a total coloring giving three edges the key (1, 2, 3); edges 0 and 1
+    # overlap in vertex 0, edge 2 is disjoint from both
+    "three-edges-share-a-rainbow-key": (
+        Hypergraph(3, 9, [(0, 1, 2), (0, 3, 4), (5, 6, 7), (1, 3, 8)]),
+        col(4, 1, 2, 3, 2, 3, 1, 2, 3, 4),
+        [(0, 1, 2), (0, 2, 3), (1, 2, 3)]),
+    # edges 0 and 1 are not rainbow and share the key (1, 2); edge 2 is bad
+    # under the key (2, 3) alone
+    "two-non-rainbow-edges-share-a-key": (
+        Hypergraph(3, 7, [(0, 1, 2), (3, 4, 5), (2, 5, 6)]),
+        col(3, 1, 1, 2, 1, 2, 2, 3),
+        [(0, 1, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", SHARED_KEY_CASES)
+def test_pattern_collisions_within_a_shared_key(name):
+    h, c, expected = SHARED_KEY_CASES[name]
+    assert naive_pattern_pairs(h, c) == expected
+    assert pattern_collisions(h, c) == [SamePattern(*pair) for pair in expected]
+
+
 # ----------------------------------------------------------- is_harmonious
 
 def test_is_harmonious_examples(path3, path4, triangle):

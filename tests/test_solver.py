@@ -30,7 +30,7 @@ from harmcolor import (
     sample_uniform_coloring,
     serialize_coloring,
 )
-from harmcolor.coloring import EventIndex
+from harmcolor.coloring import EventIndex, edge_key
 from harmcolor.solver import EVENT_SCANS, _placement_order, _uniform_colors
 from oracles import (coloring_of, naive_bad_edges, naive_h, naive_pattern_pairs,
                      naive_placement_order)
@@ -118,6 +118,16 @@ def test_resample_report_bookkeeping(triangle):
     record = report.as_record()
     assert record["success"] is True
     assert record["resamples_pattern_i1"] == report.resamples_same_pattern[1]
+
+
+def test_resample_set_up_builds_the_incidence():
+    # the set-up, not the first step, pays for the incidence lists
+    h = generate_random_bounded_degree(GeneratorConfig(k=3, n=30, m=12,
+                                                       max_degree=2, seed=4))
+    assert "incidence" not in vars(h)
+    report = resample_solve(h, SolverConfig(t=3, seed=7, max_resamples=0))
+    assert report.resamples_total == 0 and not report.success
+    assert "incidence" in vars(h)
 
 
 def test_resample_is_deterministic():
@@ -253,15 +263,22 @@ def recoloring_walks(draw):
 
 def walk_event_indexes(h: Hypergraph, t: int, start: list[int], moves: list[dict[int, int]]):
     """Apply each recoloring, refresh the edges it meets, and check the index
-    against the oracles after every move: its event lists exactly, the
-    deterministic pick as the least event, and a seeded random pick as the
-    event at the rank that seed draws."""
+    against the oracles after every move: its event lists exactly, its group
+    map, the deterministic pick as the least event, and a seeded random pick
+    as the event at the rank that seed draws."""
     colors = list(start)
     index = EventIndex(h, colors)
     for seed, move in enumerate([{}] + moves):
         for v, c in move.items():
             colors[v] = c
         index.refresh({idx for v in move for idx in h.incidence[v]})
+        holders: dict[tuple[int, ...], list[int]] = {}
+        for idx, e in enumerate(h.edges):
+            holders.setdefault(edge_key(colors, e), []).append(idx)
+        # every edge once, under its current key: a lone holder as its id,
+        # two or more as their ascending list
+        assert index.groups == {key: ids[0] if len(ids) == 1 else ids
+                                for key, ids in holders.items()}
         current = Coloring(t=t, colors=list(colors))
         bad, pairs = naive_bad_edges(h, current), naive_pattern_pairs(h, current)
         assert index.bad == bad and index.pairs == pairs
@@ -291,6 +308,12 @@ FIXED_WALKS = {
     "kept-key-pair-comes-and-goes": (
         Hypergraph(3, 5, [(0, 1, 2), (0, 3, 4)]), 2, [1, 1, 2, 2, 2],
         [{3: 1}, {3: 2}]),
+    # edges 0 and 1 share (1, 2) and edge 2 holds (3, 4) alone; edge 1 moves
+    # over to (3, 4), so one group shrinks to an id and the other grows into
+    # a list, and then both turn back
+    "shared-group-shrinks-to-one-edge-and-grows-back": (
+        builtin_instance("matching", 3, k=2), 4, [1, 2, 1, 2, 3, 4],
+        [{2: 3, 3: 4}, {2: 1, 3: 2}]),
 }
 
 
