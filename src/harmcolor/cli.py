@@ -36,14 +36,7 @@ from .bounds import (
     theorem_bound,
     theorem_ceil_colors,
 )
-from .coloring import (
-    bad_edges,
-    colors_used,
-    is_harmonious,
-    parse_coloring,
-    pattern_collisions,
-    serialize_coloring,
-)
+from .coloring import EventIndex, colors_used, is_harmonious, parse_coloring, serialize_coloring
 from .hypergraph import (
     FormatError,
     GenerationFailure,
@@ -327,12 +320,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if ok:
         print(f"harmonious: t={coloring.t} colors_used={colors_used(coloring)}")
         return EXIT_OK
-    for bad in bad_edges(instance, coloring):
-        verts = instance.edges[bad.edge]
+    index = EventIndex(instance, coloring.colors)
+    for idx in index.bad:
+        verts = instance.edges[idx]
         cols = tuple(coloring.colors[v] for v in verts)
-        print(f"bad edge {bad.edge}: vertices {verts} colored {cols}")
-    for hit in pattern_collisions(instance, coloring):
-        print(f"same pattern: edges {hit.e} and {hit.f} (|e\\f| = {hit.i})")
+        print(f"bad edge {idx}: vertices {verts} colored {cols}")
+    for e, f, i in index.pairs:
+        print(f"same pattern: edges {e} and {f} (|e\\f| = {i})")
     return EXIT_NEGATIVE
 
 
@@ -355,12 +349,16 @@ def _bound_rows(args: argparse.Namespace) -> list[tuple[str, str]]:
     if args.t is not None:
         result = lcl_condition(k, delta, m, args.t, args.tau)
         rows.append((f"lcl_holds_t{args.t}", "true" if result.holds else "false"))
-        rows.append((f"lcl_slack_t{args.t}", str(result.slack)))
-        rows.append((f"bad_edge_exact_t{args.t}", str(bad_edge_prob_exact(k, args.t))))
-        rows.append((f"bad_edge_bound_t{args.t}", str(bad_edge_prob_bound(k, args.t))))
-        for i in range(1, k + 1):
-            rows.append((f"pattern_bound_i{i}_t{args.t}",
-                         str(pattern_prob_bound(i, args.t))))
+        exact = [("lcl_slack", result.slack),
+                 ("bad_edge_exact", bad_edge_prob_exact(k, args.t)),
+                 ("bad_edge_bound", bad_edge_prob_bound(k, args.t))]
+        exact += [(f"pattern_bound_i{i}", pattern_prob_bound(i, args.t)) for i in range(1, k + 1)]
+        try:  # str refuses an integer beyond the interpreter's digit limit
+            rows.extend((f"{name}_t{args.t}", str(value)) for name, value in exact)
+        except ValueError:
+            inputs = "--t" if args.tau is None else "--t or --tau"
+            raise ValueError(f"{inputs} is too large at k={k}: an exact value "
+                             "has too many digits to print") from None
     if args.tau_grid is not None:
         tau, t = tau_grid_search(k, delta, m, args.tau_grid)
         rows.append(("tau_grid_best_tau", str(tau)))

@@ -8,8 +8,11 @@ rainbow and no two edges show the same pattern — equivalently, when all edges
 receive pairwise-distinct k-sets of colors. A coloring is a list indexed by
 vertex, with 0 for an uncolored vertex.
 
-``EventIndex`` keeps the bad edges and same-pattern pairs of a changing total
-coloring up to date for the resampler.
+``EventIndex`` is the one place that finds a coloring's bad edges and
+same-pattern pairs: its build takes partial colorings, and the detectors
+bad_edges, pattern_collisions and local_bad_events read one build each. Its
+``refresh`` keeps both lists up to date for the resampler as a total
+coloring changes. is_harmonious decides on the edge keys alone, without it.
 """
 
 from __future__ import annotations
@@ -91,22 +94,6 @@ def _colors_on(h: Hypergraph, c: Coloring) -> list[int]:
     return c.colors
 
 
-def bad_edges(h: Hypergraph, c: Coloring) -> list[BadEdge]:
-    """Edges containing two distinct vertices of equal color, in index order.
-
-    Partial colorings are allowed; an edge with any uncolored vertex is never
-    reported bad (missing colors might still avoid the repeat elsewhere — the
-    repeat itself is judged only on fully colored edges).
-    """
-    colors, k = _colors_on(h, c), h.k
-    out = []
-    for idx, e in enumerate(h.edges):
-        key = edge_key(colors, e)
-        if key[0] and len(key) < k:
-            out.append(BadEdge(idx))
-    return out
-
-
 def edge_key(colors: list[int], edge: tuple[int, ...]) -> tuple[int, ...]:
     """The sorted distinct colors of an edge under the list ``colors``. It
     starts with 0 iff the edge has an uncolored vertex. Two rainbow edges
@@ -157,39 +144,6 @@ def _group_pairs(h: Hypergraph, colors,
                 yield a, b, i
 
 
-def pattern_collisions(h: Hypergraph, c: Coloring) -> list[SamePattern]:
-    """All unordered pairs of distinct edges showing the same pattern, each
-    reported once, sorted by edge indices. Partial colorings allowed.
-
-    Fully colored edges are grouped by the sorted tuple of their *distinct*
-    colors: equal pattern sets force equal full-edge color sets (the shared
-    vertices contribute identically to both sides), so the groups are a
-    complete prefilter and members only need confirming against the
-    definition. A multiset key would miss non-rainbow pairs such as e\\f
-    colored (1,1,2) against f\\e colored (1,2,2). The group map is the one
-    ``EventIndex`` keeps (see _key_groups): a key held by a single edge maps
-    to its id and has no pair to confirm, so only the lists of shared keys
-    are confirmed. Edges with uncolored vertices (keys starting with 0) can
-    only collide with partners containing every one of their uncolored
-    vertices, so those candidates come from the incidence lists.
-    """
-    colors = _colors_on(h, c)
-    edges = h.edges
-    groups = _key_groups(edge_key(colors, e) for e in edges)
-    found: set[tuple[int, int, int]] = set()  # (a, b) fixes i, so a pair is found once
-    shared = []
-    for key, held in groups.items():
-        if key[0]:
-            if held.__class__ is list:
-                shared.append(held)
-            continue
-        for idx in [held] if held.__class__ is int else held:  # edges with an uncolored vertex
-            missing = [v for v in edges[idx] if not colors[v]]
-            found.update(_partial_collisions(h, colors, idx, missing))
-    found.update(_group_pairs(h, colors, shared))
-    return [SamePattern(*pair) for pair in sorted(found)]
-
-
 def _partial_collisions(h: Hypergraph, colors: list[int], idx: int,
                         missing: list[int]) -> Iterator[tuple[int, int, int]]:
     """The same-pattern pairs (a, b, i), a < b, of edge idx, whose uncolored
@@ -205,32 +159,51 @@ def _partial_collisions(h: Hypergraph, colors: list[int], idx: int,
 
 
 class EventIndex:
-    """Every bad event of the resampler under the list ``colors``, as one
-    sorted event list: the bad edges in id order, then the confirmed
-    same-pattern pairs (e, f, i) in order. Each scan is a pick rule over this
-    list (see ``pick``).
+    """The bad events of the coloring ``colors``, a list indexed by vertex
+    with 0 for uncolored, as one sorted event list: the bad edges in id
+    order, then the confirmed same-pattern pairs (e, f, i) in order. It is
+    the one analysis behind bad_edges, pattern_collisions, local_bad_events
+    and verify's report, and each scan of the resampler is a pick rule over
+    this list (see ``pick``).
 
-    Every edge is keyed by the sorted tuple of its distinct colors; an edge
-    is bad iff its key has fewer than k colors. ``groups`` maps a key held by
-    one edge to that edge's id, and a key shared by two or more edges to
-    their ids in an ascending list (see _key_groups). A shared key is
-    necessary for a pattern pair, and sufficient once both edges are
-    rainbow, so each pair within a shared group is confirmed by
-    _pattern_size. An edge's pairs thus all lie in its group: after the
-    colors of some vertices change, ``refresh`` of the edges through them
-    re-keys those edges, drops each one's pairs found through its old group,
-    and re-confirms it against its new group. A group that shrinks to one
-    edge turns back into that edge's id, and an id turns into a list when a
+    The build takes partial colorings. Every edge is keyed by edge_key, the
+    sorted tuple of its distinct colors, which starts with 0 iff the edge has
+    an uncolored vertex. A fully colored edge is bad iff its key has fewer
+    than k colors; an edge with an uncolored vertex is never bad, since the
+    repeat is judged on fully colored edges only. ``groups`` maps a key held
+    by one edge to that edge's id, and a key shared by two or more edges to
+    their ids in an ascending list (see _key_groups). For fully colored
+    edges, equal pattern sets force equal full-edge color sets (the shared
+    vertices add the same colors to both sides), so a shared key is necessary
+    for a pattern pair, and sufficient once both edges are rainbow: each pair
+    within a shared group is confirmed by _pattern_size. A multiset key would
+    miss non-rainbow pairs such as e\\f colored (1,1,2) against f\\e colored
+    (1,2,2). An edge with an uncolored vertex pairs only with partners that
+    contain all of its uncolored vertices, so its candidates come from the
+    incidence lists (_partial_collisions).
+
+    ``refresh`` needs a total coloring, which is all the resampler ever has.
+    There an edge's pairs all lie in its group: after the colors of some
+    vertices change, ``refresh`` of the edges through them re-keys those
+    edges, drops each one's pairs found through its old group, and
+    re-confirms it against its new group. A group that shrinks to one edge
+    turns back into that edge's id, and an id turns into a list when a
     second edge joins it.
     """
 
     def __init__(self, h: Hypergraph, colors: list[int]):
         self.h, self.k, self.colors = h, h.k, colors
-        self.keys = [edge_key(colors, e) for e in h.edges]
-        self.groups = _key_groups(self.keys)
-        self.bad = [idx for idx, key in enumerate(self.keys) if len(key) < self.k]
-        self.pairs = sorted(_group_pairs(
-            h, colors, [grp for grp in self.groups.values() if grp.__class__ is list]))
+        edges, k = h.edges, self.k
+        self.keys = keys = [edge_key(colors, e) for e in edges]
+        self.groups = _key_groups(keys)
+        self.bad = [idx for idx, key in enumerate(keys) if key[0] and len(key) < k]
+        found = set(_group_pairs(h, colors, [grp for key, grp in self.groups.items()
+                                             if key[0] and grp.__class__ is list]))
+        for idx, key in enumerate(keys):
+            if not key[0]:  # a pair of two such edges is found from both; the set keeps one
+                found.update(_partial_collisions(
+                    h, colors, idx, [v for v in edges[idx] if not colors[v]]))
+        self.pairs = sorted(found)
 
     def refresh(self, edge_ids: Iterable[int]) -> None:
         keys, groups, edges, colors, k = self.keys, self.groups, self.h.edges, self.colors, self.k
@@ -287,6 +260,21 @@ class EventIndex:
         return SamePattern(*self.pairs[pos - n_bad])
 
 
+def bad_edges(h: Hypergraph, c: Coloring) -> list[BadEdge]:
+    """The fully colored edges containing two vertices of equal color, in
+    index order: the bad edges of an EventIndex of c, which may be partial.
+    The build also confirms the pattern pairs, so this costs as much as
+    pattern_collisions."""
+    return [BadEdge(idx) for idx in EventIndex(h, _colors_on(h, c)).bad]
+
+
+def pattern_collisions(h: Hypergraph, c: Coloring) -> list[SamePattern]:
+    """All unordered pairs of distinct edges showing the same pattern, each
+    reported once, sorted by edge indices: the pairs of an EventIndex of c,
+    which may be partial."""
+    return [SamePattern(*pair) for pair in EventIndex(h, _colors_on(h, c)).pairs]
+
+
 def is_harmonious(h: Hypergraph, c: Coloring) -> bool:
     """True iff c is rainbow and no two edges show the same pattern, that is,
     iff the m edge keys are distinct and each has k colors.
@@ -303,7 +291,8 @@ def is_harmonious(h: Hypergraph, c: Coloring) -> bool:
 
 
 def local_bad_events(h: Hypergraph, c: Coloring, v: int) -> LocalEvents:
-    """The bad events visible at vertex v under the current coloring.
+    """The bad events visible at vertex v under the coloring c, which may be
+    partial, read from one EventIndex of c.
 
     b1 collects the bad edges containing v. b2[i] collects the same-pattern
     pairs {e, f} with v in e ∪ f and |e\\f| = i; any pair containing v can be
@@ -314,11 +303,12 @@ def local_bad_events(h: Hypergraph, c: Coloring, v: int) -> LocalEvents:
     """
     if not 0 <= v < h.n:
         raise ValueError(f"vertex {v} outside 0..{h.n - 1}")
-    b1 = tuple(b for b in bad_edges(h, c) if v in h.edges[b.edge])
+    index, edges = EventIndex(h, _colors_on(h, c)), h.edges
+    b1 = tuple(BadEdge(idx) for idx in index.bad if v in edges[idx])
     by_i: dict[int, list[SamePattern]] = {i: [] for i in range(1, h.k + 1)}
-    for hit in pattern_collisions(h, c):
-        if v in h.edges[hit.e] or v in h.edges[hit.f]:
-            by_i[hit.i].append(hit)
+    for e, f, i in index.pairs:
+        if v in edges[e] or v in edges[f]:
+            by_i[i].append(SamePattern(e, f, i))
     return LocalEvents(b1=b1, b2={i: tuple(hits) for i, hits in by_i.items()})
 
 

@@ -251,15 +251,11 @@ def builtin_instance(name: str, size: int, k: int = 2) -> Hypergraph:
     if name == "matching":
         if size < 1:
             raise ValueError(f"matching needs at least 1 edge, got {size}")
-        if k < 2:
-            raise ValueError(f"k must be at least 2, got {k}")
         edges = [tuple(range(j * k, (j + 1) * k)) for j in range(size)]
         return Hypergraph(k, size * k, edges)
     if name == "k-star":
         if size < 1:
             raise ValueError(f"k-star needs at least 1 edge, got {size}")
-        if k < 2:
-            raise ValueError(f"k must be at least 2, got {k}")
         edges = [
             (0,) + tuple(range(1 + j * (k - 1), 1 + (j + 1) * (k - 1)))
             for j in range(size)

@@ -32,7 +32,7 @@ from harmcolor import (
 )
 from harmcolor.bounds import LCL_MAX_BITS, LCL_MAX_K
 from harmcolor.cli import CSV_COLUMNS
-from oracles import naive_is_harmonious
+from oracles import naive_bad_edges, naive_is_harmonious, naive_pattern_pairs
 
 
 @pytest.fixture
@@ -335,6 +335,16 @@ def test_bound_with_a_t_above_the_integer_cap_exits_2_at_once(capsys):
     assert "lcl_holds_t" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("k, t", [(1000, 100_000), (20, 10**300)], ids=["k1000", "t10e300"])
+def test_bound_with_exact_values_too_long_to_print_names_t(k, t, capsys):
+    # both t pass the integer cap, but rows such as pattern_bound_i{k} have over 4300 digits
+    assert main(["bound", "--k", str(k), "--delta", "1", "--m", "1", "--t", str(t)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --t is too large at k={k}: "
+                            "an exact value has too many digits to print\n")
+
+
 def test_solve_lcl_min_above_the_certificate_cap_exits_2_at_once(tmp_path, capsys):
     k = LCL_MAX_K + 1
     path = tmp_path / "wide.hg"
@@ -493,11 +503,20 @@ def test_solve_and_verify_exit_with_a_contract_code_on_any_argv(text, edits, col
             if code == 0:  # a solved coloring passes verify
                 assert main(verify) == 0
             coloring.write_text(coloring_text)
+        report = io.StringIO()
+        with redirect_stdout(report), redirect_stderr(io.StringIO()):
             code = main(verify)
     assert code in (0, 1, 2, 3)
     if code in (0, 1):  # verify judged the coloring: so must the oracle
-        judged, _ = parse_coloring(coloring_text)
-        assert naive_is_harmonious(parse_hypergraph(text), judged) == (code == 0)
+        h, (judged, _) = parse_hypergraph(text), parse_coloring(coloring_text)
+        assert naive_is_harmonious(h, judged) == (code == 0)
+    if code == 1:  # the report lists the oracles' bad edges, then their pairs
+        colors = judged.colors
+        assert report.getvalue().splitlines() == [
+            f"bad edge {idx}: vertices {h.edges[idx]} colored "
+            f"{tuple(colors[v] for v in h.edges[idx])}" for idx in naive_bad_edges(h, judged)
+        ] + [f"same pattern: edges {e} and {f} (|e\\f| = {i})"
+             for e, f, i in naive_pattern_pairs(h, judged)]
 
 
 # a valid gen argv, then edits; sizes stay small enough to allocate, and

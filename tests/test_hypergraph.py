@@ -88,6 +88,9 @@ def test_builtin_rejects_nonsense():
         builtin_instance("wheel", 3)
     with pytest.raises(ValueError):
         builtin_instance("cycle", 2)
+    for family in ("matching", "k-star"):
+        with pytest.raises(ValueError):
+            builtin_instance(family, 3, k=1)
 
 
 # ------------------------------------------------------------ file format

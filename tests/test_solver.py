@@ -25,10 +25,12 @@ from harmcolor import (
     is_harmonious,
     lcl_min_colors,
     lower_bound_colors,
+    main,
     max_degree,
     resample_solve,
     sample_uniform_coloring,
     serialize_coloring,
+    serialize_hypergraph,
 )
 from harmcolor.coloring import EventIndex, edge_key
 from harmcolor.solver import EVENT_SCANS, _placement_order, _uniform_colors
@@ -373,6 +375,29 @@ def test_fixed_seed_runs_match_their_goldens(case):
         assert report.success == (palette != "1x")
         text = serialize_coloring(report.coloring, h.n) + repr(report.as_record())
         assert hashlib.sha256(text.encode()).hexdigest() == expected, scan
+
+
+# palette -> SHA-256 of verify's report on a uniform coloring (seed 7) of the
+# k=3 m=3000 instance of RUN_GOLDENS, recorded before the detectors were
+# routed through EventIndex: 2 bad edges at the certified palette, and 107
+# bad edges and 47 pairs at 3x the counting bound
+VERIFY_REPORT_GOLDENS = {
+    "certified": "faf1de784bbeb714c133f047ac349d4de299ed104c74816714ddfb4c5e832b3c",
+    "3x": "31a356f882108d72d633c29a228620a76897b155eca1358a553c202ad6f15541",
+}
+
+
+@pytest.mark.parametrize("palette", VERIFY_REPORT_GOLDENS)
+def test_verify_report_at_size_matches_its_golden(palette, tmp_path, capsys):
+    h = golden_instance(3 * 1000 + 3000, 3, 3000, 3000)
+    t = (lcl_min_colors(3, max_degree(h), h.m) if palette == "certified"
+         else 3 * lower_bound_colors(3, h.m))
+    instance, coloring = tmp_path / "golden.hg", tmp_path / "uniform.col"
+    instance.write_text(serialize_hypergraph(h))
+    coloring.write_text(serialize_coloring(sample_uniform_coloring(h, t, seed=7), h.n))
+    assert main(["verify", "--input", str(instance), "--coloring", str(coloring)]) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_REPORT_GOLDENS[palette]
 
 
 # ----------------------------------------------------------- exact solver
