@@ -25,7 +25,8 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Union
 
-from .hypergraph import FormatError, Hypergraph, _content_lines
+from .hypergraph import (FormatError, Hypergraph, _block_columns, _content_lines,
+                         _header_and_blocks)
 
 
 @dataclass(frozen=True)
@@ -320,9 +321,19 @@ def colors_used(c: Coloring) -> int:
 def parse_coloring(text: str) -> tuple[Coloring, int]:
     """Parse the coloring format: header ``c <t> <n>``, then ``v <vertex>
     <color>`` lines. Returns (coloring, n) with n the declared vertex count.
-    Comments (#) and blank lines are skipped; errors carry line numbers."""
-    lines = _content_lines(text)
-    lineno, line, tokens = next(lines)
+    Comments (#) and blank lines are skipped, and a line ends at LF. The
+    lines are read in blocks of BLOCK_LINES lines and checked a block at a
+    time. On any fault the text is read again line by line
+    (_parse_coloring_lines), which raises a FormatError on the line of the
+    first fault."""
+    try:
+        return _parse_coloring_blocks(text)
+    except ValueError:  # the line reader names the first fault
+        return _parse_coloring_lines(text)
+
+
+def _coloring_header(lineno: int, line: str, tokens: list[str]) -> tuple[int, int]:
+    """(t, n) of the coloring header ``c <t> <n>``."""
     if len(tokens) != 3 or tokens[0] != "c":
         raise FormatError(f"expected header 'c <t> <n>', got {line!r}", lineno)
     try:
@@ -333,6 +344,34 @@ def parse_coloring(text: str) -> tuple[Coloring, int]:
         raise FormatError(f"header out of range: t={t}, n={n}", lineno)
     if n > sys.maxsize:  # no list of n colors can exist
         raise FormatError(f"vertex count must be at most {sys.maxsize}, got {n}", lineno)
+    return t, n
+
+
+def _parse_coloring_blocks(text: str) -> tuple[Coloring, int]:
+    """parse_coloring's block reader: raises ValueError, without a line
+    number, on any fault."""
+    lineno, line, tokens, blocks = _header_and_blocks(text)
+    t, n = _coloring_header(lineno, line, tokens)
+    colors = [0] * n
+    for block in blocks:
+        columns = _block_columns(block, "v", 2)
+        if not columns:
+            continue
+        vertices, hues = list(map(int, columns[0])), list(map(int, columns[1]))
+        if (min(vertices) < 0 or max(vertices) >= n or min(hues) < 1 or max(hues) > t
+                or len(set(vertices)) != len(vertices) or any(map(colors.__getitem__, vertices))):
+            raise ValueError("a vertex or color out of range, or a vertex colored twice")
+        for vertex, color in zip(vertices, hues):
+            colors[vertex] = color
+    return Coloring(t=t, colors=colors), n
+
+
+def _parse_coloring_lines(text: str) -> tuple[Coloring, int]:
+    """parse_coloring's line reader: checks one line at a time and raises
+    a FormatError on the line of the first fault."""
+    lines = _content_lines(text)
+    lineno, line, tokens = next(lines)
+    t, n = _coloring_header(lineno, line, tokens)
     colors = [0] * n
     for lineno, line, tokens in lines:
         if tokens[0] != "v" or len(tokens) != 3:

@@ -5,8 +5,10 @@ sorted tuples; edge identity is set identity and duplicate edges are rejected.
 Isolated vertices are allowed (n may exceed the support of the edges).
 
 ``Hypergraph.__init__`` is the only code that checks and canonicalises an
-edge. ``parse_hypergraph`` checks the header, then streams the edge lines into
-the constructor and puts the line number on whatever it rejects.
+edge. ``parse_hypergraph`` reads the edge lines in blocks of ``BLOCK_LINES``
+lines and hands them to the constructor as one list. On any fault it reads
+the text again line by line, streaming the edges into the constructor, which
+then checks them one at a time, and puts the line number on the first fault.
 """
 
 from __future__ import annotations
@@ -15,7 +17,14 @@ import random
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter, lt
 from typing import Iterable, Iterator, Sequence
+
+BLOCK_LINES = 1024
+"""Lines per block of the block readers. A block's token lists and converted
+columns are the readers' only transient besides the result, so this bounds
+their memory over the result's."""
 
 
 class FormatError(ValueError):
@@ -52,22 +61,13 @@ class Hypergraph:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         if n > sys.maxsize:  # no list of n degrees can exist
             raise ValueError(f"vertex count must be at most {sys.maxsize}, got {n}")
-        canon: list[tuple[int, ...]] = []
-        seen: set[tuple[int, ...]] = set()
-        degrees = [0] * n
-        for edge in edges:
-            e = tuple(sorted(edge))
-            if len(e) != k:
-                raise ValueError(f"edge has {len(e)} vertices, expected {k}")
-            if len(set(e)) != k:
-                raise ValueError(f"repeated vertex in edge {tuple(edge)}")
-            if e[0] < 0 or e[-1] >= n:
-                raise ValueError(f"vertex id outside 0..{n - 1} in edge {tuple(edge)}")
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-            canon.append(e)
-            for v in e:
+        # a list is checked at once; a stream, or a list with a fault, edge by edge
+        canon = _canonical_edges(k, n, edges) if isinstance(edges, (list, tuple)) else None
+        if canon is None:
+            canon, degrees = _canonical_edges_one_by_one(k, n, edges)
+        else:
+            degrees = [0] * n
+            for v in chain.from_iterable(canon):
                 degrees[v] += 1
         self.k = k
         self.n = n
@@ -86,7 +86,7 @@ class Hypergraph:
         for idx, e in enumerate(self.edges):
             for v in e:
                 inc[v].append(idx)
-        return tuple(tuple(lst) for lst in inc)
+        return tuple(map(tuple, inc))
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -100,6 +100,60 @@ class Hypergraph:
 
     def __repr__(self) -> str:
         return f"Hypergraph(k={self.k}, n={self.n}, m={self.m})"
+
+
+def _canonical_edges_one_by_one(k: int, n: int, edges: Iterable[Sequence[int]]
+                                ) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The sorted edges and the degrees of a k-uniform hypergraph on n
+    vertices, checking one edge at a time as it arrives: the first fault
+    raises ValueError, naming the edge as given."""
+    canon: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()
+    degrees = [0] * n
+    for edge in edges:
+        e = tuple(sorted(edge))
+        if len(e) != k:
+            raise ValueError(f"edge has {len(e)} vertices, expected {k}")
+        if len(set(e)) != k:
+            raise ValueError(f"repeated vertex in edge {tuple(edge)}")
+        if e[0] < 0 or e[-1] >= n:
+            raise ValueError(f"vertex id outside 0..{n - 1} in edge {tuple(edge)}")
+        if e in seen:
+            raise ValueError(f"duplicate edge {e}")
+        seen.add(e)
+        canon.append(e)
+        for v in e:
+            degrees[v] += 1
+    return canon, degrees
+
+
+def _canonical_edges(k: int, n: int, edges: Sequence[Sequence[int]]
+                     ) -> Sequence[tuple[int, ...]] | None:
+    """The edges as sorted tuples, checked all at once, or None when some
+    edge has a fault. Edges given as strictly increasing tuples are kept,
+    not copied: the generator and the block reader give them so."""
+    if not edges:
+        return edges
+    try:
+        if (set(map(type, edges)) != {tuple} or set(map(len, edges)) != {k}
+                or not _increasing(edges, k)):
+            edges = list(map(tuple, map(sorted, edges)))
+            if set(map(len, edges)) != {k} or not _increasing(edges, k):
+                return None
+        if min(map(itemgetter(0), edges)) < 0 or max(map(itemgetter(k - 1), edges)) >= n:
+            return None
+        if len(set(edges)) != len(edges):
+            return None
+    except TypeError:  # vertices that do not compare or hash; the edge-by-edge check names them
+        return None
+    return edges
+
+
+def _increasing(edges: Sequence[tuple[int, ...]], k: int) -> bool:
+    """Whether each of the k-tuples ``edges`` is strictly increasing, by
+    comparing neighbouring columns."""
+    return all(all(map(lt, map(itemgetter(j), edges), map(itemgetter(j + 1), edges)))
+               for j in range(k - 1))
 
 
 @dataclass(frozen=True)
@@ -153,11 +207,11 @@ class GeneratorConfig:
 
 def _content_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
     """(line number, stripped line, tokens) for each line of an instance or
-    coloring file that is neither blank nor a ``#`` comment, LF or CRLF.
-    Both formats take their header from the first such line; a text without
-    one raises FormatError."""
+    coloring file that is neither blank nor a ``#`` comment. A line ends at
+    LF; a CR before it is whitespace. Both formats take their header from the
+    first such line; a text without one raises FormatError."""
     headless = True
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             headless = False
@@ -166,17 +220,53 @@ def _content_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
         raise FormatError("no header line found")
 
 
-def parse_hypergraph(text: str) -> Hypergraph:
-    """Parse the line-oriented instance format.
+def _line_blocks(text: str) -> Iterator[list[str]]:
+    """The lines of text, split at LF as in _content_lines, in lists of
+    BLOCK_LINES lines; the last list may be shorter. Each block is split
+    from a slice of the text, widened until it holds the block."""
+    pos, end, width = 0, len(text), 64 * BLOCK_LINES
+    while pos < end:
+        chunk = text[pos:pos + width]
+        lines = chunk.split("\n", BLOCK_LINES)
+        if len(lines) > BLOCK_LINES:  # the last item is the unsplit rest of the chunk
+            pos += len(chunk) - len(lines.pop())
+            yield lines
+        elif pos + width >= end:
+            yield lines
+            return
+        else:
+            width *= 2
 
-    Line 1 is ``p hg <k> <n> <m>``; each of the next m lines is
-    ``e <v1> ... <vk>`` with 0-based vertex ids. ``#`` begins a comment line,
-    blank lines are skipped, LF and CRLF both accepted. The edges stream into
-    ``Hypergraph``, which checks them; its ValueError comes back as a
-    FormatError on the line of the offending edge.
-    """
-    lines = _content_lines(text)
-    lineno, line, tokens = next(lines)
+
+def _header_and_blocks(text: str) -> tuple[int, str, list[str], Iterator[list[str]]]:
+    """The first content line of text as _content_lines gives it, and the
+    line blocks after it. Raises ValueError when the first block has no
+    content line; the line reader then looks further."""
+    blocks = _line_blocks(text)
+    first = next(blocks, [])
+    for at, raw in enumerate(first):
+        tokens = raw.split()
+        if tokens and not tokens[0].startswith("#"):
+            return at + 1, raw.strip(), tokens, chain([first[at + 1:]], blocks)
+    raise ValueError("no header line in the first block")
+
+
+def _block_columns(block: list[str], tag: str, width: int) -> list[tuple[str, ...]]:
+    """The tokens after the tag of a block's content lines, as ``width``
+    columns, or [] for a block without content lines. Raises ValueError
+    unless every content line is ``tag`` and ``width`` more tokens."""
+    rows = list(filter(None, map(str.split, block)))  # blank lines dropped
+    if set(map(itemgetter(0), rows)) - {tag}:
+        rows = [row for row in rows if not row[0].startswith("#")]
+        if set(map(itemgetter(0), rows)) - {tag}:
+            raise ValueError(f"a content line without the tag {tag!r}")
+    if set(map(len, rows)) - {width + 1}:
+        raise ValueError(f"a content line without {width} fields")
+    return list(zip(*rows))[1:]
+
+
+def _hypergraph_header(lineno: int, line: str, tokens: list[str]) -> tuple[int, int, int]:
+    """(k, n, m) of the instance header ``p hg <k> <n> <m>``."""
     if len(tokens) != 5 or tokens[0] != "p" or tokens[1] != "hg":
         raise FormatError(f"expected header 'p hg <k> <n> <m>', got {line!r}", lineno)
     try:
@@ -185,6 +275,46 @@ def parse_hypergraph(text: str) -> Hypergraph:
         raise FormatError(f"non-integer field in header {line!r}", lineno) from None
     if k < 2 or n < 0 or m < 0:
         raise FormatError(f"header out of range: k={k}, n={n}, m={m}", lineno)
+    return k, n, m
+
+
+def parse_hypergraph(text: str) -> Hypergraph:
+    """Parse the line-oriented instance format.
+
+    Line 1 is ``p hg <k> <n> <m>``; each of the next m lines is
+    ``e <v1> ... <vk>`` with 0-based vertex ids. ``#`` begins a comment line,
+    blank lines are skipped, and a line ends at LF (a CR before it is
+    whitespace). The edge lines are read in blocks of BLOCK_LINES lines and
+    checked by ``Hypergraph`` all at once. On any fault the text is read
+    again line by line (_parse_hypergraph_lines), which raises a FormatError
+    on the line of the first offending edge.
+    """
+    try:
+        return _parse_hypergraph_blocks(text)
+    except ValueError:  # the line reader names the first fault
+        return _parse_hypergraph_lines(text)
+
+
+def _parse_hypergraph_blocks(text: str) -> Hypergraph:
+    """parse_hypergraph's block reader: raises ValueError, without a line
+    number, on any fault."""
+    lineno, line, tokens, blocks = _header_and_blocks(text)
+    k, n, m = _hypergraph_header(lineno, line, tokens)
+    edges: list[tuple[int, ...]] = []
+    for block in blocks:
+        edges.extend(zip(*[map(int, column) for column in _block_columns(block, "e", k)]))
+    if len(edges) != m:
+        raise ValueError(f"declared {m} edges but found {len(edges)}")
+    return Hypergraph(k, n, edges)
+
+
+def _parse_hypergraph_lines(text: str) -> Hypergraph:
+    """parse_hypergraph's line reader: the edges stream into ``Hypergraph``,
+    which checks them one at a time; its ValueError comes back as a
+    FormatError on the line of the offending edge."""
+    lines = _content_lines(text)
+    lineno, line, tokens = next(lines)
+    k, n, m = _hypergraph_header(lineno, line, tokens)
 
     def edges() -> Iterator[tuple[int, ...]]:
         nonlocal lineno

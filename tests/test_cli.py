@@ -1,6 +1,7 @@
 """Command-line behaviors: exit codes, file round trips, output formats, and
 the experiment harness's reproducibility contract."""
 
+import gc
 import hashlib
 import io
 import json
@@ -196,6 +197,30 @@ def test_coloring_headers_too_large_for_memory_exit_3(tmp_path, triangle_file, c
     assert main(["verify", "--input", str(triangle_file), "--coloring", str(coloring)]) == 3
     assert capsys.readouterr().err == err
 
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_restores_the_collectors_state_on_every_return(tmp_path, triangle_file, capsys,
+                                                            collecting):
+    # main runs each command with the cyclic collector off; it must hand back
+    # the state it found, or every later call in the process runs without it
+    broken = tmp_path / "broken.hg"
+    broken.write_text("p hg 2 3 1\ne 0 9\n")
+    runs = [
+        (["exact", "--input", str(triangle_file)], 0),
+        (["solve", "--input", str(triangle_file)], 2),  # fixed policy without --colors
+        (["exact", "--input", str(broken)], 3),
+        (["exact", "--input", str(triangle_file), "--node-budget", "1"], 1),
+        (["--help"], 0),  # argparse's SystemExit
+    ]
+    before = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        for argv, code in runs:
+            assert main(argv) == code
+            assert gc.isenabled() == collecting, argv
+    finally:
+        (gc.enable if before else gc.disable)()
+    capsys.readouterr()
 
 def test_exact_prints_the_harmonious_number(triangle_file, capsys):
     assert main(["exact", "--input", str(triangle_file)]) == 0

@@ -25,6 +25,8 @@ from harmcolor import (
     serialize_coloring,
     serialize_hypergraph,
 )
+from harmcolor.coloring import _parse_coloring_blocks, _parse_coloring_lines
+from harmcolor.hypergraph import _parse_hypergraph_blocks, _parse_hypergraph_lines
 from oracles import naive_generate
 
 
@@ -212,6 +214,127 @@ def test_the_parser_reports_the_constructors_verdict_on_the_offending_line(case)
         parse_hypergraph(text)
     assert err.value.line == edge_lines[first_bad]
     assert str(err.value) == f"line {edge_lines[first_bad]}: {message}"
+
+
+# ------------------------------------------- block reader against line reader
+
+def read_outcome(parse, text):
+    """What parse makes of text: its result, or the FormatError's message and line."""
+    try:
+        return parse(text)
+    except FormatError as exc:
+        return str(exc), exc.line
+
+
+@st.composite
+def raw_coloring_files(draw):
+    """Coloring texts whose ``v`` lines may name a vertex or color out of
+    range, color a vertex twice, hold a non-integer, carry the wrong tag or
+    be short, between comments and blank lines under mixed line endings."""
+    t = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 6))
+    body = [f"c {t} {n}"]
+    for _ in range(draw(st.integers(0, 8))):
+        vertex, color = draw(st.integers(-1, n)), draw(st.integers(0, t + 1))
+        body.append(draw(st.sampled_from([
+            f"v {vertex} {color}", f"v {vertex} {color}", f"v {vertex} {color}",
+            f"v {vertex} x", f"v {vertex}", f"e {vertex} {color}", f"v {vertex} {color} 1"])))
+    lines: list[str] = []
+    for line in body:
+        lines += draw(st.lists(st.sampled_from(["", "  ", "# note", " \t# v 0 1"]), max_size=2))
+        lines.append(line)
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+
+
+@given(raw_coloring_files())
+@settings(max_examples=300)
+def test_the_coloring_parser_gives_the_line_readers_verdict(text):
+    assert read_outcome(parse_coloring, text) == read_outcome(_parse_coloring_lines, text)
+
+
+def instance_lines(m: int) -> list[str]:
+    """A path on m + 1 vertices as instance lines, with comment and blank
+    lines so that the blocks hold more than edge lines."""
+    lines = [f"p hg 2 {m + 1} {m}"] + [f"e {v} {v + 1}" for v in range(m)]
+    lines[500:500] = ["# a comment", ""]
+    return lines
+
+
+def coloring_lines(n: int) -> list[str]:
+    lines = [f"c 3 {n}"] + [f"v {v} {1 + v % 3}" for v in range(n)]
+    lines[500:500] = ["# a comment", ""]
+    return lines
+
+
+@pytest.mark.parametrize("m", [1021, 1022, 1023, 2045, 2046, 2047, 3000])
+def test_the_block_readers_read_every_block(m):
+    # 1024 and 2048 lines hold whole blocks, one more line starts a block;
+    # the block readers themselves must take these texts, without the line readers
+    text = "\n".join(instance_lines(m)) + "\n"
+    assert _parse_hypergraph_blocks(text) == builtin_instance("path", m + 1)
+    colors = [1 + v % 3 for v in range(m)]
+    text = "\n".join(coloring_lines(m)) + "\n"
+    assert _parse_coloring_blocks(text) == (Coloring(3, colors), m)
+
+
+@pytest.mark.parametrize("line", [1024, 1025, 2049])
+@pytest.mark.parametrize("fault, needle", [
+    ("e 0 99999", "vertex id outside"),
+    ("e 7 7", "repeated vertex"),
+    ("e 0 1 2", "3 vertices"),
+    ("e 0 x", "non-integer vertex id"),
+    ("v 0 1", "expected edge line"),
+    ("e 10 11", "duplicate edge"),
+])
+def test_a_fault_at_a_block_edge_is_named_on_its_line(line, fault, needle):
+    lines = instance_lines(3000)
+    lines[line - 1] = fault
+    text = "\r\n".join(lines)
+    assert read_outcome(parse_hypergraph, text) == read_outcome(_parse_hypergraph_lines, text)
+    with pytest.raises(FormatError, match=needle) as err:
+        parse_hypergraph(text)
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize("line", [1024, 1025, 2049])
+@pytest.mark.parametrize("fault, needle", [
+    ("v 5000 1", "vertex 5000 outside"),
+    ("v 0 4", "color 4 outside"),
+    ("v 5 1", "vertex 5 colored twice"),
+    ("v 0 x", "non-integer field"),
+    ("e 0 1", "expected 'v <vertex> <color>'"),
+    ("v 0", "expected 'v <vertex> <color>'"),
+])
+def test_a_coloring_fault_at_a_block_edge_is_named_on_its_line(line, fault, needle):
+    lines = coloring_lines(3000)
+    del lines[line - 1]  # the vertex of the removed line is left uncolored
+    lines.insert(line - 1, fault)
+    text = "\n".join(lines)
+    assert read_outcome(parse_coloring, text) == read_outcome(_parse_coloring_lines, text)
+    with pytest.raises(FormatError, match=needle) as err:
+        parse_coloring(text)
+    assert err.value.line == line
+
+
+def test_a_repeat_two_blocks_after_its_first_copy_is_named_on_its_line():
+    lines = instance_lines(3000)
+    lines[2010] = lines[10]  # the edge of line 11 again, about 2000 lines later
+    with pytest.raises(FormatError, match=r"duplicate edge \(9, 10\)") as err:
+        parse_hypergraph("\n".join(lines))
+    assert err.value.line == 2011
+    lines = coloring_lines(3000)
+    lines[2010] = lines[10]  # vertex 9 colored again
+    with pytest.raises(FormatError, match="vertex 9 colored twice") as err:
+        parse_coloring("\n".join(lines))
+    assert err.value.line == 2011
+
+
+@pytest.mark.parametrize("brk", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                 "\u2028", "\u2029"])
+def test_a_line_ends_at_lf_only(brk):
+    # other line breaks are whitespace inside a line, here inside a comment
+    assert parse_hypergraph(f"p hg 2 3 1\n# note{brk}e 0 1\ne 1 2\n").edges == ((1, 2),)
+    assert parse_coloring(f"c 2 2\n# note{brk}v 0 1\nv 1 2\n") == (Coloring(2, [0, 2]), 2)
 
 
 # ---------------------------------------------------------- parser fuzzing
