@@ -37,7 +37,7 @@ from .bounds import (
     theorem_bound,
     theorem_ceil_colors,
 )
-from .coloring import EventIndex, colors_used, is_harmonious, parse_coloring, serialize_coloring
+from .coloring import EventIndex, _verdict, colors_used, parse_coloring, serialize_coloring
 from .hypergraph import (
     FormatError,
     GenerationFailure,
@@ -289,6 +289,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if instance.m == 0:
             t = instance.k
         else:
+            instance.incidence  # built first: solve needs it, and the degrees then come from it
             t = _policy_t(args.t_policy, None, args.eps,
                           instance.k, max_degree(instance), instance.m)
     report = resample_solve(instance, SolverConfig(
@@ -314,14 +315,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     instance = _load_instance(args.input)
     coloring, _ = parse_coloring(Path(args.coloring).read_text())
     try:  # also refuses a coloring of another vertex count
-        ok = is_harmonious(instance, coloring)
+        ok, keyed = _verdict(instance, coloring)
     except ValueError as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return EXIT_IO
     if ok:
         print(f"harmonious: t={coloring.t} colors_used={colors_used(coloring)}")
         return EXIT_OK
-    index = EventIndex(instance, coloring.colors)
+    index = EventIndex(instance, coloring.colors, keyed)
     for idx in index.bad:
         verts = instance.edges[idx]
         cols = tuple(coloring.colors[v] for v in verts)

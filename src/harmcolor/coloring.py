@@ -13,6 +13,8 @@ same-pattern pairs: its build takes partial colorings, and the detectors
 bad_edges, pattern_collisions and local_bad_events read one build each. Its
 ``refresh`` keeps both lists up to date for the resampler as a total
 coloring changes. is_harmonious decides on the edge keys alone, without it.
+Both key every edge in one bulk pass (_edge_keys); verify keys them once and
+builds the index on the same keys, only for a coloring that fails.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import sys
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations, compress, repeat
+from operator import eq, itemgetter, not_
 from typing import Iterable, Iterator, Mapping, Union
 
 from .hypergraph import (FormatError, Hypergraph, _block_columns, _content_lines,
@@ -115,21 +118,19 @@ def _pattern_size(ea: tuple[int, ...], eb: tuple[int, ...], colors: list[int]) -
     return len(da)
 
 
-def _key_groups(keys: Iterable[tuple[int, ...]]) -> dict[tuple[int, ...], int | list[int]]:
-    """The key-group map of the edge keys ``keys``, listed by edge id: a key
-    held by one edge maps to that edge's id, a key shared by two or more
-    edges to their ids in an ascending list. Nearly every group is a single
-    edge, so this saves a list per edge."""
-    groups: dict[tuple[int, ...], int | list[int]] = {}
-    setdefault = groups.setdefault
-    for idx, key in enumerate(keys):
-        held = setdefault(key, idx)
-        if held != idx:  # the key is shared
-            if held.__class__ is int:
-                groups[key] = [held, idx]
-            else:
-                held.append(idx)
-    return groups
+def _edge_keys(h: Hypergraph, colors: list[int]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The edge_key of every edge of h, by id, and the ascending ids of the
+    edges that repeat a color, 0 included: those keyed with fewer than k
+    entries. Each edge's colors are sorted by C-level calls, a repeat shows
+    as equal neighbouring columns, and only repeats are keyed by edge_key."""
+    rows = zip(*[map(colors.__getitem__, chain.from_iterable(h.edges))] * h.k)
+    keys = list(map(tuple, map(sorted, rows)))
+    same = zip(*[map(eq, map(itemgetter(j), keys), map(itemgetter(j + 1), keys))
+                 for j in range(h.k - 1)])
+    repeats = list(compress(range(len(keys)), map(any, same)))
+    for idx in repeats:
+        keys[idx] = edge_key(colors, h.edges[idx])
+    return keys, repeats
 
 
 def _group_pairs(h: Hypergraph, colors,
@@ -169,19 +170,22 @@ class EventIndex:
 
     The build takes partial colorings. Every edge is keyed by edge_key, the
     sorted tuple of its distinct colors, which starts with 0 iff the edge has
-    an uncolored vertex. A fully colored edge is bad iff its key has fewer
-    than k colors; an edge with an uncolored vertex is never bad, since the
-    repeat is judged on fully colored edges only. ``groups`` maps a key held
-    by one edge to that edge's id, and a key shared by two or more edges to
-    their ids in an ascending list (see _key_groups). For fully colored
-    edges, equal pattern sets force equal full-edge color sets (the shared
-    vertices add the same colors to both sides), so a shared key is necessary
-    for a pattern pair, and sufficient once both edges are rainbow: each pair
-    within a shared group is confirmed by _pattern_size. A multiset key would
-    miss non-rainbow pairs such as e\\f colored (1,1,2) against f\\e colored
-    (1,2,2). An edge with an uncolored vertex pairs only with partners that
-    contain all of its uncolored vertices, so its candidates come from the
-    incidence lists (_partial_collisions).
+    an uncolored vertex; all come from _edge_keys, or from ``keyed``, its
+    result when the caller has it. A fully colored edge is bad iff its key
+    has fewer than k colors, so only repeat edges can be bad; an edge with
+    an uncolored vertex is never bad. ``groups`` maps a key held by one edge
+    to that edge's id, and a key shared by two or more edges to their ids in
+    an ascending list: one dict keeps each key's last holder, and only the
+    ids it overwrote (flagged in a bytearray) are grouped again. For fully
+    colored edges, equal pattern sets force equal full-edge color sets (the
+    shared vertices add the same colors to both sides), so a shared key is
+    necessary for a pattern pair, and sufficient once both edges are
+    rainbow: each pair within a shared group is confirmed by _pattern_size.
+    A multiset key would miss non-rainbow pairs such as e\\f colored
+    (1,1,2) against f\\e colored (1,2,2). An edge with an uncolored vertex
+    pairs only with partners that contain all of its uncolored vertices, so
+    its candidates come from the incidence lists (_partial_collisions),
+    scanned for only when some key starts with 0.
 
     ``refresh`` needs a total coloring, which is all the resampler ever has.
     There an edge's pairs all lie in its group: after the colors of some
@@ -192,16 +196,22 @@ class EventIndex:
     second edge joins it.
     """
 
-    def __init__(self, h: Hypergraph, colors: list[int]):
-        self.h, self.k, self.colors = h, h.k, colors
-        edges, k = h.edges, self.k
-        self.keys = keys = [edge_key(colors, e) for e in edges]
-        self.groups = _key_groups(keys)
-        self.bad = [idx for idx, key in enumerate(keys) if key[0] and len(key) < k]
-        found = set(_group_pairs(h, colors, [grp for key, grp in self.groups.items()
-                                             if key[0] and grp.__class__ is list]))
-        for idx, key in enumerate(keys):
-            if not key[0]:  # a pair of two such edges is found from both; the set keeps one
+    def __init__(self, h: Hypergraph, colors: list[int], keyed: tuple[list, list] | None = None):
+        keys, repeats = keyed or _edge_keys(h, colors)
+        self.h, self.k, self.colors, self.keys = h, h.k, colors, keys
+        edges, m = h.edges, h.m
+        self.groups = groups = dict(zip(keys, range(m)))  # each key to its last holder
+        overwritten = bytearray(b"\1") * m  # ends 1 at each id whose key a later edge took
+        any(map(overwritten.__setitem__, groups.values(), repeat(0)))  # any() drains the map
+        shared: dict[tuple[int, ...], list[int]] = {}
+        for idx in compress(range(m), overwritten):
+            shared.setdefault(keys[idx], []).append(idx)
+        groups.update((key, grp + [groups[key]]) for key, grp in shared.items())
+        self.bad = [idx for idx in repeats if keys[idx][0]]
+        found = set(_group_pairs(h, colors, [groups[key] for key in shared if key[0]]))
+        if keys and not min(map(itemgetter(0), keys)):  # some edge has an uncolored vertex
+            for idx in compress(range(m), map(not_, map(itemgetter(0), keys))):
+                # a pair of two such edges is found from both; the set keeps one
                 found.update(_partial_collisions(
                     h, colors, idx, [v for v in edges[idx] if not colors[v]]))
         self.pairs = sorted(found)
@@ -278,17 +288,24 @@ def pattern_collisions(h: Hypergraph, c: Coloring) -> list[SamePattern]:
 
 def is_harmonious(h: Hypergraph, c: Coloring) -> bool:
     """True iff c is rainbow and no two edges show the same pattern, that is,
-    iff the m edge keys are distinct and each has k colors.
+    iff no edge repeats a color and the m edge keys are distinct; no group
+    map is built.
 
     Requires c to be total on the support of h; a partial coloring is rejected
     with ValueError since the question is not yet decided.
     """
+    return _verdict(h, c)[0]
+
+
+def _verdict(h: Hypergraph, c: Coloring) -> tuple[bool, tuple[list[tuple[int, ...]], list[int]]]:
+    """is_harmonious(h, c) and the _edge_keys it decided on, for verify to
+    build its report's EventIndex on without keying any edge again."""
     colors = _colors_on(h, c)
-    keys = {edge_key(colors, e) for e in h.edges}
-    if keys and min(keys)[0] == 0:
+    keys, repeats = keyed = _edge_keys(h, colors)
+    if keys and not min(map(itemgetter(0), keys)):
         v = next(v for v in h.support if not colors[v])
         raise ValueError(f"partial coloring: vertex {v} lies in an edge but has no color")
-    return len(keys) == h.m and all(len(key) == h.k for key in keys)
+    return not repeats and len(set(keys)) == h.m, keyed
 
 
 def local_bad_events(h: Hypergraph, c: Coloring, v: int) -> LocalEvents:

@@ -17,7 +17,7 @@ import random
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from operator import itemgetter, lt
 from typing import Iterable, Iterator, Sequence
 
@@ -48,11 +48,11 @@ class Hypergraph:
 
     Invariants, checked on construction:
       * every edge has exactly k distinct members, all in range(n);
-      * no two edges are equal as sets;
-      * degrees[v] is the number of edges containing v, so sum(degrees) == k*m.
+      * no two edges are equal as sets.
+    The degrees and the incidence lists are derived on first use.
     """
 
-    __slots__ = ("k", "n", "edges", "degrees", "__dict__")
+    __slots__ = ("k", "n", "edges", "__dict__")
 
     def __init__(self, k: int, n: int, edges: Iterable[Sequence[int]]):
         if k < 2:
@@ -63,16 +63,9 @@ class Hypergraph:
             raise ValueError(f"vertex count must be at most {sys.maxsize}, got {n}")
         # a list is checked at once; a stream, or a list with a fault, edge by edge
         canon = _canonical_edges(k, n, edges) if isinstance(edges, (list, tuple)) else None
-        if canon is None:
-            canon, degrees = _canonical_edges_one_by_one(k, n, edges)
-        else:
-            degrees = [0] * n
-            for v in chain.from_iterable(canon):
-                degrees[v] += 1
-        self.k = k
-        self.n = n
-        self.edges: tuple[tuple[int, ...], ...] = tuple(canon)
-        self.degrees: tuple[int, ...] = tuple(degrees)
+        self.k, self.n = k, n
+        self.edges: tuple[tuple[int, ...], ...] = tuple(
+            _canonical_edges_one_by_one(k, n, edges) if canon is None else canon)
 
     @property
     def m(self) -> int:
@@ -80,9 +73,21 @@ class Hypergraph:
         return len(self.edges)
 
     @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        """degrees[v] is the number of edges containing v: the lengths of the
+        incidence lists once those are built, else a count over the edges."""
+        if "incidence" in self.__dict__:
+            return tuple(map(len, self.incidence))
+        degrees = [0] * self.n
+        for v in chain.from_iterable(self.edges):
+            degrees[v] += 1
+        return tuple(degrees)
+
+    @cached_property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
         """incidence[v] lists the indices of the edges containing v, ascending."""
-        inc: list[list[int]] = [[] for _ in range(self.n)]
+        # n slots in one allocation first, so that a hostile n fails at once
+        inc: list[list[int]] = [[] for _ in [None] * self.n]
         for idx, e in enumerate(self.edges):
             for v in e:
                 inc[v].append(idx)
@@ -91,7 +96,7 @@ class Hypergraph:
     @property
     def support(self) -> tuple[int, ...]:
         """Vertices of positive degree, ascending."""
-        return tuple(v for v in range(self.n) if self.degrees[v] > 0)
+        return tuple(compress(range(self.n), self.degrees))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypergraph):
@@ -103,13 +108,12 @@ class Hypergraph:
 
 
 def _canonical_edges_one_by_one(k: int, n: int, edges: Iterable[Sequence[int]]
-                                ) -> tuple[list[tuple[int, ...]], list[int]]:
-    """The sorted edges and the degrees of a k-uniform hypergraph on n
-    vertices, checking one edge at a time as it arrives: the first fault
-    raises ValueError, naming the edge as given."""
+                                ) -> list[tuple[int, ...]]:
+    """The sorted edges of a k-uniform hypergraph on n vertices, checking one
+    edge at a time as it arrives: the first fault raises ValueError, naming
+    the edge as given."""
     canon: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
-    degrees = [0] * n
     for edge in edges:
         e = tuple(sorted(edge))
         if len(e) != k:
@@ -122,9 +126,7 @@ def _canonical_edges_one_by_one(k: int, n: int, edges: Iterable[Sequence[int]]
             raise ValueError(f"duplicate edge {e}")
         seen.add(e)
         canon.append(e)
-        for v in e:
-            degrees[v] += 1
-    return canon, degrees
+    return canon
 
 
 def _canonical_edges(k: int, n: int, edges: Sequence[Sequence[int]]

@@ -129,15 +129,15 @@ def resample_solve(h: Hypergraph, cfg: SolverConfig) -> SolveReport:
     same-pattern pair, the exact variable set the event depends on. Rejects
     t < k up front: no edge can be rainbow then.
 
-    The events live in one coloring.EventIndex that both scans pick from and
-    that each redraw refreshes through the O(kΔ) edges meeting the scope,
-    rather than a scan of all m edges. A refreshed edge's pairs are found and
-    re-confirmed within its key group alone. The event lists are flat sorted
-    lists, so each insert or delete there also shifts O(#events) entries.
-    The instance's incidence lists, which the refreshes read, are built up
-    front, before the index: the build's transient then peaks on top of the
-    parsed instance alone, not on top of the live index, and the set-up (not
-    the first step) pays for it.
+    The events live in one coloring.EventIndex, built by one bulk pass over
+    the edge keys, that both scans pick from and that each redraw refreshes
+    through the O(kΔ) edges meeting the scope, not all m edges. A refreshed
+    edge's pairs are found and re-confirmed within its key group alone. The
+    event lists are flat sorted lists, so each insert or delete there also
+    shifts O(#events) entries. The instance's incidence lists, which the
+    refreshes read, are built first: a hostile n fails in their one-piece
+    allocation, their transient peaks on top of the parsed instance alone,
+    not the live index, and the set-up, not the first step, pays for them.
     """
     if cfg.t < h.k:
         raise ValueError(f"t={cfg.t} < k={h.k}: no edge can be rainbow")
@@ -240,7 +240,7 @@ def _placement_order(h: Hypergraph) -> tuple[int, ...]:
     degree, then the least id. Both counts only grow, so a lazy heap whose
     stale entries rank below the live one gives the order in
     O((n + m k^2) log n)."""
-    degrees, edges, incidence, k = h.degrees, h.edges, h.incidence, h.k
+    incidence, degrees, edges, k = h.incidence, h.degrees, h.edges, h.k  # degrees read incidence
     placed_in = [0] * h.m  # placed members of each edge
     completes = [0] * h.n
     co_placed = [0] * h.n

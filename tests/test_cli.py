@@ -154,7 +154,8 @@ def test_verify_partial_coloring_is_a_format_problem(tmp_path, triangle_file, ca
     code = main(["verify", "--input", str(triangle_file),
                  "--coloring", str(partial)])
     assert code == 3
-    assert "has no color" in capsys.readouterr().err
+    assert capsys.readouterr() == (
+        "", "verify: partial coloring: vertex 1 lies in an edge but has no color\n")
 
 
 def test_verify_n_mismatch(tmp_path, triangle_file, capsys):
@@ -162,7 +163,8 @@ def test_verify_n_mismatch(tmp_path, triangle_file, capsys):
     other.write_text("c 3 5\nv 0 1\nv 1 2\nv 2 3\nv 3 1\nv 4 2\n")
     code = main(["verify", "--input", str(triangle_file), "--coloring", str(other)])
     assert code == 3
-    assert "n=5" in capsys.readouterr().err
+    assert capsys.readouterr() == (
+        "", "verify: coloring has n=5 but the instance has n=3\n")
 
 
 def test_missing_and_malformed_files_exit_3(tmp_path, capsys):
@@ -184,6 +186,12 @@ def test_vertex_counts_too_large_for_memory_exit_3(tmp_path, capsys):
     assert capsys.readouterr().err == "error: out of memory\n"
     assert main(["gen", "--n", huge, "--m", "1", "--max-degree", "1", "--k", "2"]) == 3
     assert capsys.readouterr().err == "error: out of memory\n"
+    # solve's first list of n slots is the incidence's, allocated in one piece
+    assert main(["solve", "--input", str(instance), "--t-policy", "lcl-min"]) == 3
+    assert capsys.readouterr().err == "error: out of memory\n"
+    # the instance itself holds no list of n slots, and an edgeless one needs no colors
+    assert main(["exact", "--input", str(instance)]) == 0
+    assert capsys.readouterr() == ("0\n", "")
 
 
 @pytest.mark.parametrize("n, err", [

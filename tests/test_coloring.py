@@ -157,6 +157,7 @@ def test_is_harmonious_rejects_partial_colorings(path3):
 def test_isolated_vertices_need_no_color():
     h = Hypergraph(2, 5, [(0, 1)])  # vertices 2..4 isolated
     assert is_harmonious(h, col(2, 1, 2, 0, 0, 0)) is True
+    assert "degrees" not in vars(h)  # read only to name an uncolored vertex
 
 
 def test_relabeling_colors_preserves_the_verdict(triangle, path4):

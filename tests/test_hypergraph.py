@@ -56,6 +56,16 @@ def test_edges_are_normalized_sorted_tuples():
     assert h.support == (0, 2, 4)
 
 
+@pytest.mark.parametrize("incidence_first", [False, True])
+def test_degrees_are_counted_on_first_use_either_way(incidence_first):
+    h = builtin_instance("k-star", 4, k=3)
+    assert "degrees" not in vars(h) and "incidence" not in vars(h)
+    if incidence_first:
+        h.incidence
+    assert h.degrees == (4, 1, 1, 1, 1, 1, 1, 1, 1) == tuple(map(len, h.incidence))
+    assert h.support == tuple(range(9))
+
+
 def test_max_degree():
     assert max_degree(Hypergraph(2, 3, [])) == 0
     assert max_degree(builtin_instance("path", 4)) == 2

@@ -32,7 +32,7 @@ from harmcolor import (
     serialize_coloring,
     serialize_hypergraph,
 )
-from harmcolor.coloring import EventIndex, edge_key
+from harmcolor.coloring import EventIndex, _edge_keys, edge_key
 from harmcolor.solver import EVENT_SCANS, _placement_order, _uniform_colors
 from oracles import (coloring_of, naive_bad_edges, naive_h, naive_pattern_pairs,
                      naive_placement_order)
@@ -322,6 +322,45 @@ FIXED_WALKS = {
 @pytest.mark.parametrize("name", FIXED_WALKS)
 def test_fixed_walks_track_the_oracles(name):
     walk_event_indexes(*FIXED_WALKS[name])
+
+
+@st.composite
+def partial_colorings(draw):
+    """An instance with k = 2..5 and m >= 0, a small palette and a color
+    list with 0s, so that edges repeat colors and hold several 0s."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(k, 8))
+    edges = draw(st.lists(st.sampled_from(list(combinations(range(n), k))),
+                          max_size=10, unique=True))
+    t = draw(st.integers(1, 4))
+    return Hypergraph(k, n, edges), t, draw(st.lists(st.integers(0, t), min_size=n, max_size=n))
+
+
+# an edge with two 0s and a repeat, one with a 0 alone, a rainbow one, and m = 0
+KEY_CASES = [(Hypergraph(3, 6, [(0, 1, 2), (2, 3, 4), (3, 4, 5)]), 2, [0, 0, 1, 1, 0, 2]),
+             (Hypergraph(5, 5, []), 1, [0, 1, 0, 1, 0])]
+
+
+@pytest.mark.parametrize("case", KEY_CASES, ids=["two-zeros", "edgeless"])
+def test_bulk_edge_keys_on_fixed_cases(case):
+    check_bulk_edge_keys(case)
+
+
+@given(partial_colorings())
+@settings(max_examples=300, deadline=None)
+def test_bulk_edge_keys_match_edge_key_and_the_oracles(case):
+    check_bulk_edge_keys(case)
+
+
+def check_bulk_edge_keys(case):
+    """The bulk pass gives every edge its edge_key and lists exactly the
+    edges whose key is shorter than k; the index built on it agrees with
+    the oracles on groups, bad edges and pairs."""
+    h, t, colors = case
+    keys, repeats = _edge_keys(h, colors)
+    assert keys == [edge_key(colors, e) for e in h.edges]
+    assert repeats == [idx for idx, key in enumerate(keys) if len(key) < h.k]
+    walk_event_indexes(h, t, colors, [])
 
 
 def golden_instance(seed: int, k: int, n: int, m: int, dmax: int | None = None) -> Hypergraph:
