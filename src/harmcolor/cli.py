@@ -13,50 +13,31 @@ or infeasible parameters, 3 I/O or format errors, or out of memory.
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
-import json
 import sys
-from dataclasses import MISSING, dataclass, fields, replace
-from fractions import Fraction
 from itertools import product
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .bounds import (
-    bad_edge_prob_bound,
-    bad_edge_prob_exact,
-    check_certificate_k,
-    lcl_condition,
-    lcl_min_colors,
-    lower_bound_colors,
-    monte_carlo_event_probs,
-    pattern_prob_bound,
-    remark_bound,
-    tau_grid_search,
-    theorem_bound,
-    theorem_ceil_colors,
-)
-from .coloring import EventIndex, _verdict, colors_used, parse_coloring, serialize_coloring
+# each command imports the other modules, and csv, fractions and json, when it
+# runs, so that a CLI child loads only what its command needs
 from .hypergraph import (
+    DEFAULT_NODE_BUDGET,
+    EVENT_SCANS,
     FormatError,
     GenerationFailure,
     GeneratorConfig,
     Hypergraph,
     InfeasibleConfigError,
+    _Checked,
     generate_random_bounded_degree,
     max_degree,
     parse_hypergraph,
     serialize_hypergraph,
 )
-from .solver import (
-    DEFAULT_NODE_BUDGET,
-    EVENT_SCANS,
-    NodeBudgetExceeded,
-    SolverConfig,
-    exact_harmonious_number,
-    resample_solve,
-)
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -97,17 +78,12 @@ def _check_spec_type(key: str, value: object, kind: type | tuple[type, ...],
     if value is None and nullable:
         return
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        import json
         raise ValueError(f"experiment spec key {key!r} must be {TYPE_NAMES[kind]}"
                          f"{' or null' if nullable else ''}, got {json.dumps(value)}")
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """A batch plan: the cartesian product of the parameter lists forms the
-    cells, each run for ``trials`` trials. Row seeds are base_seed + row index,
-    where the row index is the (cell, trial) position in the plan — one integer
-    reproduces the whole file bit for bit."""
-
+class _SpecFields(NamedTuple):
     k_values: tuple[int, ...]
     n_values: tuple[int, ...]
     m_values: tuple[int, ...]
@@ -123,7 +99,17 @@ class ExperimentSpec:
     max_resamples: int | None = None
     event_scan: str = "deterministic"
 
-    def __post_init__(self):
+
+class ExperimentSpec(_Checked, _SpecFields):
+    """A batch plan: the cartesian product of the parameter lists forms the
+    cells, each run for ``trials`` trials. Row seeds are base_seed + row index,
+    where the row index is the (cell, trial) position in the plan — one integer
+    reproduces the whole file bit for bit."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
+        from .bounds import check_certificate_k
         for name in ("k_values", "n_values", "m_values", "max_degree_values"):
             values = getattr(self, name)
             if not values:
@@ -153,13 +139,14 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
+        import json
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("experiment spec must be a JSON object")
         unknown = set(data) - set(SPEC_KEYS)
         if unknown:
             raise ValueError(f"unknown experiment spec keys: {sorted(unknown)}")
-        required = {f.name for f in fields(cls) if f.default is MISSING}
+        required = set(cls._fields) - set(cls._field_defaults)
         missing = [key for key, (field_name, _, _) in SPEC_KEYS.items()
                    if field_name in required and key not in data]
         if missing:
@@ -183,6 +170,7 @@ def _policy_t(policy: str, t_fixed: int | None, eps: float,
               k: int, delta: int, m: int, lcl_min: int | None = None) -> int:
     """The palette a policy names; lcl_min, when given, is
     lcl_min_colors(k, delta, m) already computed."""
+    from .bounds import lcl_min_colors, theorem_ceil_colors
     if policy == "fixed":
         assert t_fixed is not None
         return t_fixed
@@ -200,6 +188,7 @@ def run_experiment(spec: ExperimentSpec) -> list[dict[str, object]]:
     after every cell so a failing cell cannot take earlier results with it),
     and return the rows. A failing cell is reported on stderr and skipped; the
     harness continues with the next cell."""
+    import csv
     cells = list(product(spec.k_values, spec.n_values, spec.m_values,
                          spec.max_degree_values))
     rows: list[dict[str, object]] = []
@@ -222,6 +211,8 @@ def run_experiment(spec: ExperimentSpec) -> list[dict[str, object]]:
 
 def _run_cell(spec: ExperimentSpec, cell_index: int,
               k: int, n: int, m: int, dmax: int) -> list[dict[str, object]]:
+    from .bounds import lcl_min_colors, lower_bound_colors, remark_bound, theorem_bound
+    from .solver import NodeBudgetExceeded, SolverConfig, exact_harmonious_number, resample_solve
     out: list[dict[str, object]] = []
     for trial in range(spec.trials):
         seed = spec.base_seed + cell_index * spec.trials + trial
@@ -275,6 +266,8 @@ def _load_instance(path: str) -> Hypergraph:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    from .coloring import serialize_coloring
+    from .solver import SolverConfig, resample_solve
     instance = _load_instance(args.input)
     if args.t_policy == "fixed":
         if args.colors is None:
@@ -312,6 +305,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .coloring import EventIndex, _verdict, colors_used, parse_coloring
     instance = _load_instance(args.input)
     coloring, _ = parse_coloring(Path(args.coloring).read_text())
     try:  # also refuses a coloring of another vertex count
@@ -333,13 +327,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_exact(args: argparse.Namespace) -> int:
+    from .solver import NodeBudgetExceeded, exact_harmonious_number
     instance = _load_instance(args.input)
-    value = exact_harmonious_number(instance, args.node_budget)
+    try:
+        value = exact_harmonious_number(instance, args.node_budget)
+    except NodeBudgetExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NEGATIVE
     print(value)
     return EXIT_OK
 
 
 def _bound_rows(args: argparse.Namespace) -> list[tuple[str, str]]:
+    from .bounds import (bad_edge_prob_bound, bad_edge_prob_exact, check_certificate_k,
+                         lcl_condition, lcl_min_colors, lower_bound_colors,
+                         monte_carlo_event_probs, pattern_prob_bound, remark_bound,
+                         tau_grid_search, theorem_bound)
     k, delta, m, eps = args.k, args.delta, args.m, args.eps
     check_certificate_k(k)  # first: the closed forms' k! alone takes hours at k = 10**9
     rows = [
@@ -383,6 +386,7 @@ def _bound_rows(args: argparse.Namespace) -> list[tuple[str, str]]:
 def cmd_bound(args: argparse.Namespace) -> int:
     rows = _bound_rows(args)
     if args.format == "csv":
+        import csv
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow([name for name, _ in rows])
         writer.writerow([value for _, value in rows])
@@ -394,9 +398,14 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    spec = ExperimentSpec.from_json(Path(args.spec).read_text())
+    import json
+    try:
+        spec = ExperimentSpec.from_json(Path(args.spec).read_text())
+    except json.JSONDecodeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     if args.output:
-        spec = replace(spec, output=args.output)
+        spec = spec._replace(output=args.output)
     rows = run_experiment(spec)
     print(f"wrote {spec.output}: {len(rows)} rows")
     return EXIT_OK if rows else EXIT_NEGATIVE
@@ -409,6 +418,7 @@ def _rational(text: str) -> Fraction:
     a usage error like any other malformed number. Fraction computes
     10**exponent exactly, so an exponent beyond the int digit limit (Python's
     default of 4300 when the limit is off) is refused before it is built."""
+    from fractions import Fraction
     exponent = text.strip().lower().partition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
     if exponent.isdecimal() and (len(exponent) > len(str(limit)) or int(exponent) > limit):
@@ -511,13 +521,13 @@ def _run(argv: Sequence[str] | None) -> int:
     except InfeasibleConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FormatError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (FormatError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except MemoryError:  # e.g. a header or --n declaring more vertices than fit
         print("error: out of memory", file=sys.stderr)
         return EXIT_IO
-    except (GenerationFailure, NodeBudgetExceeded) as exc:
+    except GenerationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
     except ValueError as exc:

@@ -22,26 +22,27 @@ from __future__ import annotations
 import random
 import sys
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, compress, repeat
 from operator import eq, itemgetter, not_
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
-from .hypergraph import (FormatError, Hypergraph, _block_columns, _content_lines,
+from .hypergraph import (FormatError, Hypergraph, _block_columns, _Checked, _content_lines,
                          _header_and_blocks)
 
 
-@dataclass(frozen=True)
-class Coloring:
-    """Colors 1..t of the vertices 0..n-1, a list indexed by vertex with 0 for
-    an uncolored vertex; ``t`` is the palette size, not the number of colors
-    in use. The list is kept, not copied: do not change it afterwards."""
-
+class _ColoringFields(NamedTuple):
     t: int
     colors: list[int]
 
-    def __post_init__(self):
+
+class Coloring(_Checked, _ColoringFields):
+    """Colors 1..t of the vertices 0..n-1, a list indexed by vertex with 0 for
+    an uncolored vertex; ``t`` is the palette size, not the number of colors
+    in use. The list is kept, not copied: do not change it afterwards. No
+    __slots__: the instance dict holds the cached ``assignment``."""
+
+    def _check(self) -> None:
         if self.t < 1:
             raise ValueError(f"palette size must be at least 1, got {self.t}")
         if self.colors and not 0 <= min(self.colors) <= max(self.colors) <= self.t:
@@ -54,35 +55,37 @@ class Coloring:
         return {v: c for v, c in enumerate(self.colors) if c}
 
 
-@dataclass(frozen=True, order=True)
-class BadEdge:
+class BadEdge(NamedTuple):
     """A non-rainbow edge, by index."""
 
     edge: int
 
 
-@dataclass(frozen=True, order=True)
-class SamePattern:
-    """An unordered pair of distinct edges (by index, e < f) showing the same
-    pattern, with i = |e\\f| = k - |e∩f|."""
-
+class _PatternFields(NamedTuple):
     e: int
     f: int
     i: int
 
-    def __post_init__(self):
+
+class SamePattern(_Checked, _PatternFields):
+    """An unordered pair of distinct edges (by index, e < f) showing the same
+    pattern, with i = |e\\f| = k - |e∩f|."""
+
+    __slots__ = ()
+
+    def __new__(cls, e: int, f: int, i: int):
+        if e > f:  # canonicalize the unordered pair
+            e, f = f, e
+        return super().__new__(cls, e, f, i)
+
+    def _check(self) -> None:
         if self.e == self.f:
             raise ValueError("a pattern collision needs two distinct edges")
-        if self.e > self.f:  # canonicalize the unordered pair
-            e, f = self.e, self.f
-            object.__setattr__(self, "e", f)
-            object.__setattr__(self, "f", e)
         if self.i < 1:
             raise ValueError(f"|e\\f| must be at least 1, got {self.i}")
 
 
-@dataclass(frozen=True)
-class LocalEvents:
+class LocalEvents(NamedTuple):
     """Bad events seen from one vertex: b1 holds the bad edges containing v,
     b2[i] the same-pattern pairs {e, f} with v in e ∪ f and |e\\f| = i, for
     i = 1..k (i = k is the disjoint-pair class)."""

@@ -15,16 +15,20 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
 from operator import itemgetter, lt
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 BLOCK_LINES = 1024
 """Lines per block of the block readers. A block's token lists and converted
 columns are the readers' only transient besides the result, so this bounds
 their memory over the result's."""
+
+# the resampler's pick rules and the exact search's default node budget, kept
+# here so that the CLI parser reads them without loading the solver
+EVENT_SCANS = ("deterministic", "random")
+DEFAULT_NODE_BUDGET = 5_000_000
 
 
 class FormatError(ValueError):
@@ -158,8 +162,32 @@ def _increasing(edges: Sequence[tuple[int, ...]], k: int) -> bool:
                for j in range(k - 1))
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+class _Checked:
+    """The base of a record that subclasses a NamedTuple of its fields and
+    vets each new instance in ``_check``, also one built by ``_replace``."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # the NamedTuple one skips __new__
+        return cls(*iterable)
+
+
+class _GeneratorFields(NamedTuple):
+    k: int
+    n: int
+    m: int
+    max_degree: int
+    seed: int = 0
+    max_restarts: int | None = None
+
+
+class GeneratorConfig(_Checked, _GeneratorFields):
     """Parameters for bounded-degree random instances.
 
     Two conditions are necessary for existence and are checked eagerly: the
@@ -168,14 +196,9 @@ class GeneratorConfig:
     the restart budget. max_restarts=None means the default 100*m.
     """
 
-    k: int
-    n: int
-    m: int
-    max_degree: int
-    seed: int = 0
-    max_restarts: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self) -> None:
         if self.k < 2:
             raise ValueError(f"k must be at least 2, got {self.k}")
         if self.k > self.n:

@@ -9,27 +9,31 @@ a greedy first-fit baseline.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import comb
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, NamedTuple, Union
 
 from .bounds import lower_bound_colors
 from .coloring import (BadEdge, Coloring, EventIndex, SamePattern, _partial_collisions,
                        colors_used, edge_key)
-from .hypergraph import Hypergraph
+from .hypergraph import DEFAULT_NODE_BUDGET, EVENT_SCANS, Hypergraph, _Checked
 
 DEFAULT_RESAMPLES_PER_EDGE = 10 ** 5
-DEFAULT_NODE_BUDGET = 5_000_000
-EVENT_SCANS = ("deterministic", "random")
 
 
 class NodeBudgetExceeded(RuntimeError):
     """The exact search ran out of nodes before settling the answer."""
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class _SolverFields(NamedTuple):
+    t: int
+    seed: int = 0
+    max_resamples: int | None = None
+    event_scan: str = "deterministic"
+    trace_limit: int = 0
+
+
+class SolverConfig(_Checked, _SolverFields):
     """Knobs for resample_solve.
 
     max_resamples=None means the default budget of 10^5 per edge. event_scan
@@ -39,13 +43,9 @@ class SolverConfig:
     that many steps: the event, its ascending scope, the scope's new colors.
     """
 
-    t: int
-    seed: int = 0
-    max_resamples: int | None = None
-    event_scan: str = "deterministic"
-    trace_limit: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self) -> None:
         if self.t < 1:
             raise ValueError(f"palette size must be at least 1, got {self.t}")
         if self.max_resamples is not None and self.max_resamples < 0:
@@ -56,15 +56,13 @@ class SolverConfig:
             raise ValueError("trace_limit must be nonnegative")
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     event: Union[BadEdge, SamePattern]
     scope: tuple[int, ...]
     colors_after: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(NamedTuple):
     """Outcome of one resampling run. success implies the coloring is
     harmonious; on a blown budget the last coloring and the counts survive."""
 

@@ -598,7 +598,10 @@ def spec_dict(tmp_path, **overrides):
 
 
 def test_experiment_spec_validation(tmp_path):
-    ExperimentSpec.from_json(json.dumps(spec_dict(tmp_path)))
+    spec = ExperimentSpec.from_json(json.dumps(spec_dict(tmp_path)))
+    for bad in [{"trials": 0}, {"k_values": (1,)}, {"event_scan": "sideways"}]:
+        with pytest.raises(ValueError):
+            spec._replace(**bad)  # the spec is a tuple; _replace checks it too
     for bad in [
         {"k": []},
         {"trials": 0},
@@ -764,13 +767,49 @@ def test_loading_the_cli_does_not_import_numpy():
     assert proc.stdout.strip() == "False"
 
 
+# run one command, then print the package modules and the probed stdlib
+# modules it left loaded
+LOAD_SET = ("import sys\nfrom harmcolor import main\ncode = main(sys.argv[1:])\n"
+            "print(*sorted(name for name in sys.modules if name.startswith('harmcolor.')\n"
+            "              or name in ('dataclasses', 'fractions', 'csv')))\nsys.exit(code)")
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    # -S: a module that site or a .pth file preloads cannot mask an import
+    proc = run_python("-S", "-c", "import sys, harmcolor\n"
+                      "print([name for name in sys.modules if name.startswith('harmcolor.')])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    instance, coloring, spec = tmp_path / "h.txt", tmp_path / "c.txt", tmp_path / "spec.json"
+    spec.write_text(json.dumps(spec_dict(tmp_path)))
+    commands = {
+        "gen": ["--k", "2", "--n", "8", "--m", "5", "--max-degree", "3", "--output", str(instance)],
+        "solve": ["--input", str(instance), "--t-policy", "lcl-min", "--output", str(coloring)],
+        "verify": ["--input", str(instance), "--coloring", str(coloring)],
+        "exact": ["--input", str(instance)],
+        "bound": ["--k", "2", "--delta", "3", "--m", "5", "--t", "5", "--tau", "3/2"],
+        "experiment": ["--spec", str(spec)],
+    }
+    loaded = {}
+    for command, args in commands.items():
+        proc = run_python("-S", "-c", LOAD_SET, command, *args)
+        assert proc.returncode == 0, proc.stderr
+        loaded[command] = set(proc.stdout.splitlines()[-1].split())
+    assert loaded["gen"] == {"harmcolor.cli", "harmcolor.hypergraph"}
+    assert loaded["verify"] == loaded["gen"] | {"harmcolor.coloring"}
+    assert loaded["bound"] == loaded["gen"] | {"harmcolor.bounds", "fractions"}
+    assert {"harmcolor.solver", "csv"} <= loaded["experiment"]
+    assert not any("dataclasses" in names for names in loaded.values())
+
+
 def test_the_package_loads_the_cli_lazily_and_exports_what_it_lists():
     proc = run_python("-c", "import sys, harmcolor\n"
                       "print('harmcolor.cli' in sys.modules)\n"
+                      "print([name for name in harmcolor.__all__ if name not in dir(harmcolor)])\n"
                       "print([name for name in harmcolor.__all__"
                       " if not hasattr(harmcolor, name)])")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:2] == ["False", "[]"]
+    assert proc.stdout.split("\n")[:3] == ["False", "[]", "[]"]
     proc = run_python("-W", "error", "-m", "harmcolor.cli", "--help")
     assert proc.returncode == 0, proc.stderr
     assert "experiment" in proc.stdout

@@ -51,6 +51,26 @@ def test_same_pattern_is_canonicalized():
         SamePattern(e=0, f=1, i=0)
 
 
+def test_records_check_every_construction_path():
+    # the records are tuples: _make and _replace build through the checks too
+    assert SamePattern._make((5, 2, 1)) == SamePattern(2, 5, 1)
+    assert type(SamePattern._make((5, 2, 1))) is SamePattern
+    with pytest.raises(ValueError):
+        SamePattern(2, 5, 1)._replace(f=2)
+    with pytest.raises(ValueError, match="vertex 1 has color 3"):
+        Coloring(2, [0, 3])
+    with pytest.raises(ValueError, match="vertex 1 has color 3"):
+        col(2, 0, 1)._replace(colors=[0, 3])
+    with pytest.raises(ValueError):
+        Coloring._make((0, []))
+    assert repr(BadEdge(3)) == "BadEdge(edge=3)"
+    assert repr(SamePattern(5, 2, 1)) == "SamePattern(e=2, f=5, i=1)"
+    assert repr(col(2, 0, 2)) == "Coloring(t=2, colors=[0, 2])"
+    assert sorted([SamePattern(1, 2, 1), SamePattern(0, 3, 2), SamePattern(0, 2, 1)]) == [
+        SamePattern(0, 2, 1), SamePattern(0, 3, 2), SamePattern(1, 2, 1)]
+    assert BadEdge(2) < BadEdge(3) and hash(BadEdge(3)) == hash((3,))
+
+
 def test_colors_used():
     assert colors_used(col(9, 1, 5, 1, 5)) == 2
     assert colors_used(col(9, 1, 0, 5, 0)) == 2

@@ -4,7 +4,6 @@ fuzzing of both file parsers."""
 import hashlib
 import re
 import time
-from dataclasses import replace
 from math import comb
 
 import pytest
@@ -429,6 +428,11 @@ def test_generator_config_validation():
         GeneratorConfig(k=4, n=3, m=1, max_degree=4)  # k > n
     with pytest.raises(InfeasibleConfigError, match="infeasible"):
         GeneratorConfig(k=2, n=4, m=7, max_degree=3)  # 14 > 12
+    feasible = GeneratorConfig(k=2, n=4, m=6, max_degree=3)
+    with pytest.raises(InfeasibleConfigError, match="infeasible"):
+        feasible._replace(m=7)  # _replace runs the checks as well
+    with pytest.raises(ValueError):
+        GeneratorConfig._make((1, 3, 1, 1))
     # m=0 is fine and yields the edgeless instance
     empty = generate_random_bounded_degree(GeneratorConfig(k=2, n=3, m=0, max_degree=1))
     assert empty.m == 0 and empty.n == 3
@@ -486,7 +490,7 @@ def test_generator_fails_when_its_restarts_run_out():
     cfg = GeneratorConfig(k=2, n=4, m=4, max_degree=2, seed=1, max_restarts=0)
     with pytest.raises(GenerationFailure):
         generate_random_bounded_degree(cfg)
-    assert generate_random_bounded_degree(replace(cfg, max_restarts=None)).m == 4
+    assert generate_random_bounded_degree(cfg._replace(max_restarts=None)).m == 4
 
 
 @st.composite

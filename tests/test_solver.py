@@ -88,6 +88,17 @@ def test_resample_rejects_small_palette(triangle):
         resample_solve(triangle, SolverConfig(t=1))
 
 
+def test_solver_config_checks_every_construction_path():
+    for bad in ({"t": 0}, {"max_resamples": -1}, {"event_scan": "sideways"}, {"trace_limit": -1}):
+        with pytest.raises(ValueError):
+            SolverConfig(**{"t": 3, **bad})
+        with pytest.raises(ValueError):
+            SolverConfig(t=3)._replace(**bad)  # the records are tuples; _replace checks too
+    assert SolverConfig._make((3,)) == SolverConfig(t=3) == (3, 0, None, "deterministic", 0)
+    assert repr(SolverConfig(t=3)) == ("SolverConfig(t=3, seed=0, max_resamples=None, "
+                                       "event_scan='deterministic', trace_limit=0)")
+
+
 def test_resample_single_edge_gets_a_permutation():
     h = builtin_instance("matching", 1, k=3)
     report = resample_solve(h, SolverConfig(t=3, seed=2))
