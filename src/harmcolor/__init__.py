@@ -25,6 +25,7 @@ _EXPORTS = {name: module for module, names in {
     "solver": "NodeBudgetExceeded SolveReport SolverConfig TraceStep exact_harmonious_number "
               "greedy_upper resample_solve sample_uniform_coloring",
 }.items() for name in names.split()}
+__all__ = [*sorted(_EXPORTS), "__version__"]
 
 
 def __getattr__(name: str):
@@ -38,51 +39,3 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
 
-
-__all__ = [
-    "BadEdge",
-    "Coloring",
-    "ExperimentSpec",
-    "FormatError",
-    "GenerationFailure",
-    "GeneratorConfig",
-    "Hypergraph",
-    "InfeasibleConfigError",
-    "LclResult",
-    "LocalEvents",
-    "NodeBudgetExceeded",
-    "SamePattern",
-    "SolveReport",
-    "SolverConfig",
-    "TraceStep",
-    "bad_edge_prob_bound",
-    "bad_edge_prob_exact",
-    "bad_edges",
-    "builtin_instance",
-    "colors_used",
-    "exact_harmonious_number",
-    "generate_random_bounded_degree",
-    "greedy_upper",
-    "is_harmonious",
-    "lcl_condition",
-    "lcl_min_colors",
-    "local_bad_events",
-    "lower_bound_colors",
-    "main",
-    "max_degree",
-    "monte_carlo_event_probs",
-    "parse_coloring",
-    "parse_hypergraph",
-    "pattern_collisions",
-    "pattern_prob_bound",
-    "remark_bound",
-    "resample_solve",
-    "run_experiment",
-    "sample_uniform_coloring",
-    "serialize_coloring",
-    "serialize_hypergraph",
-    "tau_grid_search",
-    "theorem_bound",
-    "theorem_ceil_colors",
-    "__version__",
-]

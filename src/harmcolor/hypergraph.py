@@ -265,15 +265,16 @@ def _line_blocks(text: str) -> Iterator[list[str]]:
 
 def _header_and_blocks(text: str) -> tuple[int, str, list[str], Iterator[list[str]]]:
     """The first content line of text as _content_lines gives it, and the
-    line blocks after it. Raises ValueError when the first block has no
-    content line; the line reader then looks further."""
-    blocks = _line_blocks(text)
-    first = next(blocks, [])
-    for at, raw in enumerate(first):
-        tokens = raw.split()
-        if tokens and not tokens[0].startswith("#"):
-            return at + 1, raw.strip(), tokens, chain([first[at + 1:]], blocks)
-    raise ValueError("no header line in the first block")
+    line blocks after it. Raises ValueError when text has no content line;
+    the line reader then names the fault."""
+    blocks, before = _line_blocks(text), 0
+    for block in blocks:
+        for at, raw in enumerate(block):
+            tokens = raw.split()
+            if tokens and not tokens[0].startswith("#"):
+                return before + at + 1, raw.strip(), tokens, chain([block[at + 1:]], blocks)
+        before += len(block)
+    raise ValueError("no header line")
 
 
 def _block_columns(block: list[str], tag: str, width: int) -> list[tuple[str, ...]]:
@@ -444,30 +445,21 @@ def generate_random_bounded_degree(cfg: GeneratorConfig) -> Hypergraph:
     for _ in range(attempts):
         capacity = [cfg.max_degree] * n
         live = _LiveVertices(n)
-        chosen: list[tuple[int, ...]] = []
-        taken: set[tuple[int, ...]] = set()
-        dead = False
-        while len(chosen) < cfg.m:
-            if live.size < k:
-                dead = True
-                break
-            edge: tuple[int, ...] | None = None
+        chosen: dict[tuple[int, ...], None] = {}  # the edges in draw order
+        while len(chosen) < cfg.m and live.size >= k:
             for _draw in range(100):
-                cand = tuple(sorted(map(live.vertex, rng.sample(range(live.size), k))))
-                if cand not in taken:
-                    edge = cand
+                edge = tuple(sorted(map(live.vertex, rng.sample(range(live.size), k))))
+                if edge not in chosen:
                     break
-            if edge is None:  # only duplicates within the draw budget
-                dead = True
+            else:  # only duplicates within the draw budget
                 break
-            taken.add(edge)
-            chosen.append(edge)
+            chosen[edge] = None
             for v in edge:
                 capacity[v] -= 1
                 if not capacity[v]:
                     live.discard(v)
-        if not dead:
-            return Hypergraph(k, n, chosen)
+        if len(chosen) == cfg.m:
+            return Hypergraph(k, n, list(chosen))
     raise GenerationFailure(
         f"no valid instance after {attempts} attempts "
         f"(k={cfg.k}, n={cfg.n}, m={cfg.m}, max_degree={cfg.max_degree}, seed={cfg.seed})"

@@ -13,7 +13,6 @@ from heapq import heapify, heappop, heappush
 from math import comb
 from typing import Callable, Mapping, NamedTuple, Union
 
-from .bounds import lower_bound_colors
 from .coloring import (BadEdge, Coloring, EventIndex, SamePattern, _partial_collisions,
                        colors_used, edge_key)
 from .hypergraph import DEFAULT_NODE_BUDGET, EVENT_SCANS, Hypergraph, _Checked
@@ -223,6 +222,7 @@ def exact_harmonious_number(h: Hypergraph, node_budget: int = DEFAULT_NODE_BUDGE
         raise ValueError(f"node budget must be nonnegative, got {node_budget}")
     if h.m == 0:
         return 0
+    from .bounds import lower_bound_colors
     order = _placement_order(h)
     remaining = [node_budget]
     for t in range(lower_bound_colors(h.k, h.m), h.n + 1):

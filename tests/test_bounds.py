@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from harmcolor import (
+    LclResult,
     bad_edge_prob_bound,
     bad_edge_prob_exact,
     lcl_condition,
@@ -168,6 +169,7 @@ def test_pattern_prob_bound():
 
 def test_lcl_condition_frozen_fractions():
     res = lcl_condition(2, 1, 1, t=30)
+    assert isinstance(res, LclResult)
     assert res.holds is True and res.slack == Fraction(73, 225)
     res = lcl_condition(2, 1, 1, t=10)
     assert res.holds is False and res.slack == Fraction(-27, 25)

@@ -647,6 +647,22 @@ def test_experiment_rows_carry_bounds_and_exact(tmp_path):
         assert int(row["t"]) >= int(row["k"])
 
 
+def test_experiment_fixed_palette_infeasible_cells_and_short_node_budget(tmp_path, capsys):
+    # (k, n) = (2, 4) and (3, 4) cannot hold 8 edges; a 3-node budget settles no h
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec_dict(
+        tmp_path, k=[2, 3], n=[4, 24], m=[8], max_degree=[3], trials=2, t_policy="fixed",
+        t=9, eps=ABSENT, base_seed=7, exact_node_budget=3)))
+    assert main(["experiment", "--spec", str(spec_file)]) == 0
+    assert capsys.readouterr().err.count("warning: cell") == 2
+    lines = (tmp_path / "rows.csv").read_text().splitlines()
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    # seeds stay base_seed + cell_index * trials + trial past the skipped cells 0 and 2
+    assert [(row["k"], row["n"], row["seed"]) for row in rows] == [
+        ("2", "24", "9"), ("2", "24", "10"), ("3", "24", "13"), ("3", "24", "14")]
+    assert {(row["t_policy"], row["t"], row["exact_h"]) for row in rows} == {("fixed", "9", "")}
+
+
 def test_experiment_bad_spec_json_exits_3(tmp_path, capsys):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text("{not json")
@@ -785,6 +801,7 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     commands = {
         "gen": ["--k", "2", "--n", "8", "--m", "5", "--max-degree", "3", "--output", str(instance)],
         "solve": ["--input", str(instance), "--t-policy", "lcl-min", "--output", str(coloring)],
+        "solve --colors": ["--input", str(instance), "--colors", "8", "--output", str(coloring)],
         "verify": ["--input", str(instance), "--coloring", str(coloring)],
         "exact": ["--input", str(instance)],
         "bound": ["--k", "2", "--delta", "3", "--m", "5", "--t", "5", "--tau", "3/2"],
@@ -792,12 +809,14 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     }
     loaded = {}
     for command, args in commands.items():
-        proc = run_python("-S", "-c", LOAD_SET, command, *args)
+        proc = run_python("-S", "-c", LOAD_SET, command.split()[0], *args)
         assert proc.returncode == 0, proc.stderr
         loaded[command] = set(proc.stdout.splitlines()[-1].split())
     assert loaded["gen"] == {"harmcolor.cli", "harmcolor.hypergraph"}
     assert loaded["verify"] == loaded["gen"] | {"harmcolor.coloring"}
     assert loaded["bound"] == loaded["gen"] | {"harmcolor.bounds", "fractions"}
+    # a fixed palette needs no bound: the solver imports bounds only for the exact search
+    assert loaded["solve --colors"] == loaded["verify"] | {"harmcolor.solver"}
     assert {"harmcolor.solver", "csv"} <= loaded["experiment"]
     assert not any("dataclasses" in names for names in loaded.values())
 

@@ -13,6 +13,7 @@ from harmcolor import (
     Coloring,
     FormatError,
     Hypergraph,
+    LocalEvents,
     SamePattern,
     bad_edges,
     builtin_instance,
@@ -197,6 +198,7 @@ def test_relabeling_colors_preserves_the_verdict(triangle, path4):
 
 def test_local_events_path(path3):
     ev = local_bad_events(path3, col(2, 1, 2, 1), 1)
+    assert isinstance(ev, LocalEvents)
     assert ev.b1 == ()
     assert ev.b2[1] == (SamePattern(0, 1, 1),)
     assert ev.b2[2] == ()

@@ -286,6 +286,42 @@ def test_the_block_readers_read_every_block(m):
     assert _parse_coloring_blocks(text) == (Coloring(3, colors), m)
 
 
+def test_a_long_preamble_is_read_by_the_block_readers(monkeypatch):
+    # 1,100 comment and blank lines put the header past the first block
+    preamble = ["# a comment", ""] * 550
+
+    def line_reader(text):
+        raise AssertionError("the line reader read a valid text")
+
+    monkeypatch.setattr("harmcolor.hypergraph._parse_hypergraph_lines", line_reader)
+    monkeypatch.setattr("harmcolor.coloring._parse_coloring_lines", line_reader)
+    text = "\n".join(preamble + instance_lines(3000)) + "\n"
+    assert parse_hypergraph(text) == builtin_instance("path", 3001)
+    text = "\n".join(preamble + coloring_lines(3000)) + "\n"
+    assert parse_coloring(text) == (Coloring(3, [1 + v % 3 for v in range(3000)]), 3000)
+    # the block reader names a bad header there on its line
+    with pytest.raises(FormatError) as err:
+        _parse_hypergraph_blocks("\n".join(preamble + ["p hg 2 x 5"]))
+    assert err.value.line == len(preamble) + 1
+
+
+def test_the_block_readers_widen_their_slice_for_long_lines():
+    # 97 chars an edge line and up to 87 a coloring line: 1024 lines overflow
+    # the first 64 KiB slice, and a comment line longer than that overflows the next
+    m = 1500
+    h = Hypergraph(12, 10 ** 6 + 12 * m,
+                   [tuple(range(10 ** 6 + 12 * j, 10 ** 6 + 12 * (j + 1))) for j in range(m)])
+    lines = serialize_hypergraph(h).split("\n")
+    lines.insert(500, "# " + "x" * 70_000)
+    text = "\n".join(lines)
+    assert _parse_hypergraph_blocks(text) == _parse_hypergraph_lines(text) == h
+    c = Coloring(10 ** 80, [10 ** 79 + v for v in range(m)])
+    lines = serialize_coloring(c, m).split("\n")
+    lines.insert(500, "# " + "x" * 70_000)
+    text = "\n".join(lines)
+    assert _parse_coloring_blocks(text) == _parse_coloring_lines(text) == (c, m)
+
+
 @pytest.mark.parametrize("line", [1024, 1025, 2049])
 @pytest.mark.parametrize("fault, needle", [
     ("e 0 99999", "vertex id outside"),

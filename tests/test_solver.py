@@ -17,7 +17,9 @@ from harmcolor import (
     Hypergraph,
     NodeBudgetExceeded,
     SamePattern,
+    SolveReport,
     SolverConfig,
+    TraceStep,
     builtin_instance,
     exact_harmonious_number,
     generate_random_bounded_degree,
@@ -189,10 +191,12 @@ def test_trace_starts_at_the_uniform_sample_and_touches_only_scopes():
     h = builtin_instance("cycle", 5)
     cfg = SolverConfig(t=5, seed=3, trace_limit=10_000)  # seed 3: 42 resamples
     report = resample_solve(h, cfg)
+    assert isinstance(report, SolveReport)
     assert report.success and not report.trace_truncated
     assert len(report.trace) == report.resamples_total >= 2
     current = list(sample_uniform_coloring(h, 5, seed=3).colors)
     for step in report.trace:
+        assert isinstance(step, TraceStep)
         assert len(step.colors_after) == len(step.scope)
         for v, c in zip(step.scope, step.colors_after):
             current[v] = c
