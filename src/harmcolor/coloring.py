@@ -136,19 +136,6 @@ def _edge_keys(h: Hypergraph, colors: list[int]) -> tuple[list[tuple[int, ...]],
     return keys, repeats
 
 
-def _group_pairs(h: Hypergraph, colors,
-                 groups: Iterable[list[int]]) -> Iterator[tuple[int, int, int]]:
-    """The same-pattern pairs (a, b, i) within each group of ``groups``:
-    ascending lists of two or more fully colored edge ids sharing one key, so
-    that a < b."""
-    edges = h.edges
-    for grp in groups:
-        for a, b in combinations(grp, 2):
-            i = _pattern_size(edges[a], edges[b], colors)
-            if i is not None:
-                yield a, b, i
-
-
 def _partial_collisions(h: Hypergraph, colors: list[int], idx: int,
                         missing: list[int]) -> Iterator[tuple[int, int, int]]:
     """The same-pattern pairs (a, b, i), a < b, of edge idx, whose uncolored
@@ -211,7 +198,13 @@ class EventIndex:
             shared.setdefault(keys[idx], []).append(idx)
         groups.update((key, grp + [groups[key]]) for key, grp in shared.items())
         self.bad = [idx for idx in repeats if keys[idx][0]]
-        found = set(_group_pairs(h, colors, [groups[key] for key in shared if key[0]]))
+        found = set()
+        for key in shared:
+            if key[0]:  # a group of fully colored edges, ascending, so that a < b
+                for a, b in combinations(groups[key], 2):
+                    i = _pattern_size(edges[a], edges[b], colors)
+                    if i is not None:
+                        found.add((a, b, i))
         if keys and not min(map(itemgetter(0), keys)):  # some edge has an uncolored vertex
             for idx in compress(range(m), map(not_, map(itemgetter(0), keys))):
                 # a pair of two such edges is found from both; the set keeps one
@@ -342,14 +335,17 @@ def parse_coloring(text: str) -> tuple[Coloring, int]:
     """Parse the coloring format: header ``c <t> <n>``, then ``v <vertex>
     <color>`` lines. Returns (coloring, n) with n the declared vertex count.
     Comments (#) and blank lines are skipped, and a line ends at LF. The
-    lines are read in blocks of BLOCK_LINES lines and checked a block at a
-    time. On any fault the text is read again line by line
-    (_parse_coloring_lines), which raises a FormatError on the line of the
-    first fault."""
+    header is read once, and the lines after it in blocks of BLOCK_LINES
+    lines, checked a block at a time. On any fault they are read again line
+    by line (_coloring_from_lines), which raises a FormatError on the line
+    of the first fault."""
+    lineno, line, tokens, blocks = _header_and_blocks(text)
+    t, n = _coloring_header(lineno, line, tokens)
     try:
-        return _parse_coloring_blocks(text)
-    except ValueError:  # the line reader names the first fault
-        return _parse_coloring_lines(text)
+        return _coloring_from_blocks(t, n, blocks())
+    except ValueError:
+        pass  # the line reader names the first fault, once the block reader's colors are freed
+    return _coloring_from_lines(t, n, _content_lines(blocks(), lineno))
 
 
 def _coloring_header(lineno: int, line: str, tokens: list[str]) -> tuple[int, int]:
@@ -367,11 +363,9 @@ def _coloring_header(lineno: int, line: str, tokens: list[str]) -> tuple[int, in
     return t, n
 
 
-def _parse_coloring_blocks(text: str) -> tuple[Coloring, int]:
-    """parse_coloring's block reader: raises ValueError, without a line
-    number, on any fault."""
-    lineno, line, tokens, blocks = _header_and_blocks(text)
-    t, n = _coloring_header(lineno, line, tokens)
+def _coloring_from_blocks(t: int, n: int, blocks: Iterable[list[str]]) -> tuple[Coloring, int]:
+    """parse_coloring's block reader over the line blocks after the header
+    ``c <t> <n>``: raises ValueError, without a line number, on any fault."""
     colors = [0] * n
     for block in blocks:
         columns = _block_columns(block, "v", 2)
@@ -386,12 +380,11 @@ def _parse_coloring_blocks(text: str) -> tuple[Coloring, int]:
     return Coloring(t=t, colors=colors), n
 
 
-def _parse_coloring_lines(text: str) -> tuple[Coloring, int]:
-    """parse_coloring's line reader: checks one line at a time and raises
-    a FormatError on the line of the first fault."""
-    lines = _content_lines(text)
-    lineno, line, tokens = next(lines)
-    t, n = _coloring_header(lineno, line, tokens)
+def _coloring_from_lines(t: int, n: int, lines: Iterator[tuple[int, str, list[str]]]
+                         ) -> tuple[Coloring, int]:
+    """parse_coloring's line reader over the content lines after the header
+    ``c <t> <n>``: checks one line at a time and raises a FormatError on the
+    line of the first fault."""
     colors = [0] * n
     for lineno, line, tokens in lines:
         if tokens[0] != "v" or len(tokens) != 3:

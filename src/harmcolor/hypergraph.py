@@ -5,20 +5,21 @@ sorted tuples; edge identity is set identity and duplicate edges are rejected.
 Isolated vertices are allowed (n may exceed the support of the edges).
 
 ``Hypergraph.__init__`` is the only code that checks and canonicalises an
-edge. ``parse_hypergraph`` reads the edge lines in blocks of ``BLOCK_LINES``
-lines and hands them to the constructor as one list. On any fault it reads
-the text again line by line, streaming the edges into the constructor, which
-then checks them one at a time, and puts the line number on the first fault.
+edge. ``parse_hypergraph`` reads the header once, then the edge lines in
+blocks of ``BLOCK_LINES`` lines, and hands them to the constructor as one
+list. On any fault it reads the body again line by line, streaming the edges
+into the constructor, which then checks them one at a time, and puts the
+line number on the first fault.
 """
 
 from __future__ import annotations
 
 import random
 import sys
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, compress
 from operator import itemgetter, lt
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 BLOCK_LINES = 1024
 """Lines per block of the block readers. A block's token lists and converted
@@ -63,7 +64,7 @@ class Hypergraph:
             raise ValueError(f"uniformity k must be at least 2, got {k}")
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        if n > sys.maxsize:  # no list of n degrees can exist
+        if n > sys.maxsize:  # no list of n vertices can exist
             raise ValueError(f"vertex count must be at most {sys.maxsize}, got {n}")
         # a list is checked at once; a stream, or a list with a fault, edge by edge
         canon = _canonical_edges(k, n, edges) if isinstance(edges, (list, tuple)) else None
@@ -230,26 +231,23 @@ class GeneratorConfig(_Checked, _GeneratorFields):
             )
 
 
-def _content_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
-    """(line number, stripped line, tokens) for each line of an instance or
-    coloring file that is neither blank nor a ``#`` comment. A line ends at
-    LF; a CR before it is whitespace. Both formats take their header from the
-    first such line; a text without one raises FormatError."""
-    headless = True
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            headless = False
-            yield lineno, line, line.split()
-    if headless:
-        raise FormatError("no header line found")
+def _content_lines(blocks: Iterable[list[str]], lineno: int
+                   ) -> Iterator[tuple[int, str, list[str]]]:
+    """(line number, stripped line, tokens) for each line of ``blocks`` that
+    is neither blank nor a ``#`` comment, the first line of ``blocks`` being
+    line lineno + 1."""
+    for lineno, raw in enumerate(chain.from_iterable(blocks), start=lineno + 1):
+        tokens = raw.split()
+        if tokens and not tokens[0].startswith("#"):
+            yield lineno, raw.strip(), tokens
 
 
-def _line_blocks(text: str) -> Iterator[list[str]]:
-    """The lines of text, split at LF as in _content_lines, in lists of
-    BLOCK_LINES lines; the last list may be shorter. Each block is split
-    from a slice of the text, widened until it holds the block."""
-    pos, end, width = 0, len(text), 64 * BLOCK_LINES
+def _line_blocks(text: str, pos: int = 0) -> Iterator[list[str]]:
+    """The lines of text from offset pos on, split at LF (a CR before it
+    stays in its line), in lists of BLOCK_LINES lines; the last list may be
+    shorter. Each block is split from a slice of the text, widened until it
+    holds the block."""
+    end, width = len(text), 64 * BLOCK_LINES
     while pos < end:
         chunk = text[pos:pos + width]
         lines = chunk.split("\n", BLOCK_LINES)
@@ -263,18 +261,20 @@ def _line_blocks(text: str) -> Iterator[list[str]]:
             width *= 2
 
 
-def _header_and_blocks(text: str) -> tuple[int, str, list[str], Iterator[list[str]]]:
-    """The first content line of text as _content_lines gives it, and the
-    line blocks after it. Raises ValueError when text has no content line;
-    the line reader then names the fault."""
-    blocks, before = _line_blocks(text), 0
-    for block in blocks:
-        for at, raw in enumerate(block):
+def _header_and_blocks(text: str
+                       ) -> tuple[int, str, list[str], Callable[[], Iterator[list[str]]]]:
+    """The line number, stripped line and tokens of the first line of text
+    that is neither blank nor a ``#`` comment, which either format takes as
+    its header, and a function that gives the line blocks after it afresh
+    on each call. Raises FormatError when text has no such line."""
+    lineno = pos = 0
+    for block in _line_blocks(text):
+        for raw in block:
+            lineno, pos = lineno + 1, pos + len(raw) + 1
             tokens = raw.split()
             if tokens and not tokens[0].startswith("#"):
-                return before + at + 1, raw.strip(), tokens, chain([block[at + 1:]], blocks)
-        before += len(block)
-    raise ValueError("no header line")
+                return lineno, raw.strip(), tokens, partial(_line_blocks, text, pos)
+    raise FormatError("no header line found")
 
 
 def _block_columns(block: list[str], tag: str, width: int) -> list[tuple[str, ...]]:
@@ -310,22 +310,24 @@ def parse_hypergraph(text: str) -> Hypergraph:
     Line 1 is ``p hg <k> <n> <m>``; each of the next m lines is
     ``e <v1> ... <vk>`` with 0-based vertex ids. ``#`` begins a comment line,
     blank lines are skipped, and a line ends at LF (a CR before it is
-    whitespace). The edge lines are read in blocks of BLOCK_LINES lines and
-    checked by ``Hypergraph`` all at once. On any fault the text is read
-    again line by line (_parse_hypergraph_lines), which raises a FormatError
-    on the line of the first offending edge.
+    whitespace). The header is read once, and the edge lines after it in
+    blocks of BLOCK_LINES lines, checked by ``Hypergraph`` all at once. On
+    any fault those lines are read again one by one (_hypergraph_from_lines),
+    which raises a FormatError on the line of the first offending edge.
     """
-    try:
-        return _parse_hypergraph_blocks(text)
-    except ValueError:  # the line reader names the first fault
-        return _parse_hypergraph_lines(text)
-
-
-def _parse_hypergraph_blocks(text: str) -> Hypergraph:
-    """parse_hypergraph's block reader: raises ValueError, without a line
-    number, on any fault."""
     lineno, line, tokens, blocks = _header_and_blocks(text)
     k, n, m = _hypergraph_header(lineno, line, tokens)
+    try:
+        return _hypergraph_from_blocks(k, n, m, blocks())
+    except ValueError:
+        pass  # the line reader names the first fault, once the block reader's edges are freed
+    return _hypergraph_from_lines(k, n, m, _content_lines(blocks(), lineno), lineno)
+
+
+def _hypergraph_from_blocks(k: int, n: int, m: int, blocks: Iterable[list[str]]) -> Hypergraph:
+    """parse_hypergraph's block reader over the line blocks after the header
+    ``p hg <k> <n> <m>``: raises ValueError, without a line number, on any
+    fault."""
     edges: list[tuple[int, ...]] = []
     for block in blocks:
         edges.extend(zip(*[map(int, column) for column in _block_columns(block, "e", k)]))
@@ -334,13 +336,13 @@ def _parse_hypergraph_blocks(text: str) -> Hypergraph:
     return Hypergraph(k, n, edges)
 
 
-def _parse_hypergraph_lines(text: str) -> Hypergraph:
-    """parse_hypergraph's line reader: the edges stream into ``Hypergraph``,
+def _hypergraph_from_lines(k: int, n: int, m: int,
+                           lines: Iterator[tuple[int, str, list[str]]], lineno: int) -> Hypergraph:
+    """parse_hypergraph's line reader over the content lines after the header
+    ``p hg <k> <n> <m>`` on line lineno: the edges stream into ``Hypergraph``,
     which checks them one at a time; its ValueError comes back as a
-    FormatError on the line of the offending edge."""
-    lines = _content_lines(text)
-    lineno, line, tokens = next(lines)
-    k, n, m = _hypergraph_header(lineno, line, tokens)
+    FormatError on the line of the offending edge, or of the header when it
+    comes before any edge."""
 
     def edges() -> Iterator[tuple[int, ...]]:
         nonlocal lineno

@@ -18,11 +18,17 @@ def coloring_of(t: int, n: int, assignment: dict[int, int]) -> Coloring:
     return Coloring(t=t, colors=colors)
 
 
+def colored(coloring: Coloring) -> dict[int, int]:
+    """Vertex -> color of the colored vertices of coloring."""
+    return {v: c for v, c in enumerate(coloring.colors) if c}
+
+
 def naive_bad_edges(h: Hypergraph, coloring: Coloring) -> list[int]:
     """Indices of fully colored edges with a repeated color."""
     out = []
+    assignment = colored(coloring)
     for idx, edge in enumerate(h.edges):
-        cols = [coloring.assignment.get(v) for v in edge]
+        cols = [assignment.get(v) for v in edge]
         if any(c is None for c in cols):
             continue
         if len(set(cols)) < h.k:
@@ -35,19 +41,21 @@ def naive_pattern_pairs(h: Hypergraph, coloring: Coloring) -> list[tuple[int, in
     colored and whose two difference sets carry the same color set; shared
     vertices may stay uncolored."""
     hits = []
+    assignment = colored(coloring)
     for a, b in combinations(range(h.m), 2):
         ea, eb = set(h.edges[a]), set(h.edges[b])
         da, db = ea - eb, eb - ea
-        if any(v not in coloring.assignment for v in da | db):
+        if any(v not in assignment for v in da | db):
             continue
-        if {coloring.assignment[v] for v in da} == {coloring.assignment[v] for v in db}:
+        if {assignment[v] for v in da} == {assignment[v] for v in db}:
             hits.append((a, b, len(da)))
     return hits
 
 
 def naive_is_harmonious(h: Hypergraph, coloring: Coloring) -> bool:
+    assignment = colored(coloring)
     for v in h.support:
-        if v not in coloring.assignment:
+        if v not in assignment:
             raise ValueError(f"vertex {v} is uncolored")
     return not naive_bad_edges(h, coloring) and not naive_pattern_pairs(h, coloring)
 

@@ -256,7 +256,7 @@ def test_detectors_match_the_oracles(case):
     assert [b.edge for b in bad_edges(h, c)] == naive_bad_edges(h, c)
     got = {(p.e, p.f, p.i) for p in pattern_collisions(h, c)}
     assert got == set(naive_pattern_pairs(h, c))
-    if all(v in c.assignment for v in h.support):
+    if all(c.colors[v] for v in h.support):
         assert is_harmonious(h, c) == naive_is_harmonious(h, c)
 
 

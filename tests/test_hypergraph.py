@@ -3,6 +3,7 @@ fuzzing of both file parsers."""
 
 import hashlib
 import re
+import sys
 import time
 from math import comb
 
@@ -24,8 +25,9 @@ from harmcolor import (
     serialize_coloring,
     serialize_hypergraph,
 )
-from harmcolor.coloring import _parse_coloring_blocks, _parse_coloring_lines
-from harmcolor.hypergraph import _parse_hypergraph_blocks, _parse_hypergraph_lines
+from harmcolor.coloring import _coloring_from_blocks, _coloring_from_lines, _coloring_header
+from harmcolor.hypergraph import (_content_lines, _header_and_blocks, _hypergraph_from_blocks,
+                                  _hypergraph_from_lines, _hypergraph_header)
 from oracles import naive_generate
 
 
@@ -129,6 +131,8 @@ def test_parse_tolerates_comments_blank_lines_and_crlf():
     ("p hg 2 3 1\ne 0 x\n", 2, "non-integer"),
     ("p hg 2 3 2\ne 0 1\ne 0 1\n", 3, "duplicate edge"),
     ("p hg 2 3 1\ne 0 1\ne 1 2\n", 3, "more than the declared"),
+    # the constructor's fault before any edge is named on the header's line
+    (f"# a comment\np hg 2 {sys.maxsize + 1} 1\ne 0 1\n", 2, "vertex count must be at most"),
 ])
 def test_parse_errors_carry_line_numbers(text, line, needle):
     with pytest.raises(FormatError) as err:
@@ -235,6 +239,30 @@ def read_outcome(parse, text):
         return str(exc), exc.line
 
 
+def hypergraph_by_blocks(text):
+    """parse_hypergraph's header and block reader alone, without the line reader."""
+    lineno, line, tokens, blocks = _header_and_blocks(text)
+    return _hypergraph_from_blocks(*_hypergraph_header(lineno, line, tokens), blocks())
+
+
+def hypergraph_by_lines(text):
+    """parse_hypergraph's header and line reader alone, without the block reader."""
+    lineno, line, tokens, blocks = _header_and_blocks(text)
+    return _hypergraph_from_lines(*_hypergraph_header(lineno, line, tokens),
+                                  _content_lines(blocks(), lineno), lineno)
+
+
+def coloring_by_blocks(text):
+    lineno, line, tokens, blocks = _header_and_blocks(text)
+    return _coloring_from_blocks(*_coloring_header(lineno, line, tokens), blocks())
+
+
+def coloring_by_lines(text):
+    lineno, line, tokens, blocks = _header_and_blocks(text)
+    return _coloring_from_lines(*_coloring_header(lineno, line, tokens),
+                                _content_lines(blocks(), lineno))
+
+
 @st.composite
 def raw_coloring_files(draw):
     """Coloring texts whose ``v`` lines may name a vertex or color out of
@@ -258,7 +286,7 @@ def raw_coloring_files(draw):
 @given(raw_coloring_files())
 @settings(max_examples=300)
 def test_the_coloring_parser_gives_the_line_readers_verdict(text):
-    assert read_outcome(parse_coloring, text) == read_outcome(_parse_coloring_lines, text)
+    assert read_outcome(parse_coloring, text) == read_outcome(coloring_by_lines, text)
 
 
 def instance_lines(m: int) -> list[str]:
@@ -280,29 +308,42 @@ def test_the_block_readers_read_every_block(m):
     # 1024 and 2048 lines hold whole blocks, one more line starts a block;
     # the block readers themselves must take these texts, without the line readers
     text = "\n".join(instance_lines(m)) + "\n"
-    assert _parse_hypergraph_blocks(text) == builtin_instance("path", m + 1)
+    assert hypergraph_by_blocks(text) == builtin_instance("path", m + 1)
     colors = [1 + v % 3 for v in range(m)]
     text = "\n".join(coloring_lines(m)) + "\n"
-    assert _parse_coloring_blocks(text) == (Coloring(3, colors), m)
+    assert coloring_by_blocks(text) == (Coloring(3, colors), m)
+
+
+# 1,100 comment and blank lines put the header past the first block
+PREAMBLE = ["# a comment", ""] * 550
+
+
+def no_line_readers(monkeypatch):
+    def line_reader(*args):
+        raise AssertionError("a line reader ran")
+
+    monkeypatch.setattr("harmcolor.hypergraph._hypergraph_from_lines", line_reader)
+    monkeypatch.setattr("harmcolor.coloring._coloring_from_lines", line_reader)
 
 
 def test_a_long_preamble_is_read_by_the_block_readers(monkeypatch):
-    # 1,100 comment and blank lines put the header past the first block
-    preamble = ["# a comment", ""] * 550
-
-    def line_reader(text):
-        raise AssertionError("the line reader read a valid text")
-
-    monkeypatch.setattr("harmcolor.hypergraph._parse_hypergraph_lines", line_reader)
-    monkeypatch.setattr("harmcolor.coloring._parse_coloring_lines", line_reader)
-    text = "\n".join(preamble + instance_lines(3000)) + "\n"
+    no_line_readers(monkeypatch)
+    text = "\n".join(PREAMBLE + instance_lines(3000)) + "\n"
     assert parse_hypergraph(text) == builtin_instance("path", 3001)
-    text = "\n".join(preamble + coloring_lines(3000)) + "\n"
+    text = "\n".join(PREAMBLE + coloring_lines(3000)) + "\n"
     assert parse_coloring(text) == (Coloring(3, [1 + v % 3 for v in range(3000)]), 3000)
-    # the block reader names a bad header there on its line
-    with pytest.raises(FormatError) as err:
-        _parse_hypergraph_blocks("\n".join(preamble + ["p hg 2 x 5"]))
-    assert err.value.line == len(preamble) + 1
+
+
+@pytest.mark.parametrize("parse, header", [(parse_hypergraph, "p hg 2 x 5"),
+                                           (parse_coloring, "c 3 x")])
+def test_a_header_is_read_once_and_its_fault_raised_at_once(monkeypatch, parse, header):
+    # neither a missing nor a bad header reaches a line reader
+    no_line_readers(monkeypatch)
+    with pytest.raises(FormatError, match="^no header line found$"):
+        parse("\n".join(PREAMBLE))
+    with pytest.raises(FormatError, match="non-integer field in header") as err:
+        parse("\n".join(PREAMBLE + [header, "e 0 1"]))
+    assert err.value.line == len(PREAMBLE) + 1
 
 
 def test_the_block_readers_widen_their_slice_for_long_lines():
@@ -314,12 +355,12 @@ def test_the_block_readers_widen_their_slice_for_long_lines():
     lines = serialize_hypergraph(h).split("\n")
     lines.insert(500, "# " + "x" * 70_000)
     text = "\n".join(lines)
-    assert _parse_hypergraph_blocks(text) == _parse_hypergraph_lines(text) == h
+    assert hypergraph_by_blocks(text) == hypergraph_by_lines(text) == h
     c = Coloring(10 ** 80, [10 ** 79 + v for v in range(m)])
     lines = serialize_coloring(c, m).split("\n")
     lines.insert(500, "# " + "x" * 70_000)
     text = "\n".join(lines)
-    assert _parse_coloring_blocks(text) == _parse_coloring_lines(text) == (c, m)
+    assert coloring_by_blocks(text) == coloring_by_lines(text) == (c, m)
 
 
 @pytest.mark.parametrize("line", [1024, 1025, 2049])
@@ -335,7 +376,7 @@ def test_a_fault_at_a_block_edge_is_named_on_its_line(line, fault, needle):
     lines = instance_lines(3000)
     lines[line - 1] = fault
     text = "\r\n".join(lines)
-    assert read_outcome(parse_hypergraph, text) == read_outcome(_parse_hypergraph_lines, text)
+    assert read_outcome(parse_hypergraph, text) == read_outcome(hypergraph_by_lines, text)
     with pytest.raises(FormatError, match=needle) as err:
         parse_hypergraph(text)
     assert err.value.line == line
@@ -355,10 +396,32 @@ def test_a_coloring_fault_at_a_block_edge_is_named_on_its_line(line, fault, need
     del lines[line - 1]  # the vertex of the removed line is left uncolored
     lines.insert(line - 1, fault)
     text = "\n".join(lines)
-    assert read_outcome(parse_coloring, text) == read_outcome(_parse_coloring_lines, text)
+    assert read_outcome(parse_coloring, text) == read_outcome(coloring_by_lines, text)
     with pytest.raises(FormatError, match=needle) as err:
         parse_coloring(text)
     assert err.value.line == line
+
+
+@pytest.mark.parametrize("parse, reader, lines, fault, needle", [
+    (parse_hypergraph, "_hypergraph_from_lines", instance_lines, "e 0 x", "non-integer vertex id"),
+    (parse_coloring, "_coloring_from_lines", coloring_lines, "v 0 x", "non-integer field"),
+])
+def test_the_line_reader_runs_after_the_block_readers_fault_is_handled(
+        monkeypatch, parse, reader, lines, fault, needle):
+    # inside the except clause, the traceback would keep the block reader's partial result alive
+    module = sys.modules[parse.__module__]
+    original = getattr(module, reader)
+
+    def line_reader(*args):
+        assert sys.exc_info()[0] is None
+        return original(*args)
+
+    monkeypatch.setattr(module, reader, line_reader)
+    text = lines(3000)
+    text[2048] = fault
+    with pytest.raises(FormatError, match=needle) as err:
+        parse("\n".join(text))
+    assert err.value.line == 2049
 
 
 def test_a_repeat_two_blocks_after_its_first_copy_is_named_on_its_line():

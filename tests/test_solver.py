@@ -36,7 +36,7 @@ from harmcolor import (
 )
 from harmcolor.coloring import EventIndex, _edge_keys, edge_key
 from harmcolor.solver import EVENT_SCANS, _placement_order, _uniform_colors
-from oracles import (coloring_of, naive_bad_edges, naive_h, naive_pattern_pairs,
+from oracles import (colored, coloring_of, naive_bad_edges, naive_h, naive_pattern_pairs,
                      naive_placement_order)
 
 GREEDY_TRAP = Hypergraph(2, 5, [(0, 2), (1, 2), (0, 3), (1, 4)])
@@ -644,7 +644,7 @@ def test_greedy_is_first_fit_under_the_oracles(h):
         while not oracle_fits(h, {**partial, v: c}):
             c += 1
         partial[v] = c
-    assert coloring.assignment == partial
+    assert colored(coloring) == partial
     assert t == max(partial.values(), default=1)
 
 
