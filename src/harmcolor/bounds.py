@@ -13,10 +13,12 @@ whose truth at some tau > 1 certifies that a harmonious t-coloring exists.
 Everything feeding that go/no-go decision is exact: with tau = p/q and
 L = lcm(1..k-1), both sides times q^k * L * t^k are integers, so the decision
 is one integer comparison and the slack one exact Fraction. Only the two
-real-valued closed forms (theorem_bound, remark_bound) use floating point, to
-at least 12 significant digits. The certificate calculators refuse k above
-LCL_MAX_K with ValueError, and lcl_condition refuses a t or tau whose
-integers would exceed LCL_MAX_BITS bits.
+real-valued closed forms (theorem_bound, remark_bound) use floating point.
+They take their k-th roots in log space, so no radicand overflows; a perfect
+k-th power gives an exact root (checked up to 10**12), any other radicand a
+root good to at least 12 significant digits. The certificate calculators
+refuse k above LCL_MAX_K with ValueError, and lcl_condition refuses a t or
+tau whose integers would exceed LCL_MAX_BITS bits.
 """
 
 from __future__ import annotations
@@ -58,38 +60,14 @@ def _check_inputs(k: int, delta: int, m: int, eps: float = 0.0) -> None:
         raise ValueError(f"eps must be a finite nonnegative number, got {eps}")
 
 
-def _int_root(x: int, k: int) -> int:
-    """Floor k-th root of a nonnegative integer, by Newton iteration on ints."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    if x == 0:
-        return 0
-    # Start from the float root of x scaled into float range: from far above
-    # the root, Newton would take O(k) steps, each a huge power. One step from
-    # either side of the root lands on or above the floor root, and the loop
-    # then descends to it.
-    shift = max(0, x.bit_length() // k - 64)
-    r = (int(exp(log(x >> shift * k) / k)) + 1) << shift
-    r = ((k - 1) * r + x // r ** (k - 1)) // k
-    while True:
-        nr = ((k - 1) * r + x // r ** (k - 1)) // k
-        if nr >= r:
-            break
-        r = nr
-    while r ** k > x:
-        r -= 1
-    while (r + 1) ** k <= x:
-        r += 1
-    return r
-
-
 def _float_root(x: int, k: int) -> float:
-    """x**(1/k) with an exact fast path for perfect powers; log-space otherwise,
-    so huge radicands (k!*m beyond float range) cannot overflow."""
-    r = _int_root(x, k)
-    if r ** k == x:
-        return float(r)
-    return exp(log(x) / k)
+    """x**(1/k), taken in log space so that no radicand overflows. A perfect
+    k-th power with a root up to 10**12 gives that root exactly, as the ceiling
+    in theorem_ceil_colors needs: the float root rounds to it, and one integer
+    power confirms it. Other roots are good to at least 12 significant digits."""
+    root = exp(log(x) / k)
+    r = round(root)
+    return float(r) if r ** k == x else root
 
 
 def _float_range(closed_form: Callable[..., float]) -> Callable[..., float]:
@@ -131,7 +109,6 @@ def remark_bound(k: int, delta: int, m: int) -> float:
     (empty sum for k = 2). Always >= theorem_bound(k, delta, m, 0) since every
     added term is nonnegative.
     """
-    _check_inputs(k, delta, m)
     total = theorem_bound(k, delta, m, 0.0)
     total += 1.0 + delta * delta + (k - 1) * delta
     for i in range(2, k):

@@ -151,7 +151,7 @@ def _canonical_edges(k: int, n: int, edges: Sequence[Sequence[int]]
             return None
         if len(set(edges)) != len(edges):
             return None
-    except TypeError:  # vertices that do not compare or hash; the edge-by-edge check names them
+    except TypeError:  # uncomparable or unhashable vertices: the one-by-one check raises TypeError
         return None
     return edges
 

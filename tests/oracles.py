@@ -99,6 +99,17 @@ def naive_lower_bound_colors(k: int, m: int) -> int:
     return r
 
 
+def naive_floor_root(x: int, k: int) -> int:
+    """Floor k-th root of x >= 0, by doubling and then bisection on integers."""
+    lo, hi = 0, 1
+    while hi ** k <= x:
+        hi *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid ** k <= x else (lo, mid)
+    return lo
+
+
 def naive_lcl_slack(k: int, delta: int, m: int, t: int, tau: Fraction) -> Fraction:
     """tau minus the certificate's right side, summed term by term in
     Fractions exactly as the inequality reads."""

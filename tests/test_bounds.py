@@ -24,9 +24,9 @@ from harmcolor import (
     theorem_bound,
     theorem_ceil_colors,
 )
-from harmcolor.bounds import LCL_MAX_BITS, LCL_MAX_K, _int_root
-from oracles import (naive_lcl_min_colors, naive_lcl_slack, naive_lower_bound_colors,
-                     naive_monte_carlo_event_probs)
+from harmcolor.bounds import LCL_MAX_BITS, LCL_MAX_K, _float_root
+from oracles import (naive_floor_root, naive_lcl_min_colors, naive_lcl_slack,
+                     naive_lower_bound_colors, naive_monte_carlo_event_probs)
 
 
 # ------------------------------------------------------------- input guards
@@ -44,6 +44,17 @@ def test_input_validation():
         lcl_condition(2, 1, 1, t=10, tau=Fraction(1, 2))
     with pytest.raises(ValueError):
         lcl_min_colors(2, 1, 1, tau=Fraction(1))  # needs tau > 1
+    for call in [lambda: lower_bound_colors(1, 1), lambda: lower_bound_colors(2, 0),
+                 lambda: bad_edge_prob_exact(1, 2), lambda: bad_edge_prob_exact(2, 0),
+                 lambda: bad_edge_prob_bound(1, 2), lambda: bad_edge_prob_bound(2, 0),
+                 lambda: pattern_prob_bound(0, 2), lambda: pattern_prob_bound(1, 0),
+                 lambda: tau_grid_search(2, 1, 1, denominator=0),
+                 lambda: monte_carlo_event_probs(1, 1, 2, 10),
+                 lambda: monte_carlo_event_probs(2, 0, 2, 10),
+                 lambda: monte_carlo_event_probs(2, 1, 0, 10),
+                 lambda: monte_carlo_event_probs(2, 1, 2, 0)]:
+        with pytest.raises(ValueError, match="must be at least|must be positive"):
+            call()
 
 
 @pytest.mark.parametrize("call", [
@@ -88,25 +99,27 @@ def test_theorem_ceil_is_the_ceiling():
         assert t - 1 < v <= t
 
 
-@given(st.integers(0, 10**3000) | st.integers(0, 2**64),
-       st.integers(1, 40) | st.integers(10**4, 3 * 10**4))
+@given(st.integers(1, 10**12), st.integers(2, 40) | st.integers(10**4, 3 * 10**4))
+@example(10**12, 40)
+@example(10**12 - 1, 3 * 10**4)
 @settings(max_examples=150, deadline=None)
-def test_int_root_brackets_the_root(x, k):
-    r = _int_root(x, k)
-    assert r ** k <= x < (r + 1) ** k
+def test_float_root_of_a_perfect_power_is_exact(r, k):
+    assert _float_root(r ** k, k) == r
 
 
-@given(st.integers(1, 10**60), st.integers(2, 12), st.integers(-1, 1))
+@given(st.integers(1, 10**600) | st.integers(1, 2**64),
+       st.integers(2, 40) | st.integers(10**4, 3 * 10**4))
 @settings(max_examples=150, deadline=None)
-def test_int_root_next_to_a_perfect_power(root, k, offset):
-    x = root ** k + offset
-    assert _int_root(x, k) == (root - 1 if offset < 0 else root)
+def test_float_root_lies_at_its_floor_root(x, k):
+    # 12 significant digits: in log space the error grows with log(root),
+    # to about 1.1e-13 relative at roots near 1e298
+    r = naive_floor_root(x, k)
+    assert r * (1 - 1e-12) <= _float_root(x, k) <= (r + 1) * (1 + 1e-12)
 
 
 def test_large_k_roots_answer_at_once():
-    # from far above the root, Newton takes O(k) steps, each a huge power
     start = time.perf_counter()
-    assert _int_root(factorial(20000), 20000) == 7359
+    assert int(_float_root(factorial(20000), 20000)) == 7359
     assert theorem_bound(10**4, 1, 1) == 3684.587332938302
     assert time.perf_counter() - start < 1
 

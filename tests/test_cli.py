@@ -68,6 +68,14 @@ def test_gen_infeasible_is_a_usage_error(capsys):
     assert "C(n, k) = 190" in capsys.readouterr().err
 
 
+def test_gen_out_of_restarts_exits_1(capsys):
+    # the config of test_generator_fails_when_its_restarts_run_out
+    code = main(["gen", "--k", "2", "--n", "4", "--m", "4", "--max-degree", "2",
+                 "--seed", "1", "--max-restarts", "0"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: no valid instance after 1 attempts (")
+
+
 def test_solve_verify_happy_path(tmp_path, triangle_file, capsys):
     coloring_file = tmp_path / "out.col"
     code = main(["solve", "--input", str(triangle_file), "--colors", "3",
@@ -673,6 +681,9 @@ def test_experiment_bad_spec_values_exit_2(tmp_path, capsys):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(json.dumps(spec_dict(tmp_path, trials=0)))
     assert main(["experiment", "--spec", str(spec_file)]) == 2
+    spec_file.write_text("[1, 2]")
+    assert main(["experiment", "--spec", str(spec_file)]) == 2
+    assert capsys.readouterr().err.endswith("error: experiment spec must be a JSON object\n")
 
 
 @pytest.mark.parametrize("bad", [

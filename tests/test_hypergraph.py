@@ -104,6 +104,9 @@ def test_builtin_rejects_nonsense():
     for family in ("matching", "k-star"):
         with pytest.raises(ValueError):
             builtin_instance(family, 3, k=1)
+    for family, size in [("path", 1), ("complete-graph", 1), ("matching", 0), ("k-star", 0)]:
+        with pytest.raises(ValueError, match="needs at least"):
+            builtin_instance(family, size)
 
 
 # ------------------------------------------------------------ file format
@@ -328,10 +331,14 @@ def no_line_readers(monkeypatch):
 
 def test_a_long_preamble_is_read_by_the_block_readers(monkeypatch):
     no_line_readers(monkeypatch)
-    text = "\n".join(PREAMBLE + instance_lines(3000)) + "\n"
-    assert parse_hypergraph(text) == builtin_instance("path", 3001)
-    text = "\n".join(PREAMBLE + coloring_lines(3000)) + "\n"
-    assert parse_coloring(text) == (Coloring(3, [1 + v % 3 for v in range(3000)]), 3000)
+    coloring = (Coloring(3, [1 + v % 3 for v in range(3000)]), 3000)
+    for lines, parse, expected in [
+            (instance_lines(3000), parse_hypergraph, builtin_instance("path", 3001)),
+            (coloring_lines(3000), parse_coloring, coloring)]:
+        assert parse("\n".join(PREAMBLE + lines) + "\n") == expected
+        # 2,200 comment and blank lines mid-body fill at least one block
+        lines[1500:1500] = PREAMBLE * 2
+        assert parse("\n".join(lines) + "\n") == expected
 
 
 @pytest.mark.parametrize("parse, header", [(parse_hypergraph, "p hg 2 x 5"),

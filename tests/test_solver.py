@@ -57,6 +57,8 @@ def test_sample_uniform_single_color():
     h = builtin_instance("path", 4)
     c = sample_uniform_coloring(h, t=1, seed=0)
     assert set(c.colors) == {1}
+    with pytest.raises(ValueError, match="palette size must be at least 1"):
+        sample_uniform_coloring(h, 0)
 
 
 def test_sample_uniform_frequencies_within_4_sigma():
