@@ -28,7 +28,6 @@ from .hypergraph import (
     GenerationFailure,
     GeneratorConfig,
     Hypergraph,
-    InfeasibleConfigError,
     _Checked,
     generate_random_bounded_degree,
     max_degree,
@@ -518,9 +517,6 @@ def _run(argv: Sequence[str] | None) -> int:
         return code if isinstance(code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except InfeasibleConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (FormatError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -9,12 +9,12 @@ a greedy first-fit baseline.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from heapq import heapify, heappop, heappush
 from math import comb
 from typing import Callable, Mapping, NamedTuple, Union
 
-from .coloring import (BadEdge, Coloring, EventIndex, SamePattern, _partial_collisions,
-                       colors_used, edge_key)
+from .coloring import BadEdge, Coloring, EventIndex, SamePattern, colors_used
 from .hypergraph import DEFAULT_NODE_BUDGET, EVENT_SCANS, Hypergraph, _Checked
 
 DEFAULT_RESAMPLES_PER_EDGE = 10 ** 5
@@ -203,16 +203,17 @@ def exact_harmonious_number(h: Hypergraph, node_budget: int = DEFAULT_NODE_BUDGE
     is one candidate color tried for one vertex, and one node budget spans
     every t; raises NodeBudgetExceeded when it runs out (answer unknown).
 
-    A candidate is rejected if it repeats a color inside an edge, completes an
-    edge whose color set another complete edge already has, or breaks the key
-    capacity of its color. The capacity argument: in a harmonious coloring the
-    edges through a vertex of color c are rainbow and have pairwise distinct
-    color sets, each a k-set containing c, and no edge holds c twice, so the
-    degrees of the vertices colored c sum to at most cap = C(t-1, k-1). The
-    search therefore rejects c for v when load[c] + deg(v) > cap, and
-    backtracks once the room left, sum over c of (cap - load[c]) // d_min with
-    d_min the least degree on the support, cannot seat the vertices still
-    unplaced, each of which takes at least d_min of some color's room.
+    A candidate is rejected if it repeats a color inside an edge or completes
+    an edge whose color set another complete edge already has (_forbidden
+    reads both once per depth), or if it breaks the key capacity of its color.
+    The capacity argument: in a harmonious coloring the edges through a vertex
+    of color c are rainbow and have pairwise distinct color sets, each a k-set
+    containing c, and no edge holds c twice, so the degrees of the vertices
+    colored c sum to at most cap = C(t-1, k-1). The search therefore rejects c
+    for v when load[c] + deg(v) > cap, and backtracks once the room left, sum
+    over c of (cap - load[c]) // d_min with d_min the least degree on the
+    support, cannot seat the vertices still unplaced, each of which takes at
+    least d_min of some color's room.
 
     The search runs on an explicit stack, so its depth is not limited by the
     recursion limit. An edgeless instance needs no colors at all: returns 0.
@@ -263,45 +264,47 @@ def _placement_order(h: Hypergraph) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _place(h: Hypergraph, colors: list[int], used_keys: set[tuple[int, ...]],
-           v: int, c: int) -> list[tuple[int, ...]] | None:
-    """Color v with c unless c repeats a color in an edge through v or
-    completes an edge whose key is already in used_keys. On success, adds the
-    keys of the edges v completes to used_keys and returns them; otherwise
-    leaves v uncolored and returns None."""
-    added: list[tuple[int, ...]] = []
+def _forbidden(h: Hypergraph, colors: list[int], completing: Mapping[tuple[int, ...], set[int]],
+               v: int) -> tuple[set[int] | None, list[tuple[int, ...]]]:
+    """The colors barred for the uncolored vertex v, and the sides of the
+    edges v would complete: each side is the sorted colors of such an edge's
+    other members. completing maps each key of a complete edge, minus one
+    color, to the colors that complete it (see _complete). barred holds
+    every color on a co-member of v, which would repeat inside an edge, and
+    completing[side] for each side, which would give that edge a used key. It
+    is None when two sides are equal: those two edges share a key whatever
+    color v takes."""
+    barred: set[int] = set()
+    sides = []
     for idx in h.incidence[v]:
-        edge = h.edges[idx]
-        full = True
-        for u in edge:
-            if u != v:
-                cu = colors[u]
-                if cu == c:  # a repeat inside an edge can never be repaired
-                    break
-                if not cu:
-                    full = False
-        else:
-            if not full:
-                continue
-            colors[v] = c  # edge_key reads the color of v
-            key = edge_key(colors, edge)
-            if key not in used_keys:
-                used_keys.add(key)
-                added.append(key)
-                continue
-        # a repeat, or a complete edge whose key is taken
-        colors[v] = 0
-        used_keys.difference_update(added)
-        return None
-    colors[v] = c
-    return added
+        key = sorted(map(colors.__getitem__, h.edges[idx]))  # key[0] is v's 0
+        barred.update(key)
+        if key[1]:
+            sides.append(tuple(key[1:]))
+    if len(set(sides)) < len(sides):
+        return None, sides
+    barred.discard(0)
+    for side in sides:
+        barred.update(completing.get(side, ()))
+    return barred, sides
+
+
+def _complete(completing: defaultdict[tuple[int, ...], set[int]], sides: list[tuple[int, ...]],
+              c: int, mark: Callable[[set[int], int], None] = set.add) -> None:
+    """Map each key side + {c}, minus each of its colors, to that color in
+    completing; with mark=set.remove, take those entries out again."""
+    for side in sides:
+        key = tuple(sorted((*side, c)))
+        for i, x in enumerate(key):
+            mark(completing[key[:i] + key[i + 1:]], x)
 
 
 def _search(h: Hypergraph, t: int, order: tuple[int, ...], remaining: list[int]) -> bool:
     """Whether the vertices of order admit a harmonious coloring from 1..t;
     see exact_harmonious_number. Depth pos of the stack holds the color tried
-    at order[pos] (0 before the first), the max color used before it, and the
-    keys its placement added."""
+    at order[pos] (0 before the first), the max color used before it, and
+    what _forbidden found for order[pos] on entering the depth, which holds
+    until a shallower depth changes."""
     degrees, size = h.degrees, len(order)
     cap = comb(t - 1, h.k - 1)
     d_min = min(degrees[v] for v in order)
@@ -310,10 +313,10 @@ def _search(h: Hypergraph, t: int, order: tuple[int, ...], remaining: list[int])
     if free < size:
         return False
     colors = [0] * h.n
-    used_keys: set[tuple[int, ...]] = set()
+    completing: defaultdict[tuple[int, ...], set[int]] = defaultdict(set)
     tried = [0] * size
     top = [0] * (size + 1)
-    added: list[list[tuple[int, ...]]] = [[]] * size
+    found: list[tuple[set[int] | None, list[tuple[int, ...]]]] = [(None, [])] * size
     pos = 0
     while pos >= 0:
         if pos == size:
@@ -322,9 +325,12 @@ def _search(h: Hypergraph, t: int, order: tuple[int, ...], remaining: list[int])
         dv = degrees[v]
         if c:  # undo the placement at this depth before the next color
             colors[v] = 0
-            used_keys.difference_update(added[pos])
+            _complete(completing, found[pos][1], c, set.remove)
             load[c] -= dv
             free += (cap - load[c]) // d_min - (cap - load[c] - dv) // d_min
+        else:
+            found[pos] = _forbidden(h, colors, completing, v)
+        barred, sides = found[pos]
         limit = min(t, top[pos] + 1)
         while c < limit:
             c += 1
@@ -332,17 +338,16 @@ def _search(h: Hypergraph, t: int, order: tuple[int, ...], remaining: list[int])
             if remaining[0] < 0:
                 raise NodeBudgetExceeded(
                     f"node budget exhausted at t={t}; the answer is unknown")
-            if load[c] + dv > cap:
+            if barred is None or c in barred or load[c] + dv > cap:
                 continue
             room = (cap - load[c]) // d_min - (cap - load[c] - dv) // d_min
             if free - room < size - pos - 1:
                 continue
-            keys = _place(h, colors, used_keys, v, c)
-            if keys is None:
-                continue
+            colors[v] = c
+            _complete(completing, sides, c)
             free -= room
             load[c] += dv
-            tried[pos], added[pos] = c, keys
+            tried[pos] = c
             top[pos + 1] = max(top[pos], c)
             pos += 1
             break
@@ -355,42 +360,36 @@ def _search(h: Hypergraph, t: int, order: tuple[int, ...], remaining: list[int])
 def greedy_upper(h: Hypergraph) -> tuple[Coloring, int]:
     """First-fit upper bound: color vertices in degree-descending order with
     the smallest color that creates no repeat inside an edge and no pattern
-    collision — including collisions between pairs whose symmetric difference
-    is already fully colored, even if the edges themselves are not complete.
-    A brand-new color always passes (it can only appear on the new vertex's
-    side of any newly eligible pair), so the loop terminates and the result is
-    harmonious, and it uses exactly the colors 1..T; returns (coloring, T).
+    collision, also between pairs whose symmetric difference alone is fully
+    colored. A brand-new color always passes, so the result is harmonious and
+    uses exactly the colors 1..T; returns (coloring, T).
 
-    No collision exists before a vertex is placed, so a candidate color is
-    checked only against the pairs through that vertex: _place covers the
-    pairs of complete edges by their keys, and each edge the vertex leaves
-    incomplete is confirmed against the partners that could still collide with
-    it. A candidate costs O(kΔ) edges plus one key lookup."""
-    order = sorted(range(h.n), key=lambda v: (-h.degrees[v], v))
+    No collision exists before v is placed, so only pairs through v bar a
+    color: _forbidden's repeats and used keys, and, for each edge e that v
+    leaves incomplete and each partner f holding e's uncolored vertices but
+    not v, the b with colors(e∖f∖{v}) + {b} = colors(f∖e) once f∖e is fully
+    colored. A vertex costs O(kΔ) edges and partners plus the completing sets
+    that it reads, whatever color it gets."""
+    incidence, edges = h.incidence, h.edges
     colors = [0] * h.n
-    used_keys: set[tuple[int, ...]] = set()
+    completing: defaultdict[tuple[int, ...], set[int]] = defaultdict(set)
     highest = 0
-    for v in order:
-        c = 1
-        while True:
-            added = _place(h, colors, used_keys, v, c)
-            if added is not None:
-                if not _collides_through(h, colors, v):
-                    break
-                colors[v] = 0
-                used_keys.difference_update(added)
-            c += 1
-            assert c <= highest + 1, "the fresh color should always fit"
+    for v in sorted(range(h.n), key=lambda v: (-h.degrees[v], v)):
+        barred, sides = _forbidden(h, colors, completing, v)
+        assert barred is not None, "two edges through v already show one pattern"
+        for idx in incidence[v]:
+            edge = edges[idx]
+            missing = [u for u in edge if u != v and not colors[u]]
+            for partner in map(edges.__getitem__, incidence[missing[0]]) if missing else ():
+                ours = {colors[u] for u in edge if u != v and u not in partner}
+                theirs = {colors[u] for u in partner if u not in edge}
+                extra = theirs - ours
+                if v not in partner and 0 not in theirs and len(extra) == 1 and ours <= theirs:
+                    barred |= extra
+        c = min(set(range(1, len(barred) + 2)) - barred)
+        assert c <= highest + 1, "the fresh color should always fit"
+        colors[v] = c
+        _complete(completing, sides, c)
         highest = max(highest, c)
     t = max(1, highest)
     return Coloring(t=t, colors=colors), t
-
-
-def _collides_through(h: Hypergraph, colors: list[int], v: int) -> bool:
-    """Whether an edge through v that v leaves incomplete shows the same
-    pattern as some partner."""
-    for idx in h.incidence[v]:
-        missing = [u for u in h.edges[idx] if not colors[u]]
-        if missing and next(_partial_collisions(h, colors, idx, missing), None) is not None:
-            return True
-    return False

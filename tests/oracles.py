@@ -91,6 +91,21 @@ def naive_placement_order(h: Hypergraph) -> tuple[int, ...]:
     return tuple(order)
 
 
+def naive_forbidden(h: Hypergraph, colors: list[int], v: int, t: int) -> set[int]:
+    """The colors c in 1..t+1 with which coloring v repeats a color inside an
+    edge or gives two complete edges one color set, checking every edge and
+    every pair of complete edges afresh for each c."""
+    failing = set()
+    for c in range(1, t + 2):
+        trial = colors[:v] + [c] + colors[v + 1:]
+        cols = [[trial[u] for u in e if trial[u]] for e in h.edges]
+        complete = [set(cs) for cs in cols if len(cs) == h.k]
+        if (any(len(set(cs)) < len(cs) for cs in cols)
+                or any(a == b for a, b in combinations(complete, 2))):
+            failing.add(c)
+    return failing
+
+
 def naive_lower_bound_colors(k: int, m: int) -> int:
     """Least r >= k with C(r, k) >= m, by walking r upward from k."""
     r = k

@@ -3,7 +3,7 @@
 import hashlib
 import random
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import combinations
 from math import sqrt
 
@@ -35,9 +35,9 @@ from harmcolor import (
     serialize_hypergraph,
 )
 from harmcolor.coloring import EventIndex, _edge_keys, edge_key
-from harmcolor.solver import EVENT_SCANS, _placement_order, _uniform_colors
-from oracles import (colored, coloring_of, naive_bad_edges, naive_h, naive_pattern_pairs,
-                     naive_placement_order)
+from harmcolor.solver import EVENT_SCANS, _forbidden, _placement_order, _uniform_colors
+from oracles import (colored, coloring_of, naive_bad_edges, naive_forbidden, naive_h,
+                     naive_pattern_pairs, naive_placement_order)
 
 GREEDY_TRAP = Hypergraph(2, 5, [(0, 2), (1, 2), (0, 3), (1, 4)])
 
@@ -587,15 +587,18 @@ def test_bound_sandwich_lower_exact_greedy():
         assert lower_bound_colors(h.k, h.m) <= exact == expected <= greedy_t
 
 
-# SHA-256 of greedy's coloring files, recorded before greedy stopped rerunning
-# the full verifier for every candidate color: the EXACT_GOLDENS family (it
-# includes GREEDY_TRAP) in order, and golden_instance(1000 * k + m, k, n, m, dmax)
+# SHA-256 of greedy's coloring files: the EXACT_GOLDENS family (it includes
+# GREEDY_TRAP) in order, and golden_instance(1000 * k + m, k, n, m, dmax). The
+# first five were recorded before greedy stopped rerunning the full verifier
+# for every candidate color, the m = 10^4 one before it stopped placing and
+# undoing each candidate color in turn (16 s or more there)
 GREEDY_GOLDENS = {
     "exact-goldens": "f956b4920a7a482ef839cb1bfb5ee853ef4fa08a88d2beb2313ef800ac0c27bd",
     (2, 400, 300, 3): "70d0c410bb478443bcf93f729745bf8cc2a831b7c6a6f7e0e4fdfe63e5240d2c",
     (3, 300, 200, 3): "f4e840ececd6c6188ee3353ce861a207cb205fbce94b4e4b3ad4643eeb627a4c",
     (4, 600, 200, 2): "0480d5f27d067e23db406c18b7cddfc53923797e36417651b00c0067026fc264",
     (3, 2000, 1000, 3): "958666d5c67f59f930853aaa92d8ad0820f4c3989c23c4e94e0fc24b7631f7e1",
+    (3, 20000, 10000, 3): "c024c33169386cce898d2fca329764fdf34de84fdf06eeebc54497170825cddf",
 }
 
 
@@ -609,8 +612,9 @@ def test_greedy_matches_its_goldens(case):
         assert max_degree(family[0]) == dmax
     start = time.perf_counter()
     text = "".join(serialize_coloring(greedy_upper(h)[0], h.n) for h in family)
-    # each candidate color is checked locally; a full verifier pass per
-    # candidate takes minutes at m = 1000
+    # each vertex reads its barred colors once; a full verifier pass per
+    # candidate takes minutes at m = 1000, a trial placement per candidate
+    # 16 s or more at m = 10^4
     assert time.perf_counter() - start < 10
     assert hashlib.sha256(text.encode()).hexdigest() == GREEDY_GOLDENS[case]
 
@@ -648,6 +652,42 @@ def test_greedy_is_first_fit_under_the_oracles(h):
         partial[v] = c
     assert colored(coloring) == partial
     assert t == max(partial.values(), default=1)
+
+
+@st.composite
+def partial_colorings(draw):
+    """A small instance and a partial coloring of it: a random share of its
+    vertices, in a random order, each take the least color that
+    naive_forbidden allows, if any."""
+    h = draw(small_instances())
+    colors = [0] * h.n
+    order = draw(st.permutations(range(h.n)))
+    for v in order[:draw(st.integers(0, h.n))]:
+        allowed = set(range(1, max(colors) + 2)) - naive_forbidden(h, colors, v, max(colors))
+        colors[v] = min(allowed, default=0)
+    return h, colors
+
+
+@given(partial_colorings())
+@settings(max_examples=200, deadline=None)
+def test_forbidden_bars_exactly_the_colors_that_break_a_placement(case):
+    h, colors = case
+    t = max(colors)
+    completing = defaultdict(set)
+    for e in h.edges:
+        key = {colors[u] for u in e}
+        if 0 not in key:
+            for c in key:
+                completing[tuple(sorted(key - {c}))].add(c)
+    for v in (v for v in range(h.n) if not colors[v]):
+        barred, sides = _forbidden(h, colors, completing, v)
+        others = [[colors[u] for u in e if u != v] for e in h.edges if v in e]
+        assert sorted(sides) == sorted(tuple(sorted(cs)) for cs in others if all(cs))
+        failing = naive_forbidden(h, colors, v, t)
+        if barred is None:
+            assert failing == set(range(1, t + 2))
+        else:
+            assert barred == failing and t + 1 not in failing
 
 
 @given(small_instances())
