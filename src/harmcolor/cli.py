@@ -15,9 +15,10 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
+from collections import namedtuple
 from itertools import product
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 # each command imports the other modules, and csv, fractions and json, when it
 # runs, so that a CLI child loads only what its command needs
@@ -56,16 +57,21 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-# JSON key -> (ExperimentSpec field, accepted type, whether JSON null is
-# allowed); a *_values field takes one integer or a list of them
-SPEC_KEYS: dict[str, tuple[str, type | tuple[type, ...], bool]] = {
-    "k": ("k_values", int, False), "n": ("n_values", int, False),
-    "m": ("m_values", int, False), "max_degree": ("max_degree_values", int, False),
-    "trials": ("trials", int, False), "t_policy": ("t_policy", str, False),
-    "t": ("t_fixed", int, True), "eps": ("eps", (int, float), False),
-    "base_seed": ("base_seed", int, False), "output": ("output", str, False),
-    "exact": ("exact", bool, False), "exact_node_budget": ("exact_node_budget", int, False),
-    "max_resamples": ("max_resamples", int, True), "event_scan": ("event_scan", str, False),
+REQUIRED = object()  # the default of a spec key that must be given
+
+# JSON key -> (ExperimentSpec field, accepted type, default), the required keys
+# first since namedtuple gives its defaults to the last fields; a *_values field
+# takes one integer or a list of them, and a None default admits JSON null
+SPEC_KEYS: dict[str, tuple[str, type | tuple[type, ...], object]] = {
+    "k": ("k_values", int, REQUIRED), "n": ("n_values", int, REQUIRED),
+    "m": ("m_values", int, REQUIRED), "max_degree": ("max_degree_values", int, REQUIRED),
+    "trials": ("trials", int, REQUIRED), "t_policy": ("t_policy", str, REQUIRED),
+    "t": ("t_fixed", int, None), "eps": ("eps", (int, float), 0.0),
+    "base_seed": ("base_seed", int, 0), "output": ("output", str, "experiment.csv"),
+    "exact": ("exact", bool, False),
+    "exact_node_budget": ("exact_node_budget", int, DEFAULT_NODE_BUDGET),
+    "max_resamples": ("max_resamples", int, None),
+    "event_scan": ("event_scan", str, "deterministic"),
 }
 TYPE_NAMES = {int: "an integer", str: "a string", bool: "true or false", (int, float): "a number"}
 
@@ -82,21 +88,8 @@ def _check_spec_type(key: str, value: object, kind: type | tuple[type, ...],
                          f"{' or null' if nullable else ''}, got {json.dumps(value)}")
 
 
-class _SpecFields(NamedTuple):
-    k_values: tuple[int, ...]
-    n_values: tuple[int, ...]
-    m_values: tuple[int, ...]
-    max_degree_values: tuple[int, ...]
-    trials: int
-    t_policy: str
-    t_fixed: int | None = None
-    eps: float = 0.0
-    base_seed: int = 0
-    output: str = "experiment.csv"
-    exact: bool = False
-    exact_node_budget: int = DEFAULT_NODE_BUDGET
-    max_resamples: int | None = None
-    event_scan: str = "deterministic"
+_SpecFields = namedtuple("_SpecFields", [field for field, _, _ in SPEC_KEYS.values()],
+                         defaults=[d for _, _, d in SPEC_KEYS.values() if d is not REQUIRED])
 
 
 class ExperimentSpec(_Checked, _SpecFields):
@@ -145,13 +138,12 @@ class ExperimentSpec(_Checked, _SpecFields):
         unknown = set(data) - set(SPEC_KEYS)
         if unknown:
             raise ValueError(f"unknown experiment spec keys: {sorted(unknown)}")
-        required = set(cls._fields) - set(cls._field_defaults)
-        missing = [key for key, (field_name, _, _) in SPEC_KEYS.items()
-                   if field_name in required and key not in data]
+        missing = [key for key, (_, _, default) in SPEC_KEYS.items()
+                   if default is REQUIRED and key not in data]
         if missing:
             raise ValueError(f"experiment spec lacks required keys: {missing}")
         kwargs: dict[str, object] = {}
-        for key, (field_name, kind, nullable) in SPEC_KEYS.items():
+        for key, (field_name, kind, default) in SPEC_KEYS.items():
             if key not in data:
                 continue
             value = data[key]
@@ -160,7 +152,7 @@ class ExperimentSpec(_Checked, _SpecFields):
                 for item in value:
                     _check_spec_type(key, item, kind)
             else:
-                _check_spec_type(key, value, kind, nullable)
+                _check_spec_type(key, value, kind, default is None)
             kwargs[field_name] = value
         return cls(**kwargs)  # type: ignore[arg-type]
 
@@ -400,7 +392,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     import json
     try:
         spec = ExperimentSpec.from_json(Path(args.spec).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # json.loads recurses per nesting level
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     if args.output:

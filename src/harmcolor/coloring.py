@@ -23,8 +23,8 @@ import random
 import sys
 from bisect import bisect_left, insort
 from functools import cached_property
-from itertools import chain, combinations, compress, repeat
-from operator import eq, itemgetter, not_
+from itertools import chain, combinations, compress
+from operator import eq, itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .hypergraph import (FormatError, Hypergraph, _block_columns, _Checked, _content_lines,
@@ -106,7 +106,7 @@ def edge_key(colors: list[int], edge: tuple[int, ...]) -> tuple[int, ...]:
     starts with 0 iff the edge has an uncolored vertex. Two rainbow edges
     show the same pattern iff their keys are equal; an edge is rainbow iff
     its key has k colors, none of them 0."""
-    # map keeps the loop out of a comprehension frame; the search calls this per node
+    # map keeps the loop out of a comprehension frame: refresh and _edge_keys' repeats call it
     return tuple(sorted(set(map(colors.__getitem__, edge))))
 
 
@@ -165,8 +165,8 @@ class EventIndex:
     has fewer than k colors, so only repeat edges can be bad; an edge with
     an uncolored vertex is never bad. ``groups`` maps a key held by one edge
     to that edge's id, and a key shared by two or more edges to their ids in
-    an ascending list: one dict keeps each key's last holder, and only the
-    ids it overwrote (flagged in a bytearray) are grouped again. For fully
+    an ascending list, entered in id order by refresh's rule in one pass
+    that also collects the edges whose key starts with 0. For fully
     colored edges, equal pattern sets force equal full-edge color sets (the
     shared vertices add the same colors to both sides), so a shared key is
     necessary for a pattern pair, and sufficient once both edges are
@@ -174,8 +174,7 @@ class EventIndex:
     A multiset key would miss non-rainbow pairs such as e\\f colored
     (1,1,2) against f\\e colored (1,2,2). An edge with an uncolored vertex
     pairs only with partners that contain all of its uncolored vertices, so
-    its candidates come from the incidence lists (_partial_collisions),
-    scanned for only when some key starts with 0.
+    its candidates come from the incidence lists (_partial_collisions).
 
     ``refresh`` needs a total coloring, which is all the resampler ever has.
     There an edge's pairs all lie in its group: after the colors of some
@@ -189,27 +188,28 @@ class EventIndex:
     def __init__(self, h: Hypergraph, colors: list[int], keyed: tuple[list, list] | None = None):
         keys, repeats = keyed or _edge_keys(h, colors)
         self.h, self.k, self.colors, self.keys = h, h.k, colors, keys
-        edges, m = h.edges, h.m
-        self.groups = groups = dict(zip(keys, range(m)))  # each key to its last holder
-        overwritten = bytearray(b"\1") * m  # ends 1 at each id whose key a later edge took
-        any(map(overwritten.__setitem__, groups.values(), repeat(0)))  # any() drains the map
-        shared: dict[tuple[int, ...], list[int]] = {}
-        for idx in compress(range(m), overwritten):
-            shared.setdefault(keys[idx], []).append(idx)
-        groups.update((key, grp + [groups[key]]) for key, grp in shared.items())
+        self.groups = groups = {}
+        edges, shared, partial = h.edges, [], []  # shared keys' id lists; edges with a 0 key
+        for idx, key in enumerate(keys):  # refresh's rule: an id alone, a list once shared
+            held = groups.setdefault(key, idx)
+            if held.__class__ is list:
+                held.append(idx)  # ids arrive in order, so each list ascends
+            elif held != idx:
+                groups[key] = held = [held, idx]
+                shared.append(held)
+            if not key[0]:
+                partial.append(idx)
         self.bad = [idx for idx in repeats if keys[idx][0]]
         found = set()
-        for key in shared:
-            if key[0]:  # a group of fully colored edges, ascending, so that a < b
-                for a, b in combinations(groups[key], 2):
+        for held in shared:
+            if keys[held[0]][0]:  # a group of fully colored edges, ascending, so that a < b
+                for a, b in combinations(held, 2):
                     i = _pattern_size(edges[a], edges[b], colors)
                     if i is not None:
                         found.add((a, b, i))
-        if keys and not min(map(itemgetter(0), keys)):  # some edge has an uncolored vertex
-            for idx in compress(range(m), map(not_, map(itemgetter(0), keys))):
-                # a pair of two such edges is found from both; the set keeps one
-                found.update(_partial_collisions(
-                    h, colors, idx, [v for v in edges[idx] if not colors[v]]))
+        for idx in partial:  # a pair of two such edges is found from both; the set keeps one
+            found.update(_partial_collisions(
+                h, colors, idx, [v for v in edges[idx] if not colors[v]]))
         self.pairs = sorted(found)
 
     def refresh(self, edge_ids: Iterable[int]) -> None:

@@ -675,6 +675,13 @@ def test_experiment_bad_spec_json_exits_3(tmp_path, capsys):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text("{not json")
     assert main(["experiment", "--spec", str(spec_file)]) == 3
+    capsys.readouterr()
+    # too deep for json.loads, which recurses once per nesting level
+    for text in ('{"k": ' + "[" * 1000 + "2" + "]" * 1000 + "}", "[" * 200000):
+        spec_file.write_text(text)
+        assert main(["experiment", "--spec", str(spec_file)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_experiment_bad_spec_values_exit_2(tmp_path, capsys):
@@ -690,6 +697,7 @@ def test_experiment_bad_spec_values_exit_2(tmp_path, capsys):
     {"k": "3"},
     {"n": [8, "10"]},
     {"m": [5.0]},
+    {"m": [5, 0]},  # m_values must be positive
     {"max_degree": True},
     {"trials": 1.5},
     {"t_policy": 3},

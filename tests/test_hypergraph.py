@@ -46,6 +46,8 @@ def test_validation_rejects_bad_shapes():
         Hypergraph(2, 3, [(0, 3)])  # out of range
     with pytest.raises(ValueError):
         Hypergraph(2, 3, [(0, 1), (1, 0)])  # duplicate up to order
+    with pytest.raises(TypeError):
+        Hypergraph(2, 3, [(0, "a")])  # a vertex that is not an integer
 
 
 def test_edges_are_normalized_sorted_tuples():
@@ -81,6 +83,7 @@ def test_equality_tracks_edge_enumeration_order():
     assert a != b
     assert set(a.edges) == set(b.edges)
     assert a == Hypergraph(2, 3, [(1, 0), (2, 1)])
+    assert a != (a.k, a.n, a.edges)  # not a Hypergraph, whatever its fields
 
 
 # ---------------------------------------------------------------- builtins
@@ -532,6 +535,8 @@ def test_generator_config_validation():
         GeneratorConfig(k=2, n=3, m=1, max_degree=0)
     with pytest.raises(ValueError):
         GeneratorConfig(k=4, n=3, m=1, max_degree=4)  # k > n
+    with pytest.raises(ValueError):
+        GeneratorConfig(k=2, n=4, m=1, max_degree=1, max_restarts=-1)
     with pytest.raises(InfeasibleConfigError, match="infeasible"):
         GeneratorConfig(k=2, n=4, m=7, max_degree=3)  # 14 > 12
     feasible = GeneratorConfig(k=2, n=4, m=6, max_degree=3)
