@@ -27,7 +27,7 @@ import random
 import sys
 from fractions import Fraction
 from functools import wraps
-from math import ceil, comb, exp, factorial, inf, isfinite, lcm, log
+from math import ceil, comb, exp, factorial, inf, isfinite, lcm, log, perm
 from typing import Callable, Iterator, NamedTuple
 
 
@@ -152,12 +152,7 @@ def bad_edge_prob_exact(k: int, t: int) -> Fraction:
         raise ValueError(f"k must be at least 2, got {k}")
     if t < 1:
         raise ValueError(f"t must be at least 1, got {t}")
-    rainbow = Fraction(1)
-    for j in range(k):
-        if t - j <= 0:
-            return Fraction(1)
-        rainbow *= Fraction(t - j, t)
-    return 1 - rainbow
+    return 1 - Fraction(perm(t, k), t ** k)
 
 
 def bad_edge_prob_bound(k: int, t: int) -> Fraction:

@@ -23,7 +23,7 @@ import random
 import sys
 from bisect import bisect_left, insort
 from functools import cached_property
-from itertools import chain, combinations, compress
+from itertools import chain, compress
 from operator import eq, itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
@@ -136,20 +136,6 @@ def _edge_keys(h: Hypergraph, colors: list[int]) -> tuple[list[tuple[int, ...]],
     return keys, repeats
 
 
-def _partial_collisions(h: Hypergraph, colors: list[int], idx: int,
-                        missing: list[int]) -> Iterator[tuple[int, int, int]]:
-    """The same-pattern pairs (a, b, i), a < b, of edge idx, whose uncolored
-    vertices are ``missing``. Every uncolored vertex of the edge must lie in
-    the partner too, so only the edges containing all of them are candidates."""
-    candidates = set(h.incidence[missing[0]]).intersection(*(h.incidence[v] for v in missing[1:]))
-    edge = h.edges[idx]
-    for other in candidates:
-        if other != idx:
-            i = _pattern_size(edge, h.edges[other], colors)
-            if i is not None:
-                yield (idx, other, i) if idx < other else (other, idx, i)
-
-
 class EventIndex:
     """The bad events of the coloring ``colors``, a list indexed by vertex
     with 0 for uncolored, as one sorted event list: the bad edges in id
@@ -165,52 +151,61 @@ class EventIndex:
     has fewer than k colors, so only repeat edges can be bad; an edge with
     an uncolored vertex is never bad. ``groups`` maps a key held by one edge
     to that edge's id, and a key shared by two or more edges to their ids in
-    an ascending list, entered in id order by refresh's rule in one pass
-    that also collects the edges whose key starts with 0. For fully
-    colored edges, equal pattern sets force equal full-edge color sets (the
-    shared vertices add the same colors to both sides), so a shared key is
-    necessary for a pattern pair, and sufficient once both edges are
-    rainbow: each pair within a shared group is confirmed by _pattern_size.
-    A multiset key would miss non-rainbow pairs such as e\\f colored
-    (1,1,2) against f\\e colored (1,2,2). An edge with an uncolored vertex
-    pairs only with partners that contain all of its uncolored vertices, so
-    its candidates come from the incidence lists (_partial_collisions).
+    an ascending list; _join holds that rule for the build and refresh.
+    For fully colored edges, equal pattern sets force equal full-edge color
+    sets (the shared vertices add the same colors to both sides), so a
+    shared key is necessary for a pattern pair, and sufficient once both
+    edges are rainbow: _pairs confirms each candidate pair, here each pair
+    of a shared group once, as its later edge joins. A multiset key would
+    miss non-rainbow pairs such as e\\f colored (1,1,2) against f\\e
+    colored (1,2,2). An edge with an uncolored vertex pairs only with
+    partners that contain all of its uncolored vertices, so its candidates
+    come from the incidence lists.
 
     ``refresh`` needs a total coloring, which is all the resampler ever has.
     There an edge's pairs all lie in its group: after the colors of some
     vertices change, ``refresh`` of the edges through them re-keys those
     edges, drops each one's pairs found through its old group, and
     re-confirms it against its new group. A group that shrinks to one edge
-    turns back into that edge's id, and an id turns into a list when a
-    second edge joins it.
+    turns back into that edge's id.
     """
 
     def __init__(self, h: Hypergraph, colors: list[int], keyed: tuple[list, list] | None = None):
         keys, repeats = keyed or _edge_keys(h, colors)
         self.h, self.k, self.colors, self.keys = h, h.k, colors, keys
         self.groups = groups = {}
-        edges, shared, partial = h.edges, [], []  # shared keys' id lists; edges with a 0 key
-        for idx, key in enumerate(keys):  # refresh's rule: an id alone, a list once shared
+        join, pairs_of, edges, found = self._join, self._pairs, h.edges, set()
+        for idx, key in enumerate(keys):
             held = groups.setdefault(key, idx)
-            if held.__class__ is list:
-                held.append(idx)  # ids arrive in order, so each list ascends
-            elif held != idx:
-                groups[key] = held = [held, idx]
-                shared.append(held)
-            if not key[0]:
-                partial.append(idx)
+            if held != idx:
+                held = join(key, held, idx)
+                if key[0]:
+                    found.update(pairs_of(idx, held))
+            if not key[0]:  # a pair of two such edges is found from both; the set keeps one
+                missing = [h.incidence[v] for v in edges[idx] if not colors[v]]
+                found.update(pairs_of(idx, set(missing[0]).intersection(*missing[1:])))
         self.bad = [idx for idx in repeats if keys[idx][0]]
-        found = set()
-        for held in shared:
-            if keys[held[0]][0]:  # a group of fully colored edges, ascending, so that a < b
-                for a, b in combinations(held, 2):
-                    i = _pattern_size(edges[a], edges[b], colors)
-                    if i is not None:
-                        found.add((a, b, i))
-        for idx in partial:  # a pair of two such edges is found from both; the set keeps one
-            found.update(_partial_collisions(
-                h, colors, idx, [v for v in edges[idx] if not colors[v]]))
         self.pairs = sorted(found)
+
+    def _join(self, key: tuple[int, ...], held: int | list[int], idx: int) -> list[int]:
+        """Enter edge idx into the group of key, which ``held`` (an id or an
+        ascending id list) already holds, and return the group's id list."""
+        if held.__class__ is int:
+            held = self.groups[key] = [held, idx] if held < idx else [idx, held]
+        else:
+            insort(held, idx)
+        return held
+
+    def _pairs(self, idx: int, others: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+        """The same-pattern pairs (a, b, i), a < b, of edge idx with each edge
+        of ``others`` other than idx itself."""
+        edges, colors = self.h.edges, self.colors
+        edge = edges[idx]
+        for other in others:
+            if other != idx:
+                i = _pattern_size(edge, edges[other], colors)
+                if i is not None:
+                    yield (idx, other, i) if idx < other else (other, idx, i)
 
     def refresh(self, edge_ids: Iterable[int]) -> None:
         keys, groups, edges, colors, k = self.keys, self.groups, self.h.edges, self.colors, self.k
@@ -242,17 +237,11 @@ class EventIndex:
                 held = groups.setdefault(key, idx)
                 if held == idx:
                     continue  # the edge holds its new key alone
-                if held.__class__ is int:
-                    held = groups[key] = [held, idx] if held < idx else [idx, held]
-                else:
-                    insort(held, idx)
+                held = self._join(key, held, idx)
             elif held.__class__ is int:
                 continue
-            for other in held:
-                if other != idx:
-                    i = _pattern_size(edges[idx], edges[other], colors)
-                    if i is not None:
-                        insort(pairs, (idx, other, i) if idx < other else (other, idx, i))
+            for pair in self._pairs(idx, held):
+                insort(pairs, pair)
 
     def pick(self, rng: random.Random | None = None) -> Union[BadEdge, SamePattern, None]:
         """The event at position rng.randrange(#events) of the event list, or

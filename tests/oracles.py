@@ -125,6 +125,17 @@ def naive_floor_root(x: int, k: int) -> int:
     return lo
 
 
+def naive_bad_edge_prob(k: int, t: int) -> Fraction:
+    """1 - prod_{j=0}^{k-1} (t-j)/t, one Fraction factor at a time; 1 once a
+    factor reaches 0, that is, whenever t < k."""
+    rainbow = Fraction(1)
+    for j in range(k):
+        if t - j <= 0:
+            return Fraction(1)
+        rainbow *= Fraction(t - j, t)
+    return 1 - rainbow
+
+
 def naive_lcl_slack(k: int, delta: int, m: int, t: int, tau: Fraction) -> Fraction:
     """tau minus the certificate's right side, summed term by term in
     Fractions exactly as the inequality reads."""

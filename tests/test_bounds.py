@@ -25,8 +25,8 @@ from harmcolor import (
     theorem_ceil_colors,
 )
 from harmcolor.bounds import LCL_MAX_BITS, LCL_MAX_K, _float_root
-from oracles import (naive_floor_root, naive_lcl_min_colors, naive_lcl_slack,
-                     naive_lower_bound_colors, naive_monte_carlo_event_probs)
+from oracles import (naive_bad_edge_prob, naive_floor_root, naive_lcl_min_colors,
+                     naive_lcl_slack, naive_lower_bound_colors, naive_monte_carlo_event_probs)
 
 
 # ------------------------------------------------------------- input guards
@@ -161,6 +161,12 @@ def test_bad_edge_prob_exact_frozen():
     assert bad_edge_prob_exact(3, 3) == Fraction(7, 9)
     assert bad_edge_prob_exact(3, 2) == Fraction(1)  # t < k forces a repeat
     assert bad_edge_prob_exact(3, 10) == Fraction(7, 25)
+
+
+def test_bad_edge_prob_exact_matches_the_product():
+    for k in range(2, 13):
+        for t in range(1, 61):
+            assert bad_edge_prob_exact(k, t) == naive_bad_edge_prob(k, t), (k, t)
 
 
 def test_bad_edge_prob_dominance_chain():

@@ -25,6 +25,8 @@ from harmcolor import (
     pattern_collisions,
     serialize_coloring,
 )
+from harmcolor import coloring
+from harmcolor.coloring import _pattern_size
 from oracles import naive_bad_edges, naive_is_harmonious, naive_pattern_pairs
 
 
@@ -158,6 +160,28 @@ def test_pattern_collisions_within_a_shared_key(name):
     h, c, expected = SHARED_KEY_CASES[name]
     assert naive_pattern_pairs(h, c) == expected
     assert pattern_collisions(h, c) == [SamePattern(*pair) for pair in expected]
+
+
+def test_the_build_confirms_each_pair_of_a_shared_key_once(monkeypatch):
+    # key groups: rainbow (1,2,3) [0,1,2] and (1,2,4) [5,6], non-rainbow (1,2)
+    # [3,4] and (3,4) [8,9,10]; edges 7 and 11 hold their keys alone
+    h = Hypergraph(3, 30, [(0, 1, 2), (0, 3, 4), (5, 6, 7), (8, 9, 10), (11, 12, 13),
+                           (14, 15, 16), (17, 18, 19), (20, 21, 22), (23, 24, 25),
+                           (26, 27, 28), (23, 26, 29), (2, 6, 16)])
+    c = col(4, 1, 2, 3, 3, 2, 3, 1, 2, 1, 1, 2, 2, 1, 2, 1, 2, 4, 4, 2, 1, 4, 4, 4,
+            3, 3, 4, 4, 3, 4, 3)
+    calls = []
+
+    def counted(ea, eb, colors):
+        calls.append((ea, eb))
+        return _pattern_size(ea, eb, colors)
+
+    monkeypatch.setattr(coloring, "_pattern_size", counted)
+    index = coloring.EventIndex(h, c.colors)
+    shared = [held for held in index.groups.values() if isinstance(held, list)]
+    assert sorted(map(len, shared)) == [2, 2, 3, 3]
+    assert len(calls) == sum(comb(len(held), 2) for held in shared) == 8
+    assert index.pairs == naive_pattern_pairs(h, c)
 
 
 # ----------------------------------------------------------- is_harmonious
