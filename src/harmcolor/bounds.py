@@ -17,8 +17,9 @@ real-valued closed forms (theorem_bound, remark_bound) use floating point.
 They take their k-th roots in log space, so no radicand overflows; a perfect
 k-th power gives an exact root (checked up to 10**12), any other radicand a
 root good to at least 12 significant digits. The certificate calculators
-refuse k above LCL_MAX_K with ValueError, and lcl_condition refuses a t or
-tau whose integers would exceed LCL_MAX_BITS bits.
+refuse k above LCL_MAX_K with ValueError, lcl_condition refuses a t or tau
+whose integers would exceed LCL_MAX_BITS bits, and tau_grid_search a grid
+whose k * denominator exceeds LCL_MAX_GRID.
 """
 
 from __future__ import annotations
@@ -27,14 +28,22 @@ import random
 import sys
 from fractions import Fraction
 from functools import wraps
-from math import ceil, comb, exp, factorial, inf, isfinite, lcm, log, perm
+from math import ceil, comb, exp, factorial, gcd, inf, isfinite, lcm, log, perm
+from operator import ge
 from typing import Callable, Iterator, NamedTuple
 
 
 # The certificate's integers have about k * log2(q * t) bits, and one search
 # evaluates it O(log t) times at O(k) products each: at k = 1000,
-# lcl_min_colors answers in well under a second, and tau_grid_search in a few.
+# lcl_min_colors answers in well under a second, and tau_grid_search with a
+# denominator of 64 in 1.1-1.4 s on a 2-vCPU VM.
 LCL_MAX_K = 1000
+
+# tau_grid_search runs one certificate per grid point, each of O(k) products,
+# so k * denominator bounds its work. At this cap the slowest grid allowed,
+# k = 1000 with a denominator of 65, answers in about 2 s on a 2-vCPU VM, and
+# k = 2 with a denominator of 32768 in about 0.1 s.
+LCL_MAX_GRID = 2 ** 16
 
 # lcl_condition takes its t and tau from the caller, so k alone does not bound
 # its integers (see _lcl_bits). Its Horner pass and the gcd that reduces its
@@ -129,19 +138,24 @@ def lower_bound_colors(k: int, m: int) -> int:
         raise ValueError(f"k must be at least 2, got {k}")
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
-    return _least(lambda r: comb(r, k) >= m)  # comb(r, k) == 0 < m for r < k
+    return _least(lambda r: (comb(r, k), m))  # comb(r, k) == 0 < m for r < k
 
 
-def _least(holds: Callable[[int], bool]) -> int:
-    """Least t >= 1 with holds(t), for a predicate monotone in t that holds
-    somewhere: doubling brackets it, bisection pins it down."""
-    hi = 1
-    while not holds(hi):
-        hi *= 2
-    lo = hi // 2  # holds(lo) is false (or lo == 0)
+def _least(sides: Callable[[int], tuple[int, int]], hi: int | None = None) -> int:
+    """Least t >= 1 whose sides(t) = (lhs, rhs) has lhs >= rhs, for sides
+    whose comparison, once true, stays true as t grows and is true somewhere:
+    doubling brackets it, bisection pins it down. A given hi is a t known to
+    hold, so the bisection runs on (0, hi] at once."""
+    if hi is None:
+        hi = 1
+        while not ge(*sides(hi)):
+            hi *= 2
+        lo = hi // 2  # fails at lo (or lo == 0)
+    else:
+        lo = 0
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+        lo, hi = (lo, mid) if ge(*sides(mid)) else (mid, hi)
     return hi
 
 
@@ -173,12 +187,12 @@ def pattern_prob_bound(i: int, t: int) -> Fraction:
     return Fraction(factorial(i), t ** i)
 
 
-def _lcl_sides(k: int, delta: int, m: int,
-               tau: Fraction) -> Callable[[int], tuple[int, int]]:
-    """The certificate inequality at weight tau = p/q as a function of t that
-    returns (lhs, rhs): both sides multiplied by D = L * (q*t)^k, where
-    L = lcm(1..k-1), so that both are integers and lhs = tau * D. Term by
-    term, with a = q*t:
+def _lcl_sides(k: int, delta: int,
+               m: int) -> Callable[[int, int], Callable[[int], tuple[int, int]]]:
+    """The certificate inequality at weight tau = p/q, taken as two ints, as a
+    function of t that returns (lhs, rhs): both sides multiplied by
+    D = L * (q*t)^k, where L = lcm(1..k-1), so that both are integers and
+    lhs = tau * D. Term by term, with a = q*t:
 
         tau                                -> p * q^(k-1) * L * t^k
         1                                  -> L * a^k
@@ -187,31 +201,37 @@ def _lcl_sides(k: int, delta: int, m: int,
         delta*(k*delta/(k-i))*(i!/t^i)*tau^i
                                 -> delta^2 * k * (L/(k-i)) * i! * p^i * a^(k-i)
 
-    No coefficient depends on t, so they are built once; each t then costs one
-    Horner pass in a over the 1 term and the i-sum, k products of the running
-    sum by a, with no gcd and no Fraction."""
-    p, q = tau.numerator, tau.denominator
+    The factors that depend on neither tau nor t (L, k! and each
+    delta^2 * k * (L/(k-i))) are built once, here; the returned function of
+    (p, q) builds the rest of each coefficient. No coefficient depends on t,
+    so each t then costs one Horner pass in a over the 1 term and the i-sum,
+    k products of the running sum by a, with no gcd and no Fraction."""
     big_l = lcm(*range(1, k))
-    top = p * q ** (k - 1) * big_l
-    p_k_l = p ** k * big_l
-    bad = delta * k * k * p_k_l
-    pattern_k = delta * m * factorial(k) * p_k_l
-    horner = [big_l]  # a^k's coefficient, then a^(k-i)'s for i = 1..k-1
-    spread = delta * delta * k
-    i_factorial_p_i = 1
-    for i in range(1, k):
-        i_factorial_p_i *= i * p
-        horner.append(spread * (big_l // (k - i)) * i_factorial_p_i)
+    k_factorial = factorial(k)
+    spread = [delta * delta * k * (big_l // (k - i)) for i in range(1, k)]
 
-    def sides(t: int) -> tuple[int, int]:
-        a = q * t
-        total = 0
-        for coefficient in horner:
-            total = total * a + coefficient
-        t_k1 = t ** (k - 1)
-        return top * t_k1 * t, total * a + bad * t_k1 + pattern_k
+    def at(p: int, q: int) -> Callable[[int], tuple[int, int]]:
+        top = p * q ** (k - 1) * big_l
+        p_k_l = p ** k * big_l
+        bad = delta * k * k * p_k_l
+        pattern_k = delta * m * k_factorial * p_k_l
+        horner = [big_l]  # a^k's coefficient, then a^(k-i)'s for i = 1..k-1
+        i_factorial_p_i = 1
+        for i, fixed in enumerate(spread, 1):
+            i_factorial_p_i *= i * p
+            horner.append(fixed * i_factorial_p_i)
 
-    return sides
+        def sides(t: int) -> tuple[int, int]:
+            a = q * t
+            total = 0
+            for coefficient in horner:
+                total = total * a + coefficient
+            t_k1 = t ** (k - 1)
+            return top * t_k1 * t, total * a + bad * t_k1 + pattern_k
+
+        return sides
+
+    return at
 
 
 def check_certificate_k(k: int) -> None:
@@ -254,7 +274,7 @@ def lcl_condition(k: int, delta: int, m: int, t: int,
     if bits > LCL_MAX_BITS:
         raise ValueError(f"the exact certificate takes integers up to {LCL_MAX_BITS} bits, "
                          f"about k * log2(max(p, q*t)) for tau = p/q; got {bits}")
-    lhs, rhs = _lcl_sides(k, delta, m, tau)(t)
+    lhs, rhs = _lcl_sides(k, delta, m)(tau.numerator, tau.denominator)(t)
     slack = Fraction(tau.numerator * (lhs - rhs), tau.denominator * lhs)  # D = lhs / tau
     return LclResult(holds=lhs >= rhs, slack=slack)
 
@@ -269,17 +289,7 @@ def lcl_min_colors(k: int, delta: int, m: int, tau: Fraction | None = None) -> i
     tau = Fraction(k, k - 1) if tau is None else Fraction(tau)
     if tau <= 1:
         raise ValueError(f"tau must exceed 1, got {tau}")
-    return _least(_lcl_holds(k, delta, m, tau))
-
-
-def _lcl_holds(k: int, delta: int, m: int, tau: Fraction) -> Callable[[int], bool]:
-    sides = _lcl_sides(k, delta, m, tau)
-
-    def holds(t: int) -> bool:
-        lhs, rhs = sides(t)
-        return lhs >= rhs
-
-    return holds
+    return _least(_lcl_sides(k, delta, m)(tau.numerator, tau.denominator))
 
 
 def tau_grid_search(k: int, delta: int, m: int,
@@ -289,20 +299,32 @@ def tau_grid_search(k: int, delta: int, m: int,
     not always optimal — e.g. (k=3, delta=2, m=15) certifies t=141 at tau=3/2
     but t=140 at tau=49/32.
 
-    A tau whose certificate fails at the best t so far minus one cannot win
-    (the certificate holds for every t from its least one up), so it costs
-    one evaluation instead of a search."""
+    Each grid point is the two ints p = (denominator + j)/g and
+    q = denominator/g, g = gcd(j, denominator); only the returned tau is a
+    Fraction. The certificate holds for every t from its least one up, so a
+    tau that fails at the best t so far minus one cannot win, and costs one
+    evaluation. One that holds there is tested at best t minus two: if that
+    fails its least t is best minus one, and otherwise a bisection below
+    best minus two finds it. Raises ValueError when k * denominator exceeds
+    LCL_MAX_GRID."""
     _check_certificate_inputs(k, delta, m)
     if denominator < 1:
         raise ValueError(f"denominator must be positive, got {denominator}")
-    best: tuple[int, Fraction] | None = None
+    if k * denominator > LCL_MAX_GRID:
+        raise ValueError(f"tau_grid_search takes k * denominator up to {LCL_MAX_GRID}, "
+                         f"got {k} * {denominator}")
+    at = _lcl_sides(k, delta, m)
+    best_t = best_j = 0
     for j in range(1, denominator + 1):
-        tau = 1 + Fraction(j, denominator)
-        holds = _lcl_holds(k, delta, m, tau)
-        if best is None or (best[0] > 1 and holds(best[0] - 1)):
-            best = (_least(holds), tau)
-    assert best is not None
-    return best[1], best[0]
+        g = gcd(j, denominator)
+        sides = at((denominator + j) // g, denominator // g)
+        if not best_t:
+            best_t, best_j = _least(sides), j
+        elif best_t > 1 and ge(*sides(best_t - 1)):
+            t = best_t - 1
+            best_t = _least(sides, t - 1) if t > 1 and ge(*sides(t - 1)) else t
+            best_j = j
+    return 1 + Fraction(best_j, denominator), best_t
 
 
 def theorem_ceil_colors(k: int, delta: int, m: int, eps: float = 0.0) -> int:

@@ -155,6 +155,14 @@ def naive_lcl_min_colors(k: int, delta: int, m: int, tau: Fraction) -> int:
     return t
 
 
+def naive_tau_grid_search(k: int, delta: int, m: int, denominator: int) -> tuple[Fraction, int]:
+    """(tau, t) with the least upward-walk t over tau = 1 + j/denominator,
+    j = 1..denominator; ties go to the smaller tau."""
+    taus = [1 + Fraction(j, denominator) for j in range(1, denominator + 1)]
+    t, tau = min((naive_lcl_min_colors(k, delta, m, tau), tau) for tau in taus)
+    return tau, t
+
+
 def naive_monte_carlo_event_probs(k: int, i: int, t: int, trials: int,
                                   seed: int = 0) -> tuple[float, float]:
     """The Monte Carlo sampler's documented draw order, as one flat draw per

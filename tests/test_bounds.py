@@ -24,9 +24,11 @@ from harmcolor import (
     theorem_bound,
     theorem_ceil_colors,
 )
-from harmcolor.bounds import LCL_MAX_BITS, LCL_MAX_K, _float_root
+from harmcolor import bounds
+from harmcolor.bounds import LCL_MAX_BITS, LCL_MAX_GRID, LCL_MAX_K, _float_root
 from oracles import (naive_bad_edge_prob, naive_floor_root, naive_lcl_min_colors,
-                     naive_lcl_slack, naive_lower_bound_colors, naive_monte_carlo_event_probs)
+                     naive_lcl_slack, naive_lower_bound_colors, naive_monte_carlo_event_probs,
+                     naive_tau_grid_search)
 
 
 # ------------------------------------------------------------- input guards
@@ -289,10 +291,54 @@ def test_lcl_min_matches_the_upward_walk(k, delta, m, tau):
 @given(st.integers(2, 5), st.integers(1, 5), st.integers(1, 10**6), st.integers(1, 40))
 @settings(max_examples=40, deadline=None)
 def test_tau_grid_search_is_the_least_pair_on_the_grid(k, delta, m, denominator):
-    # the search skips a tau whose certificate fails one below the best t so far
+    # the search from the incumbent against a full search per tau, at sizes the
+    # upward walk of test_tau_grid_search_matches_the_upward_walks cannot reach
     taus = [1 + Fraction(j, denominator) for j in range(1, denominator + 1)]
     t, tau = min((lcl_min_colors(k, delta, m, tau), tau) for tau in taus)
     assert tau_grid_search(k, delta, m, denominator) == (tau, t)
+
+
+@given(st.integers(2, 3), st.integers(1, 3), st.integers(1, 60), st.integers(1, 8))
+@settings(max_examples=40, deadline=None)
+def test_tau_grid_search_matches_the_upward_walks(k, delta, m, denominator):
+    assert tau_grid_search(k, delta, m, denominator) == naive_tau_grid_search(k, delta, m,
+                                                                              denominator)
+
+
+@pytest.mark.parametrize("k, delta, m, most", [(2, 3, 16, 400), (3, 3, 10**400, 15_000)],
+                         ids=["k2-m16", "k3-m1e400"])
+def test_tau_grid_search_evaluates_few_certificates(k, delta, m, most, monkeypatch):
+    # a tau that holds at the best t so far minus one is tested at minus two before
+    # any bisection, and the bisection runs below that; restarting the search from
+    # t = 1 at each new best takes 881 and 28,611 evaluations here
+    calls = 0
+    build = bounds._lcl_sides
+
+    def counted(k, delta, m):
+        at = build(k, delta, m)
+
+        def counted_at(p, q):
+            sides = at(p, q)
+
+            def counted_sides(t):
+                nonlocal calls
+                calls += 1
+                return sides(t)
+
+            return counted_sides
+
+        return counted_at
+
+    monkeypatch.setattr(bounds, "_lcl_sides", counted)
+    tau_grid_search(k, delta, m, 64)
+    assert 0 < calls <= most
+
+
+def test_tau_grid_search_takes_a_grid_up_to_its_cap():
+    tau, t = tau_grid_search(2, 1, 1, LCL_MAX_GRID // 2)
+    assert lcl_min_colors(2, 1, 1, tau) == t
+    with pytest.raises(ValueError, match=f"k \\* denominator up to {LCL_MAX_GRID}, got 2 \\* "):
+        tau_grid_search(2, 1, 1, LCL_MAX_GRID // 2 + 1)
 
 
 def test_tau_grid_search_beats_the_default():

@@ -31,7 +31,7 @@ from harmcolor import (
     serialize_coloring,
     serialize_hypergraph,
 )
-from harmcolor.bounds import LCL_MAX_BITS, LCL_MAX_K
+from harmcolor.bounds import LCL_MAX_BITS, LCL_MAX_GRID, LCL_MAX_K
 from harmcolor.cli import CSV_COLUMNS
 from oracles import naive_bad_edges, naive_is_harmonious, naive_pattern_pairs
 
@@ -364,6 +364,18 @@ def test_bound_above_the_certificate_cap_exits_2_at_once(k, capsys):
         f"error: the certificate calculators take k up to {LCL_MAX_K}, got {k}\n")
 
 
+@pytest.mark.parametrize("denominator", [10**8, 2**200])
+def test_bound_with_a_tau_grid_above_its_cap_exits_2_at_once(denominator, capsys):
+    # a grid of 10**8 points ran for more than 10 s, one of 2**200 would never finish
+    start = time.perf_counter()
+    assert main(["bound", "--k", "2", "--delta", "1", "--m", "1",
+                 "--tau-grid", str(denominator)]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        f"error: tau_grid_search takes k * denominator up to {LCL_MAX_GRID}, "
+        f"got 2 * {denominator}\n")
+
+
 def test_bound_with_a_t_above_the_integer_cap_exits_2_at_once(capsys):
     # the exact slack at this t would take seconds to reduce
     start = time.perf_counter()
@@ -432,10 +444,11 @@ NUMBER_FLAGS = ("--delta", "--m", "--t", "--eps", "--tau")
 BOUND_BASE = {"--k": "3", "--delta": "2", "--m": "15", "--t": "141", "--eps": "0.1",
               "--tau": "3/2", "--mc-trials": "100"}
 # the caps, and small numbers where several options change at once, keep each run
-# short: a large k, delta or tau grid is real work (k = 100 with a grid of 8 takes 0.01 s)
+# short: a large k or delta is real work, and the grid's cap bounds k * denominator
+# (k = 3 with delta = m = 10**6 and the largest grid allowed takes about 2 s)
 BOUND_VALUES = {flag: SMALL for flag in NUMBER_FLAGS}
 BOUND_VALUES["--k"] = st.integers(-2, 100).map(str) | st.sampled_from(["nan", "3/2", "1/0", "x"])
-BOUND_VALUES["--tau-grid"] = st.integers(-1, 8).map(str)
+BOUND_VALUES["--tau-grid"] = NUMBERS
 BOUND_VALUES["--mc-trials"] = st.integers(-1, 1000).map(str)
 
 
