@@ -157,21 +157,21 @@ class ExperimentSpec(_Checked, _SpecFields):
         return cls(**kwargs)  # type: ignore[arg-type]
 
 
-def _policy_t(policy: str, t_fixed: int | None, eps: float,
-              k: int, delta: int, m: int, lcl_min: int | None = None) -> int:
-    """The palette a policy names; lcl_min, when given, is
-    lcl_min_colors(k, delta, m) already computed."""
-    from .bounds import lcl_min_colors, theorem_ceil_colors
+def _policy_t(policy: str, t_fixed: int | None, eps: float, h: Hypergraph) -> int:
+    """The palette a policy names for instance h: t_fixed, k for an edgeless
+    h, else the policy's closed form at h's k, max degree and m."""
     if policy == "fixed":
-        assert t_fixed is not None
-        return t_fixed
-    if policy == "lcl-min":
-        t = lcl_min if lcl_min is not None else lcl_min_colors(k, delta, m)
-    else:
-        t = theorem_ceil_colors(k, delta, m, eps)
+        return t_fixed  # type: ignore[return-value]
+    if h.m == 0:
+        return h.k
+    from .bounds import lcl_min_colors, theorem_ceil_colors
+    h.incidence  # built first: the solver needs it, and the degrees then come from it
+    delta = max_degree(h)
+    t = (lcl_min_colors(h.k, delta, h.m) if policy == "lcl-min"
+         else theorem_ceil_colors(h.k, delta, h.m, eps))
     # a single edge already needs k colors; the closed forms can dip below k
     # at tiny m, where their "sufficiently large m" premise fails
-    return max(t, k)
+    return max(t, h.k)
 
 
 def run_experiment(spec: ExperimentSpec) -> list[dict[str, object]]:
@@ -209,9 +209,8 @@ def _run_cell(spec: ExperimentSpec, cell_index: int,
         seed = spec.base_seed + cell_index * spec.trials + trial
         cfg = GeneratorConfig(k=k, n=n, m=m, max_degree=dmax, seed=seed)
         instance = generate_random_bounded_degree(cfg)
+        t = _policy_t(spec.t_policy, spec.t_fixed, spec.eps, instance)
         delta = max_degree(instance)
-        lcl_min = lcl_min_colors(k, delta, m)
-        t = _policy_t(spec.t_policy, spec.t_fixed, spec.eps, k, delta, m, lcl_min)
         report = resample_solve(instance, SolverConfig(
             t=t, seed=seed, max_resamples=spec.max_resamples,
             event_scan=spec.event_scan))
@@ -231,7 +230,7 @@ def _run_cell(spec: ExperimentSpec, cell_index: int,
             "theorem_bound": _fmt(theorem_bound(k, delta, m, spec.eps)),
             "remark_bound": _fmt(remark_bound(k, delta, m)),
             "lower_bound": lower_bound_colors(k, m),
-            "lcl_min_colors": lcl_min,
+            "lcl_min_colors": lcl_min_colors(k, delta, m),
         })
     return out
 
@@ -260,22 +259,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
     from .coloring import serialize_coloring
     from .solver import SolverConfig, resample_solve
     instance = _load_instance(args.input)
-    if args.t_policy == "fixed":
-        if args.colors is None:
-            print("solve: --t-policy fixed needs --colors", file=sys.stderr)
-            return EXIT_USAGE
-        t = args.colors
-    else:
-        if args.colors is not None:
-            print("solve: --colors conflicts with --t-policy "
-                  f"{args.t_policy}; pick one", file=sys.stderr)
-            return EXIT_USAGE
-        if instance.m == 0:
-            t = instance.k
-        else:
-            instance.incidence  # built first: solve needs it, and the degrees then come from it
-            t = _policy_t(args.t_policy, None, args.eps,
-                          instance.k, max_degree(instance), instance.m)
+    if args.t_policy == "fixed" and args.colors is None:
+        print("solve: --t-policy fixed needs --colors", file=sys.stderr)
+        return EXIT_USAGE
+    if args.t_policy != "fixed" and args.colors is not None:
+        print("solve: --colors conflicts with --t-policy "
+              f"{args.t_policy}; pick one", file=sys.stderr)
+        return EXIT_USAGE
+    t = _policy_t(args.t_policy, args.colors, args.eps, instance)
     report = resample_solve(instance, SolverConfig(
         t=t, seed=args.seed, max_resamples=args.max_resamples,
         event_scan=args.scan))

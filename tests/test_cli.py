@@ -1,6 +1,7 @@
 """Command-line behaviors: exit codes, file round trips, output formats, and
 the experiment harness's reproducibility contract."""
 
+import ast
 import gc
 import hashlib
 import io
@@ -114,8 +115,48 @@ def test_solve_t_policy_flags(tmp_path, triangle_file, capsys):
     capsys.readouterr()
     # fixed policy without --colors, and --colors with a non-fixed policy
     assert main(["solve", "--input", str(triangle_file)]) == 2
+    assert capsys.readouterr().err == "solve: --t-policy fixed needs --colors\n"
     assert main(["solve", "--input", str(triangle_file), "--colors", "3",
                  "--t-policy", "theorem-ceil"]) == 2
+    assert capsys.readouterr().err == (
+        "solve: --colors conflicts with --t-policy theorem-ceil; pick one\n")
+
+
+@pytest.mark.parametrize("policy", ["lcl-min", "theorem-ceil"])
+def test_solve_names_k_colors_for_an_edgeless_instance(tmp_path, capsys, policy):
+    path = tmp_path / "empty.hg"
+    path.write_text("p hg 3 5 0\n")
+    assert main(["solve", "--input", str(path), "--t-policy", policy]) == 0
+    captured = capsys.readouterr()
+    assert " t=3 " in captured.err
+    assert parse_coloring(captured.out)[0].t == 3
+
+
+@pytest.mark.parametrize("policy, options, solve_argv", [
+    ("fixed", {"t": 9}, ["--colors", "9"]),
+    ("lcl-min", {}, []),
+    ("theorem-ceil", {"eps": 0.1}, ["--eps", "0.1"])])
+def test_experiment_and_solve_name_the_same_palette(tmp_path, capsys, policy, options,
+                                                    solve_argv):
+    """An experiment row and gen + solve at the row's seed report the same t
+    and the same resample count: both commands read the palette off the
+    instance by one rule."""
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec_dict(
+        tmp_path, k=3, n=24, m=12, max_degree=3, trials=1, t_policy=policy, exact=False,
+        **{"eps": ABSENT, **options})))
+    assert main(["experiment", "--spec", str(spec_file)]) == 0
+    lines = (tmp_path / "rows.csv").read_text().splitlines()
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    instance = tmp_path / "h.txt"
+    assert main(["gen", "--k", "3", "--n", "24", "--m", "12", "--max-degree", "3",
+                 "--seed", row["seed"], "--output", str(instance)]) == 0
+    capsys.readouterr()
+    assert main(["solve", "--input", str(instance), "--t-policy", policy, "--seed", row["seed"],
+                 *solve_argv, "--output", str(tmp_path / "c.txt")]) == 0
+    summary = capsys.readouterr().out.splitlines()[0].removeprefix("solve: ")
+    fields = dict(field.split("=") for field in summary.split())
+    assert (fields["t"], fields["resamples_total"]) == (row["t"], row["resamples"])
 
 
 def test_verify_reports_offenders_and_exits_1(tmp_path, triangle_file, capsys):
@@ -866,10 +907,25 @@ def test_the_package_loads_the_cli_lazily_and_exports_what_it_lists():
     assert "experiment" in proc.stdout
 
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.stem for demo in DEMOS])
 def test_demo_runs(demo):
     proc = run_python(str(demo))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_module_binds_a_top_level_def_or_class_twice():
+    """A second def or class of one name silently rebinds the first, so a
+    test written for the first one runs the second."""
+    twice = []
+    modules = [path for part in ("src/harmcolor", "tests", "demos")
+               for path in sorted((ROOT / part).rglob("*.py"))]
+    for path in modules:
+        names = [node.name for node in ast.parse(path.read_text()).body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        twice += [f"{path.relative_to(ROOT)}: {name}"
+                  for name in sorted(set(names)) if names.count(name) > 1]
+    assert twice == []

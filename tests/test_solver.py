@@ -655,7 +655,7 @@ def test_greedy_is_first_fit_under_the_oracles(h):
 
 
 @st.composite
-def partial_colorings(draw):
+def first_fit_partial_colorings(draw):
     """A small instance and a partial coloring of it: a random share of its
     vertices, in a random order, each take the least color that
     naive_forbidden allows, if any."""
@@ -668,7 +668,7 @@ def partial_colorings(draw):
     return h, colors
 
 
-@given(partial_colorings())
+@given(first_fit_partial_colorings())
 @settings(max_examples=200, deadline=None)
 def test_forbidden_bars_exactly_the_colors_that_break_a_placement(case):
     h, colors = case
