@@ -27,8 +27,7 @@ from itertools import chain, compress
 from operator import eq, itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
-from .hypergraph import (FormatError, Hypergraph, _block_columns, _Checked, _content_lines,
-                         _header_and_blocks)
+from .hypergraph import FormatError, Hypergraph, _block_columns, _Checked, _read
 
 
 class _ColoringFields(NamedTuple):
@@ -323,18 +322,10 @@ def colors_used(c: Coloring) -> int:
 def parse_coloring(text: str) -> tuple[Coloring, int]:
     """Parse the coloring format: header ``c <t> <n>``, then ``v <vertex>
     <color>`` lines. Returns (coloring, n) with n the declared vertex count.
-    Comments (#) and blank lines are skipped, and a line ends at LF. The
-    header is read once, and the lines after it in blocks of BLOCK_LINES
-    lines, checked a block at a time. On any fault they are read again line
-    by line (_coloring_from_lines), which raises a FormatError on the line
-    of the first fault."""
-    lineno, line, tokens, blocks = _header_and_blocks(text)
-    t, n = _coloring_header(lineno, line, tokens)
-    try:
-        return _coloring_from_blocks(t, n, blocks())
-    except ValueError:
-        pass  # the line reader names the first fault, once the block reader's colors are freed
-    return _coloring_from_lines(t, n, _content_lines(blocks(), lineno))
+    Comments (#) and blank lines are skipped, and a line ends at LF. Read by
+    _read: in blocks, checked a block at a time; on any fault, line by line,
+    naming the line of the first fault (_coloring_from_lines)."""
+    return _read(text, _coloring_header, _coloring_from_blocks, _coloring_from_lines)
 
 
 def _coloring_header(lineno: int, line: str, tokens: list[str]) -> tuple[int, int]:

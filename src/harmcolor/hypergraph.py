@@ -5,11 +5,11 @@ sorted tuples; edge identity is set identity and duplicate edges are rejected.
 Isolated vertices are allowed (n may exceed the support of the edges).
 
 ``Hypergraph.__init__`` is the only code that checks and canonicalises an
-edge. ``parse_hypergraph`` reads the header once, then the edge lines in
-blocks of ``BLOCK_LINES`` lines, and hands them to the constructor as one
-list. On any fault it reads the body again line by line, streaming the edges
-into the constructor, which then checks them one at a time, and puts the
-line number on the first fault.
+edge (_canonical_edges). Both file formats are read by _read: the header
+once, each of its faults named on its line; the lines after it in blocks of
+about BLOCK_CHARS characters; on any fault, those lines again one by one,
+naming the first fault's line. An instance's blocks reach the constructor
+as one list of edges, its lines as a stream.
 """
 
 from __future__ import annotations
@@ -19,12 +19,14 @@ import sys
 from functools import cached_property, partial
 from itertools import chain, compress
 from operator import itemgetter, lt
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
-BLOCK_LINES = 1024
-"""Lines per block of the block readers. A block's token lists and converted
-columns are the readers' only transient besides the result, so this bounds
-their memory over the result's."""
+T = TypeVar("T")
+
+BLOCK_CHARS = 16_384
+"""A block of the block readers ends at the first LF this many characters or
+more past its start. Its token lists and converted columns are the readers'
+only transient besides the result, so this bounds their memory over it."""
 
 # the resampler's pick rules and the exact search's default node budget, kept
 # here so that the CLI parser reads them without loading the solver
@@ -66,11 +68,8 @@ class Hypergraph:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         if n > sys.maxsize:  # no list of n vertices can exist
             raise ValueError(f"vertex count must be at most {sys.maxsize}, got {n}")
-        # a list is checked at once; a stream, or a list with a fault, edge by edge
-        canon = _canonical_edges(k, n, edges) if isinstance(edges, (list, tuple)) else None
         self.k, self.n = k, n
-        self.edges: tuple[tuple[int, ...], ...] = tuple(
-            _canonical_edges_one_by_one(k, n, edges) if canon is None else canon)
+        self.edges: tuple[tuple[int, ...], ...] = tuple(_canonical_edges(k, n, edges))
 
     @property
     def m(self) -> int:
@@ -112,12 +111,26 @@ class Hypergraph:
         return f"Hypergraph(k={self.k}, n={self.n}, m={self.m})"
 
 
-def _canonical_edges_one_by_one(k: int, n: int, edges: Iterable[Sequence[int]]
-                                ) -> list[tuple[int, ...]]:
-    """The sorted edges of a k-uniform hypergraph on n vertices, checking one
-    edge at a time as it arrives: the first fault raises ValueError, naming
-    the edge as given."""
-    canon: list[tuple[int, ...]] = []
+def _canonical_edges(k: int, n: int, edges: Iterable[Sequence[int]]
+                     ) -> Sequence[tuple[int, ...]]:
+    """The sorted edges of a k-uniform hypergraph on n vertices. A list or
+    tuple is checked at once, and kept if its edges are strictly increasing
+    tuples, as the generator and the block reader give them. A stream, or a
+    list with a fault, is checked edge by edge: the first fault raises
+    ValueError, naming the edge as given."""
+    if isinstance(edges, (list, tuple)) and edges:
+        try:
+            kept = (set(map(type, edges)) == {tuple} and set(map(len, edges)) == {k}
+                    and _increasing(edges, k))
+            canon = edges if kept else list(map(tuple, map(sorted, edges)))
+            if ((kept or set(map(len, canon)) == {k} and _increasing(canon, k))
+                    and min(map(itemgetter(0), canon)) >= 0
+                    and max(map(itemgetter(k - 1), canon)) < n
+                    and len(set(canon)) == len(canon)):
+                return canon
+        except TypeError:  # uncomparable or unhashable vertices: the loop raises TypeError
+            pass
+    canon = []
     seen: set[tuple[int, ...]] = set()
     for edge in edges:
         e = tuple(sorted(edge))
@@ -132,28 +145,6 @@ def _canonical_edges_one_by_one(k: int, n: int, edges: Iterable[Sequence[int]]
         seen.add(e)
         canon.append(e)
     return canon
-
-
-def _canonical_edges(k: int, n: int, edges: Sequence[Sequence[int]]
-                     ) -> Sequence[tuple[int, ...]] | None:
-    """The edges as sorted tuples, checked all at once, or None when some
-    edge has a fault. Edges given as strictly increasing tuples are kept,
-    not copied: the generator and the block reader give them so."""
-    if not edges:
-        return edges
-    try:
-        if (set(map(type, edges)) != {tuple} or set(map(len, edges)) != {k}
-                or not _increasing(edges, k)):
-            edges = list(map(tuple, map(sorted, edges)))
-            if set(map(len, edges)) != {k} or not _increasing(edges, k):
-                return None
-        if min(map(itemgetter(0), edges)) < 0 or max(map(itemgetter(k - 1), edges)) >= n:
-            return None
-        if len(set(edges)) != len(edges):
-            return None
-    except TypeError:  # uncomparable or unhashable vertices: the one-by-one check raises TypeError
-        return None
-    return edges
 
 
 def _increasing(edges: Sequence[tuple[int, ...]], k: int) -> bool:
@@ -244,21 +235,13 @@ def _content_lines(blocks: Iterable[list[str]], lineno: int
 
 def _line_blocks(text: str, pos: int = 0) -> Iterator[list[str]]:
     """The lines of text from offset pos on, split at LF (a CR before it
-    stays in its line), in lists of BLOCK_LINES lines; the last list may be
-    shorter. Each block is split from a slice of the text, widened until it
-    holds the block."""
-    end, width = len(text), 64 * BLOCK_LINES
-    while pos < end:
-        chunk = text[pos:pos + width]
-        lines = chunk.split("\n", BLOCK_LINES)
-        if len(lines) > BLOCK_LINES:  # the last item is the unsplit rest of the chunk
-            pos += len(chunk) - len(lines.pop())
-            yield lines
-        elif pos + width >= end:
-            yield lines
-            return
-        else:
-            width *= 2
+    stays in its line), in blocks: each ends at the end of text or before the
+    first LF at or after BLOCK_CHARS characters past its start."""
+    while pos < len(text):
+        cut = text.find("\n", pos + BLOCK_CHARS)
+        cut = len(text) if cut < 0 else cut
+        yield text[pos:cut].split("\n")
+        pos = cut + 1
 
 
 def _header_and_blocks(text: str
@@ -301,7 +284,25 @@ def _hypergraph_header(lineno: int, line: str, tokens: list[str]) -> tuple[int, 
         raise FormatError(f"non-integer field in header {line!r}", lineno) from None
     if k < 2 or n < 0 or m < 0:
         raise FormatError(f"header out of range: k={k}, n={n}, m={m}", lineno)
+    if n > sys.maxsize:  # no list of n vertices can exist
+        raise FormatError(f"vertex count must be at most {sys.maxsize}, got {n}", lineno)
     return k, n, m
+
+
+def _read(text: str, header: Callable[[int, str, list[str]], tuple],
+          from_blocks: Callable[..., T], from_lines: Callable[..., T]) -> T:
+    """Parse either format: ``header(lineno, line, tokens)`` gives the header's
+    fields or a FormatError on its line; ``from_blocks(*fields, blocks)``
+    reads the line blocks after it, raising ValueError on any fault; then
+    ``from_lines(*fields, lines)`` reads the content lines again and names
+    the first fault's line, once the block reader's result is freed."""
+    lineno, line, tokens, blocks = _header_and_blocks(text)
+    fields = header(lineno, line, tokens)
+    try:
+        return from_blocks(*fields, blocks())
+    except ValueError:
+        pass
+    return from_lines(*fields, _content_lines(blocks(), lineno))
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
@@ -310,39 +311,31 @@ def parse_hypergraph(text: str) -> Hypergraph:
     Line 1 is ``p hg <k> <n> <m>``; each of the next m lines is
     ``e <v1> ... <vk>`` with 0-based vertex ids. ``#`` begins a comment line,
     blank lines are skipped, and a line ends at LF (a CR before it is
-    whitespace). The header is read once, and the edge lines after it in
-    blocks of BLOCK_LINES lines, checked by ``Hypergraph`` all at once. On
-    any fault those lines are read again one by one (_hypergraph_from_lines),
-    which raises a FormatError on the line of the first offending edge.
+    whitespace). Read by _read: the edge lines in blocks, checked by
+    ``Hypergraph`` at once; on any fault, one by one, naming the line of
+    the first offending edge (_hypergraph_from_lines).
     """
-    lineno, line, tokens, blocks = _header_and_blocks(text)
-    k, n, m = _hypergraph_header(lineno, line, tokens)
-    try:
-        return _hypergraph_from_blocks(k, n, m, blocks())
-    except ValueError:
-        pass  # the line reader names the first fault, once the block reader's edges are freed
-    return _hypergraph_from_lines(k, n, m, _content_lines(blocks(), lineno), lineno)
+    return _read(text, _hypergraph_header, _hypergraph_from_blocks, _hypergraph_from_lines)
 
 
 def _hypergraph_from_blocks(k: int, n: int, m: int, blocks: Iterable[list[str]]) -> Hypergraph:
     """parse_hypergraph's block reader over the line blocks after the header
     ``p hg <k> <n> <m>``: raises ValueError, without a line number, on any
     fault."""
-    edges: list[tuple[int, ...]] = []
-    for block in blocks:
-        edges.extend(zip(*[map(int, column) for column in _block_columns(block, "e", k)]))
+    edges = list(chain.from_iterable(  # no block is left bound when the constructor runs
+        zip(*[map(int, column) for column in _block_columns(block, "e", k)]) for block in blocks))
     if len(edges) != m:
         raise ValueError(f"declared {m} edges but found {len(edges)}")
     return Hypergraph(k, n, edges)
 
 
 def _hypergraph_from_lines(k: int, n: int, m: int,
-                           lines: Iterator[tuple[int, str, list[str]]], lineno: int) -> Hypergraph:
+                           lines: Iterator[tuple[int, str, list[str]]]) -> Hypergraph:
     """parse_hypergraph's line reader over the content lines after the header
-    ``p hg <k> <n> <m>`` on line lineno: the edges stream into ``Hypergraph``,
-    which checks them one at a time; its ValueError comes back as a
-    FormatError on the line of the offending edge, or of the header when it
-    comes before any edge."""
+    ``p hg <k> <n> <m>``: the edges stream into ``Hypergraph``, which checks
+    them one at a time; its ValueError comes back as a FormatError on the
+    line of the offending edge, the last one handed on."""
+    lineno = 0
 
     def edges() -> Iterator[tuple[int, ...]]:
         nonlocal lineno

@@ -929,3 +929,18 @@ def test_no_module_binds_a_top_level_def_or_class_twice():
         twice += [f"{path.relative_to(ROOT)}: {name}"
                   for name in sorted(set(names)) if names.count(name) > 1]
     assert twice == []
+
+
+def test_every_private_top_level_def_or_class_is_named_elsewhere():
+    """A private def or class of the package that no code of the package
+    names outside its own definition is dead, like a helper left behind
+    when its callers were merged."""
+    defined, named = [], set()
+    for path in sorted((ROOT / "src/harmcolor").rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            own = getattr(node, "name", None)  # set on a def or class only
+            if own and own.startswith("_") and not own.startswith("__"):
+                defined.append((f"{path.relative_to(ROOT)}: {own}", own))
+            named |= {sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+                      if isinstance(sub, (ast.Name, ast.Attribute))} - {own}
+    assert [where for where, name in defined if name not in named] == []

@@ -2,9 +2,11 @@
 fuzzing of both file parsers."""
 
 import hashlib
+import operator
 import re
 import sys
 import time
+from itertools import accumulate, chain
 from math import comb
 
 import pytest
@@ -25,9 +27,10 @@ from harmcolor import (
     serialize_coloring,
     serialize_hypergraph,
 )
+from harmcolor import hypergraph
 from harmcolor.coloring import _coloring_from_blocks, _coloring_from_lines, _coloring_header
 from harmcolor.hypergraph import (_content_lines, _header_and_blocks, _hypergraph_from_blocks,
-                                  _hypergraph_from_lines, _hypergraph_header)
+                                  _hypergraph_from_lines, _hypergraph_header, _line_blocks)
 from oracles import naive_generate
 
 
@@ -48,6 +51,15 @@ def test_validation_rejects_bad_shapes():
         Hypergraph(2, 3, [(0, 1), (1, 0)])  # duplicate up to order
     with pytest.raises(TypeError):
         Hypergraph(2, 3, [(0, "a")])  # a vertex that is not an integer
+    with pytest.raises(TypeError):
+        Hypergraph(2, 3, iter([(0, "a")]))  # the same, given as a stream
+
+
+def test_strictly_increasing_int_tuples_are_kept_uncopied():
+    # the memory of the generator's and the block reader's instances rests on this
+    edges = [(0, 1, 2), (0, 2, 4), (1, 3, 4)]
+    h = Hypergraph(3, 5, edges)
+    assert h.edges == tuple(edges) and all(map(operator.is_, h.edges, edges))
 
 
 def test_edges_are_normalized_sorted_tuples():
@@ -137,7 +149,7 @@ def test_parse_tolerates_comments_blank_lines_and_crlf():
     ("p hg 2 3 1\ne 0 x\n", 2, "non-integer"),
     ("p hg 2 3 2\ne 0 1\ne 0 1\n", 3, "duplicate edge"),
     ("p hg 2 3 1\ne 0 1\ne 1 2\n", 3, "more than the declared"),
-    # the constructor's fault before any edge is named on the header's line
+    # a vertex count no list can hold is a header fault, named on the header's line
     (f"# a comment\np hg 2 {sys.maxsize + 1} 1\ne 0 1\n", 2, "vertex count must be at most"),
 ])
 def test_parse_errors_carry_line_numbers(text, line, needle):
@@ -219,10 +231,22 @@ def construction_error(k, n, edges):
     return None
 
 
+def construction_outcome(k, n, edges):
+    """The Hypergraph on edges, or the type and message of its exception."""
+    try:
+        return Hypergraph(k, n, edges)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
 @given(raw_edge_files())
 @settings(max_examples=300)
 def test_the_parser_reports_the_constructors_verdict_on_the_offending_line(case):
     k, n, edges, text, edge_lines = case
+    # the bulk check of a list or tuple and the edge-by-edge check of a stream agree
+    outcome = construction_outcome(k, n, edges)
+    for given_so in (tuple(edges), iter(edges), list(map(tuple, edges))):
+        assert construction_outcome(k, n, given_so) == outcome
     message = construction_error(k, n, edges)
     if message is None:
         assert parse_hypergraph(text) == Hypergraph(k, n, edges)
@@ -255,7 +279,7 @@ def hypergraph_by_lines(text):
     """parse_hypergraph's header and line reader alone, without the block reader."""
     lineno, line, tokens, blocks = _header_and_blocks(text)
     return _hypergraph_from_lines(*_hypergraph_header(lineno, line, tokens),
-                                  _content_lines(blocks(), lineno), lineno)
+                                  _content_lines(blocks(), lineno))
 
 
 def coloring_by_blocks(text):
@@ -309,68 +333,139 @@ def coloring_lines(n: int) -> list[str]:
     return lines
 
 
-@pytest.mark.parametrize("m", [1021, 1022, 1023, 2045, 2046, 2047, 3000])
-def test_the_block_readers_read_every_block(m):
-    # 1024 and 2048 lines hold whole blocks, one more line starts a block;
-    # the block readers themselves must take these texts, without the line readers
-    text = "\n".join(instance_lines(m)) + "\n"
-    assert hypergraph_by_blocks(text) == builtin_instance("path", m + 1)
-    colors = [1 + v % 3 for v in range(m)]
-    text = "\n".join(coloring_lines(m)) + "\n"
-    assert coloring_by_blocks(text) == (Coloring(3, colors), m)
+def body_block_ends(text):
+    """The line numbers of the last lines of the blocks after text's header."""
+    lineno, _, _, blocks = _header_and_blocks(text)
+    return list(accumulate(map(len, blocks()), initial=lineno))[1:]
 
 
-# 1,100 comment and blank lines put the header past the first block
+def end_a_block_on(monkeypatch, text, line):
+    """Set BLOCK_CHARS so that the first block after text's header, on
+    line 1, ends on line ``line``, and return the blocks' last lines."""
+    lfs = [match.start() for match in re.finditer("\n", text)]
+    monkeypatch.setattr(hypergraph, "BLOCK_CHARS", lfs[line - 1] - lfs[0] - 1)
+    return body_block_ends(text)
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 4])
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_the_block_readers_read_every_block(monkeypatch, blocks, shift):
+    # each body line padded to w characters with its LF, so that a block of
+    # 700w - 1 characters holds 700 lines and the last block searches for its
+    # cut from the body's last LF on; the last line, ``shift`` characters
+    # longer, puts that LF one character past the search start or one before
+    # it, where the text ends first. The block readers themselves must take
+    # these texts, without the line readers.
+    m = 700 * blocks - 2  # the body holds a comment and a blank line besides
+    coloring = (Coloring(3, [1 + v % 3 for v in range(m)]), m)
+    for lines, by_blocks, expected in [
+            (instance_lines(m), hypergraph_by_blocks, builtin_instance("path", m + 1)),
+            (coloring_lines(m), coloring_by_blocks, coloring)]:
+        header, *body = lines
+        w = max(map(len, body)) + 2
+        text = "\n".join([header] + [line.ljust(w - 1) for line in body[:-1]]
+                         + [body[-1].ljust(w - 1 + shift)]) + "\n"
+        monkeypatch.setattr(hypergraph, "BLOCK_CHARS", 700 * w - 1)
+        # without a cut, the last block ends with the empty line after the last LF
+        assert body_block_ends(text) == ([1 + 700 * j for j in range(1, blocks)]
+                                         + [1 + 700 * blocks + (shift < 0)])
+        assert by_blocks(text) == expected
+
+
+# 1,100 comment and blank lines put the header past the first block of 1,024 characters
 PREAMBLE = ["# a comment", ""] * 550
 
 
-def no_line_readers(monkeypatch):
-    def line_reader(*args):
-        raise AssertionError("a line reader ran")
+def no_readers(monkeypatch, kind):
+    """Patch the ``kind`` readers, "lines" or "blocks", of both formats to fail."""
+    def reader(*args):
+        raise AssertionError(f"a {kind} reader ran")
 
-    monkeypatch.setattr("harmcolor.hypergraph._hypergraph_from_lines", line_reader)
-    monkeypatch.setattr("harmcolor.coloring._coloring_from_lines", line_reader)
+    monkeypatch.setattr(f"harmcolor.hypergraph._hypergraph_from_{kind}", reader)
+    monkeypatch.setattr(f"harmcolor.coloring._coloring_from_{kind}", reader)
 
 
 def test_a_long_preamble_is_read_by_the_block_readers(monkeypatch):
-    no_line_readers(monkeypatch)
+    no_readers(monkeypatch, "lines")
+    monkeypatch.setattr(hypergraph, "BLOCK_CHARS", 1024)
     coloring = (Coloring(3, [1 + v % 3 for v in range(3000)]), 3000)
     for lines, parse, expected in [
             (instance_lines(3000), parse_hypergraph, builtin_instance("path", 3001)),
             (coloring_lines(3000), parse_coloring, coloring)]:
-        assert parse("\n".join(PREAMBLE + lines) + "\n") == expected
+        text = "\n".join(PREAMBLE + lines) + "\n"
+        assert lines[0] not in next(_line_blocks(text))
+        assert parse(text) == expected
         # 2,200 comment and blank lines mid-body fill at least one block
         lines[1500:1500] = PREAMBLE * 2
-        assert parse("\n".join(lines) + "\n") == expected
+        text = "\n".join(lines) + "\n"
+        assert any(set(block) <= set(PREAMBLE) for block in _line_blocks(text))
+        assert parse(text) == expected
+
+
+HUGE = sys.maxsize + 1
+TOO_MANY = f"vertex count must be at most {sys.maxsize}, got {HUGE}$"
 
 
 @pytest.mark.parametrize("parse, header", [(parse_hypergraph, "p hg 2 x 5"),
-                                           (parse_coloring, "c 3 x")])
+                                           (parse_hypergraph, f"p hg 2 {HUGE} 1"),
+                                           (parse_coloring, "c 3 x"),
+                                           (parse_coloring, f"c 3 {HUGE}")])
 def test_a_header_is_read_once_and_its_fault_raised_at_once(monkeypatch, parse, header):
-    # neither a missing nor a bad header reaches a line reader
-    no_line_readers(monkeypatch)
+    # neither a missing nor a bad header reaches a body reader
+    no_readers(monkeypatch, "lines")
+    no_readers(monkeypatch, "blocks")
     with pytest.raises(FormatError, match="^no header line found$"):
         parse("\n".join(PREAMBLE))
-    with pytest.raises(FormatError, match="non-integer field in header") as err:
+    needle = TOO_MANY if str(HUGE) in header else "non-integer field in header"
+    with pytest.raises(FormatError, match=needle) as err:
         parse("\n".join(PREAMBLE + [header, "e 0 1"]))
     assert err.value.line == len(PREAMBLE) + 1
 
 
-def test_the_block_readers_widen_their_slice_for_long_lines():
-    # 97 chars an edge line and up to 87 a coloring line: 1024 lines overflow
-    # the first 64 KiB slice, and a comment line longer than that overflows the next
+def test_a_long_line_ends_its_block(monkeypatch):
+    # 97 chars an edge line and up to 87 a coloring line; a comment line
+    # longer than a block is the last line of the block it starts in
+    monkeypatch.setattr(hypergraph, "BLOCK_CHARS", 4096)
+    long_line = "# " + "x" * 70_000
     m = 1500
     h = Hypergraph(12, 10 ** 6 + 12 * m,
                    [tuple(range(10 ** 6 + 12 * j, 10 ** 6 + 12 * (j + 1))) for j in range(m)])
     lines = serialize_hypergraph(h).split("\n")
-    lines.insert(500, "# " + "x" * 70_000)
+    lines.insert(500, long_line)
     text = "\n".join(lines)
+    assert [block[-1] for block in _line_blocks(text) if long_line in block] == [long_line]
     assert hypergraph_by_blocks(text) == hypergraph_by_lines(text) == h
     c = Coloring(10 ** 80, [10 ** 79 + v for v in range(m)])
     lines = serialize_coloring(c, m).split("\n")
-    lines.insert(500, "# " + "x" * 70_000)
+    lines.insert(500, long_line)
     text = "\n".join(lines)
+    assert [block[-1] for block in _line_blocks(text) if long_line in block] == [long_line]
     assert coloring_by_blocks(text) == coloring_by_lines(text) == (c, m)
+
+
+@given(st.lists(st.one_of(st.sampled_from(["", "\r", "e 0 1\r", "# note"]),
+                          st.text("x \r", max_size=80))),
+       st.booleans(), st.integers(1, 64), st.data())
+@settings(max_examples=300)
+def test_a_block_ends_at_the_first_lf_past_block_chars(lines, final_lf, size, data):
+    text = "\n".join(lines) + "\n" * final_lf
+    pos = data.draw(st.integers(0, len(text)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hypergraph, "BLOCK_CHARS", size)
+        blocks = list(_line_blocks(text, pos))
+    # a final LF may end the last block, with no empty line after it
+    joined = "\n".join(chain.from_iterable(blocks))
+    assert text[pos:] in (joined, joined + "\n")
+    # the lines before a block's last take at most size characters with
+    # their LFs, and a block but the last reaches past size with its own LF
+    assert all(sum(len(line) + 1 for line in block[:-1]) <= size for block in blocks)
+    assert all(sum(len(line) + 1 for line in block) > size for block in blocks[:-1])
+
+
+def assert_a_block_ends_on_1024(ends):
+    """Lines 1024, 1025 and 2049 are the last line of a block, the first
+    line of the next, and a line of a later block."""
+    assert 1024 in ends and ends[ends.index(1024) + 1] < 2049
 
 
 @pytest.mark.parametrize("line", [1024, 1025, 2049])
@@ -382,10 +477,11 @@ def test_the_block_readers_widen_their_slice_for_long_lines():
     ("v 0 1", "expected edge line"),
     ("e 10 11", "duplicate edge"),
 ])
-def test_a_fault_at_a_block_edge_is_named_on_its_line(line, fault, needle):
+def test_a_fault_at_a_block_edge_is_named_on_its_line(monkeypatch, line, fault, needle):
     lines = instance_lines(3000)
     lines[line - 1] = fault
     text = "\r\n".join(lines)
+    assert_a_block_ends_on_1024(end_a_block_on(monkeypatch, text, 1024))
     assert read_outcome(parse_hypergraph, text) == read_outcome(hypergraph_by_lines, text)
     with pytest.raises(FormatError, match=needle) as err:
         parse_hypergraph(text)
@@ -401,11 +497,12 @@ def test_a_fault_at_a_block_edge_is_named_on_its_line(line, fault, needle):
     ("e 0 1", "expected 'v <vertex> <color>'"),
     ("v 0", "expected 'v <vertex> <color>'"),
 ])
-def test_a_coloring_fault_at_a_block_edge_is_named_on_its_line(line, fault, needle):
+def test_a_coloring_fault_at_a_block_edge_is_named_on_its_line(monkeypatch, line, fault, needle):
     lines = coloring_lines(3000)
     del lines[line - 1]  # the vertex of the removed line is left uncolored
     lines.insert(line - 1, fault)
     text = "\n".join(lines)
+    assert_a_block_ends_on_1024(end_a_block_on(monkeypatch, text, 1024))
     assert read_outcome(parse_coloring, text) == read_outcome(coloring_by_lines, text)
     with pytest.raises(FormatError, match=needle) as err:
         parse_coloring(text)
@@ -434,14 +531,23 @@ def test_the_line_reader_runs_after_the_block_readers_fault_is_handled(
     assert err.value.line == 2049
 
 
-def test_a_repeat_two_blocks_after_its_first_copy_is_named_on_its_line():
+def two_blocks_apart(text, first, second):
+    """Whether at least two blocks after text's header end from line first
+    up to the line before second."""
+    return sum(first <= end < second for end in body_block_ends(text)) >= 2
+
+
+def test_a_repeat_two_blocks_after_its_first_copy_is_named_on_its_line(monkeypatch):
+    monkeypatch.setattr(hypergraph, "BLOCK_CHARS", 8192)  # about 750 lines a block
     lines = instance_lines(3000)
     lines[2010] = lines[10]  # the edge of line 11 again, about 2000 lines later
+    assert two_blocks_apart("\n".join(lines), 11, 2011)
     with pytest.raises(FormatError, match=r"duplicate edge \(9, 10\)") as err:
         parse_hypergraph("\n".join(lines))
     assert err.value.line == 2011
     lines = coloring_lines(3000)
     lines[2010] = lines[10]  # vertex 9 colored again
+    assert two_blocks_apart("\n".join(lines), 11, 2011)
     with pytest.raises(FormatError, match="vertex 9 colored twice") as err:
         parse_coloring("\n".join(lines))
     assert err.value.line == 2011
