@@ -165,7 +165,8 @@ def _policy_t(policy: str, t_fixed: int | None, eps: float, h: Hypergraph) -> in
     if h.m == 0:
         return h.k
     from .bounds import lcl_min_colors, theorem_ceil_colors
-    h.incidence  # built first: the solver needs it, and the degrees then come from it
+    h.incidence  # built first from the columns: the solver needs it, and the degrees then
+    # come from its lengths instead of another pass over the columns
     delta = max_degree(h)
     t = (lcl_min_colors(h.k, delta, h.m) if policy == "lcl-min"
          else theorem_ceil_colors(h.k, delta, h.m, eps))
@@ -300,7 +301,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_OK
     index = EventIndex(instance, coloring.colors, keyed)
     for idx in index.bad:
-        verts = instance.edges[idx]
+        verts = instance._row(idx)
         cols = tuple(coloring.colors[v] for v in verts)
         print(f"bad edge {idx}: vertices {verts} colored {cols}")
     for e, f, i in index.pairs:

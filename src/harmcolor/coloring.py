@@ -23,7 +23,7 @@ import random
 import sys
 from bisect import bisect_left, insort
 from functools import cached_property
-from itertools import chain, compress
+from itertools import compress
 from operator import eq, itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
@@ -123,15 +123,16 @@ def _pattern_size(ea: tuple[int, ...], eb: tuple[int, ...], colors: list[int]) -
 def _edge_keys(h: Hypergraph, colors: list[int]) -> tuple[list[tuple[int, ...]], list[int]]:
     """The edge_key of every edge of h, by id, and the ascending ids of the
     edges that repeat a color, 0 included: those keyed with fewer than k
-    entries. Each edge's colors are sorted by C-level calls, a repeat shows
-    as equal neighbouring columns, and only repeats are keyed by edge_key."""
-    rows = zip(*[map(colors.__getitem__, chain.from_iterable(h.edges))] * h.k)
+    entries. Each edge's colors are gathered column by column and sorted by
+    C-level calls, a repeat shows as equal neighbouring entries, and only a
+    repeat's sorted colors are then reduced to its distinct ones."""
+    rows = zip(*[map(colors.__getitem__, col) for col in h._cols])
     keys = list(map(tuple, map(sorted, rows)))
     same = zip(*[map(eq, map(itemgetter(j), keys), map(itemgetter(j + 1), keys))
                  for j in range(h.k - 1)])
     repeats = list(compress(range(len(keys)), map(any, same)))
     for idx in repeats:
-        keys[idx] = edge_key(colors, h.edges[idx])
+        keys[idx] = tuple(sorted(set(keys[idx])))
     return keys, repeats
 
 
@@ -154,8 +155,9 @@ class EventIndex:
     For fully colored edges, equal pattern sets force equal full-edge color
     sets (the shared vertices add the same colors to both sides), so a
     shared key is necessary for a pattern pair, and sufficient once both
-    edges are rainbow: _pairs confirms each candidate pair, here each pair
-    of a shared group once, as its later edge joins. A multiset key would
+    edges are rainbow: _pairs takes each pair of a shared group once, as its
+    later edge joins, and confirms it by _pattern_size only where the group's
+    key is not rainbow. A multiset key would
     miss non-rainbow pairs such as e\\f colored (1,1,2) against f\\e
     colored (1,2,2). An edge with an uncolored vertex pairs only with
     partners that contain all of its uncolored vertices, so its candidates
@@ -173,7 +175,7 @@ class EventIndex:
         keys, repeats = keyed or _edge_keys(h, colors)
         self.h, self.k, self.colors, self.keys = h, h.k, colors, keys
         self.groups = groups = {}
-        join, pairs_of, edges, found = self._join, self._pairs, h.edges, set()
+        join, pairs_of, row, found = self._join, self._pairs, h._row, set()
         for idx, key in enumerate(keys):
             held = groups.setdefault(key, idx)
             if held != idx:
@@ -181,7 +183,7 @@ class EventIndex:
                 if key[0]:
                     found.update(pairs_of(idx, held))
             if not key[0]:  # a pair of two such edges is found from both; the set keeps one
-                missing = [h.incidence[v] for v in edges[idx] if not colors[v]]
+                missing = [h.incidence[v] for v in row(idx) if not colors[v]]
                 found.update(pairs_of(idx, set(missing[0]).intersection(*missing[1:])))
         self.bad = [idx for idx in repeats if keys[idx][0]]
         self.pairs = sorted(found)
@@ -197,20 +199,30 @@ class EventIndex:
 
     def _pairs(self, idx: int, others: Iterable[int]) -> Iterator[tuple[int, int, int]]:
         """The same-pattern pairs (a, b, i), a < b, of edge idx with each edge
-        of ``others`` other than idx itself."""
-        edges, colors = self.h.edges, self.colors
-        edge = edges[idx]
+        of ``others`` other than idx itself. Where the key of idx is rainbow,
+        ``others`` must share it: two rainbow edges of one key show the same
+        pattern with i = k - |e ∩ f|, so only the non-rainbow pairs are
+        confirmed by _pattern_size."""
+        row, colors, key = self.h._row, self.colors, self.keys[idx]
+        edge = row(idx)
+        if key[0] and len(key) == self.k:
+            members, k = set(edge), self.k
+            for other in others:
+                if other != idx:
+                    i = k - len(members.intersection(row(other)))
+                    yield (idx, other, i) if idx < other else (other, idx, i)
+            return
         for other in others:
             if other != idx:
-                i = _pattern_size(edge, edges[other], colors)
+                i = _pattern_size(edge, row(other), colors)
                 if i is not None:
                     yield (idx, other, i) if idx < other else (other, idx, i)
 
     def refresh(self, edge_ids: Iterable[int]) -> None:
-        keys, groups, edges, colors, k = self.keys, self.groups, self.h.edges, self.colors, self.k
+        keys, groups, row, colors, k = self.keys, self.groups, self.h._row, self.colors, self.k
         bad, pairs = self.bad, self.pairs
         for idx in edge_ids:
-            old, key = keys[idx], edge_key(colors, edges[idx])
+            old, key = keys[idx], edge_key(colors, row(idx))
             if key == old and len(key) == k:
                 continue  # all pairs within a rainbow group hold, whatever the color order
             held = groups[old]
@@ -305,11 +317,11 @@ def local_bad_events(h: Hypergraph, c: Coloring, v: int) -> LocalEvents:
     """
     if not 0 <= v < h.n:
         raise ValueError(f"vertex {v} outside 0..{h.n - 1}")
-    index, edges = EventIndex(h, _colors_on(h, c)), h.edges
-    b1 = tuple(BadEdge(idx) for idx in index.bad if v in edges[idx])
+    index, row = EventIndex(h, _colors_on(h, c)), h._row
+    b1 = tuple(BadEdge(idx) for idx in index.bad if v in row(idx))
     by_i: dict[int, list[SamePattern]] = {i: [] for i in range(1, h.k + 1)}
     for e, f, i in index.pairs:
-        if v in edges[e] or v in edges[f]:
+        if v in row(e) or v in row(f):
             by_i[i].append(SamePattern(e, f, i))
     return LocalEvents(b1=b1, b2={i: tuple(hits) for i, hits in by_i.items()})
 

@@ -1,23 +1,35 @@
 """k-uniform hypergraphs: data model, instance files, fixtures, random generation.
 
-Vertices are dense integer ids 0..n-1. Edges are k-element sets stored as
-sorted tuples; edge identity is set identity and duplicate edges are rejected.
-Isolated vertices are allowed (n may exceed the support of the edges).
+Vertices are dense integer ids 0..n-1. Edges are k-element sets with set
+identity; duplicate edges are rejected. Isolated vertices are allowed (n may
+exceed the support of the edges).
 
-``Hypergraph.__init__`` is the only code that checks and canonicalises an
-edge (_canonical_edges). Both file formats are read by _read: the header
-once, each of its faults named on its line; the lines after it in blocks of
-about BLOCK_CHARS characters; on any fault, those lines again one by one,
-naming the first fault's line. An instance's blocks reach the constructor
-as one list of edges, its lines as a stream.
+An instance is stored as k typed vertex columns (``Hypergraph._cols``): the
+j-th column holds the j-th smallest vertex of every edge, in edge order, as
+an ``array('i')``, or an ``array('q')`` when n > 2**31. Only this module
+knows that layout. The resampler and the verifier read the columns in bulk
+passes and a single edge through ``Hypergraph._row``. ``Hypergraph.edges``,
+the edges as sorted tuples, which the exact search and greedy read, exists
+only once something asks for it, except that an instance built from rows
+keeps the caller's rows as its ``edges``.
+
+One check vets the rows of an instance's columns (_valid_rows). Rows given
+to ``Hypergraph`` are canonicalised and columnised first, and checked at
+once; on any fault, the edge-by-edge loop (_canonical_rows) names the first
+one. Both file formats are read by _read: the header once, each of its
+faults named on its line; the lines after it in blocks of about BLOCK_CHARS
+characters; on any fault, those lines again one by one, naming the first
+fault's line. An instance's blocks are checked a block at a time and fill
+its columns; its lines reach the constructor as a stream.
 """
 
 from __future__ import annotations
 
 import random
 import sys
+from array import array
 from functools import cached_property, partial
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from operator import itemgetter, lt
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
@@ -54,12 +66,15 @@ class Hypergraph:
     """Immutable k-uniform hypergraph on vertices 0..n-1.
 
     Invariants, checked on construction:
-      * every edge has exactly k distinct members, all in range(n);
+      * every edge has exactly k distinct integer members, all in range(n);
       * no two edges are equal as sets.
-    The degrees and the incidence lists are derived on first use.
+    The stored form is the columns ``_cols`` (see the module docstring).
+    The rows ``edges``, the degrees and the incidence lists are derived on
+    first use, except that rows given as strictly increasing tuples are
+    kept as ``edges``.
     """
 
-    __slots__ = ("k", "n", "edges", "__dict__")
+    __slots__ = ("k", "n", "_cols", "__dict__")
 
     def __init__(self, k: int, n: int, edges: Iterable[Sequence[int]]):
         if k < 2:
@@ -69,21 +84,52 @@ class Hypergraph:
         if n > sys.maxsize:  # no list of n vertices can exist
             raise ValueError(f"vertex count must be at most {sys.maxsize}, got {n}")
         self.k, self.n = k, n
-        self.edges: tuple[tuple[int, ...], ...] = tuple(_canonical_edges(k, n, edges))
+        self._cols, rows = _canonical_edges(k, n, edges)
+        self.__dict__["edges"] = tuple(rows)
+
+    @classmethod
+    def _of_columns(cls, k: int, n: int, cols: list[array]) -> Hypergraph:
+        """The instance stored as the columns ``cols``, typed for n, whose
+        rows _valid_rows accepted and whose k and n were checked."""
+        self = cls.__new__(cls)
+        self.k, self.n, self._cols = k, n, cols
+        return self
+
+    @cached_property
+    def _row(self) -> Callable[[int], tuple[int, ...]]:
+        """The row accessor: ``h._row(idx)`` is edge idx as a sorted tuple,
+        read from the columns. Unrolled up to k = 4, where it takes a third
+        of a comprehension's time per call."""
+        cols = self._cols
+        if len(cols) == 2:
+            a, b = cols
+            return lambda idx: (a[idx], b[idx])
+        if len(cols) == 3:
+            a, b, c = cols
+            return lambda idx: (a[idx], b[idx], c[idx])
+        if len(cols) == 4:
+            a, b, c, d = cols
+            return lambda idx: (a[idx], b[idx], c[idx], d[idx])
+        return lambda idx: tuple([col[idx] for col in cols])
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        """The edges as sorted tuples, in stored order."""
+        return tuple(zip(*self._cols))
 
     @property
     def m(self) -> int:
         """Number of edges."""
-        return len(self.edges)
+        return len(self._cols[0])
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
         """degrees[v] is the number of edges containing v: the lengths of the
-        incidence lists once those are built, else a count over the edges."""
+        incidence lists once those are built, else a count over the columns."""
         if "incidence" in self.__dict__:
             return tuple(map(len, self.incidence))
         degrees = [0] * self.n
-        for v in chain.from_iterable(self.edges):
+        for v in chain.from_iterable(self._cols):
             degrees[v] += 1
         return tuple(degrees)
 
@@ -92,7 +138,7 @@ class Hypergraph:
         """incidence[v] lists the indices of the edges containing v, ascending."""
         # n slots in one allocation first, so that a hostile n fails at once
         inc: list[list[int]] = [[] for _ in [None] * self.n]
-        for idx, e in enumerate(self.edges):
+        for idx, e in enumerate(zip(*self._cols)):
             for v in e:
                 inc[v].append(idx)
         return tuple(map(tuple, inc))
@@ -105,53 +151,87 @@ class Hypergraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypergraph):
             return NotImplemented
-        return (self.k, self.n, self.edges) == (other.k, other.n, other.edges)
+        return (self.k, self.n, self._cols) == (other.k, other.n, other._cols)
 
     def __repr__(self) -> str:
         return f"Hypergraph(k={self.k}, n={self.n}, m={self.m})"
 
+    def __reduce__(self):
+        # pickled as its columns; the caches, the row accessor's closure
+        # among them, are rebuilt on use
+        return Hypergraph._of_columns, (self.k, self.n, self._cols)
+
+
+def _typed(n: int, columns: Iterable[Iterable[int]]) -> list[array]:
+    """The int columns ``columns``, checked, as columns typed for n vertices:
+    array('i'), or array('q') when an id may reach 2**31."""
+    code = "i" if n <= 2 ** 31 else "q"
+    return [array(code, column) for column in columns]
+
+
+def _valid_rows(n: int, columns: Sequence[Sequence[int]], seen: set,
+                rows: Iterable[tuple[int, ...]] | None = None) -> bool:
+    """The one edge check, on all rows at once or a block at a time: whether
+    the rows of the equally long, nonempty int columns ``columns`` are
+    strictly increasing, within 0..n-1, and distinct from each other and
+    from those ``seen`` holds, which then holds them too. ``seen`` holds the
+    rows themselves where the caller has them as tuples (``rows``), else
+    their hashes, which take half the time and a third of the memory of a
+    set of new row tuples; two rows of equal hash read as a fault, which the
+    edge-by-edge loop then clears."""
+    if not (all(all(map(lt, low, high)) for low, high in zip(columns, columns[1:]))
+            and min(columns[0]) >= 0 and max(columns[-1]) < n):
+        return False
+    held = len(seen)
+    seen.update(map(hash, zip(*columns)) if rows is None else rows)
+    return len(seen) - held == len(columns[0])
+
 
 def _canonical_edges(k: int, n: int, edges: Iterable[Sequence[int]]
-                     ) -> Sequence[tuple[int, ...]]:
-    """The sorted edges of a k-uniform hypergraph on n vertices. A list or
-    tuple is checked at once, and kept if its edges are strictly increasing
-    tuples, as the generator and the block reader give them. A stream, or a
-    list with a fault, is checked edge by edge: the first fault raises
-    ValueError, naming the edge as given."""
+                     ) -> tuple[list[array], Sequence[tuple[int, ...]]]:
+    """The columns and the sorted rows of a k-uniform hypergraph on n
+    vertices. A list or tuple of int rows is sorted, columnised and checked
+    at once, and kept as the rows if its edges are strictly increasing
+    tuples, as the generator gives them. A stream, or a list with a fault,
+    is checked edge by edge (_canonical_rows), which raises on the first
+    fault."""
     if isinstance(edges, (list, tuple)) and edges:
         try:
-            kept = (set(map(type, edges)) == {tuple} and set(map(len, edges)) == {k}
-                    and _increasing(edges, k))
-            canon = edges if kept else list(map(tuple, map(sorted, edges)))
-            if ((kept or set(map(len, canon)) == {k} and _increasing(canon, k))
-                    and min(map(itemgetter(0), canon)) >= 0
-                    and max(map(itemgetter(k - 1), canon)) < n
-                    and len(set(canon)) == len(canon)):
-                return canon
-        except TypeError:  # uncomparable or unhashable vertices: the loop raises TypeError
+            kept = set(map(type, edges)) == {tuple} and set(map(len, edges)) == {k}
+            rows = edges if kept else list(map(tuple, map(sorted, edges)))
+            if ((kept or set(map(len, rows)) == {k})
+                    and set(map(type, chain.from_iterable(rows))) == {int}):
+                columns = [list(map(itemgetter(j), rows)) for j in range(k)]
+                if _valid_rows(n, columns, set(), rows):
+                    return _typed(n, columns), rows
+        except TypeError:  # uncomparable vertices: the loop raises TypeError
             pass
+    rows = _canonical_rows(k, n, edges)
+    return _typed(n, (map(itemgetter(j), rows) for j in range(k))), rows
+
+
+def _canonical_rows(k: int, n: int, edges: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The edges as sorted tuples, checked one at a time: the first fault
+    raises TypeError for a vertex that is not an int, else ValueError,
+    naming the edge as given."""
     canon = []
     seen: set[tuple[int, ...]] = set()
     for edge in edges:
-        e = tuple(sorted(edge))
+        given = tuple(edge)
+        if set(map(type, given)) - {int}:
+            raise TypeError(f"non-integer vertex id in edge {given}")
+        e = tuple(sorted(given))
         if len(e) != k:
             raise ValueError(f"edge has {len(e)} vertices, expected {k}")
         if len(set(e)) != k:
-            raise ValueError(f"repeated vertex in edge {tuple(edge)}")
+            raise ValueError(f"repeated vertex in edge {given}")
         if e[0] < 0 or e[-1] >= n:
-            raise ValueError(f"vertex id outside 0..{n - 1} in edge {tuple(edge)}")
+            raise ValueError(f"vertex id outside 0..{n - 1} in edge {given}")
         if e in seen:
             raise ValueError(f"duplicate edge {e}")
         seen.add(e)
         canon.append(e)
     return canon
-
-
-def _increasing(edges: Sequence[tuple[int, ...]], k: int) -> bool:
-    """Whether each of the k-tuples ``edges`` is strictly increasing, by
-    comparing neighbouring columns."""
-    return all(all(map(lt, map(itemgetter(j), edges), map(itemgetter(j + 1), edges)))
-               for j in range(k - 1))
 
 
 class _Checked:
@@ -311,8 +391,8 @@ def parse_hypergraph(text: str) -> Hypergraph:
     Line 1 is ``p hg <k> <n> <m>``; each of the next m lines is
     ``e <v1> ... <vk>`` with 0-based vertex ids. ``#`` begins a comment line,
     blank lines are skipped, and a line ends at LF (a CR before it is
-    whitespace). Read by _read: the edge lines in blocks, checked by
-    ``Hypergraph`` at once; on any fault, one by one, naming the line of
+    whitespace). Read by _read: the edge lines in blocks into the columns,
+    each block checked at once; on any fault, one by one, naming the line of
     the first offending edge (_hypergraph_from_lines).
     """
     return _read(text, _hypergraph_header, _hypergraph_from_blocks, _hypergraph_from_lines)
@@ -320,13 +400,26 @@ def parse_hypergraph(text: str) -> Hypergraph:
 
 def _hypergraph_from_blocks(k: int, n: int, m: int, blocks: Iterable[list[str]]) -> Hypergraph:
     """parse_hypergraph's block reader over the line blocks after the header
-    ``p hg <k> <n> <m>``: raises ValueError, without a line number, on any
-    fault."""
-    edges = list(chain.from_iterable(  # no block is left bound when the constructor runs
-        zip(*[map(int, column) for column in _block_columns(block, "e", k)]) for block in blocks))
-    if len(edges) != m:
-        raise ValueError(f"declared {m} edges but found {len(edges)}")
-    return Hypergraph(k, n, edges)
+    ``p hg <k> <n> <m>``: checks each block's converted columns with
+    _valid_rows, while their ids are still int objects, and appends them to
+    the k columns; only a block with a line out of vertex order has its
+    rows built, to sort them. Raises ValueError, without a line number, on
+    any fault."""
+    cols, seen = _typed(n, [()] * k), set()
+    for block in blocks:
+        columns = [list(map(int, column)) for column in _block_columns(block, "e", k)]
+        if columns and not _valid_rows(n, columns, seen):
+            # a line may list its vertices in any order: check the block again
+            # with each row sorted. If the rows were increasing, the check did
+            # find a fault, and finds it again in the same rows.
+            columns = list(map(list, zip(*map(sorted, zip(*columns)))))
+            if not _valid_rows(n, columns, seen):
+                raise ValueError("an edge line with a fault")
+        for col, column in zip(cols, columns):
+            col.fromlist(column)
+    if len(cols[0]) != m:
+        raise ValueError(f"declared {m} edges but found {len(cols[0])}")
+    return Hypergraph._of_columns(k, n, cols)
 
 
 def _hypergraph_from_lines(k: int, n: int, m: int,
@@ -365,10 +458,13 @@ def _hypergraph_from_lines(k: int, n: int, m: int,
 def serialize_hypergraph(h: Hypergraph) -> str:
     """Emit the canonical instance text: LF line endings, ascending vertex
     order within each edge, edges in stored order. Round-trips through
-    parse_hypergraph exactly."""
-    lines = [f"p hg {h.k} {h.n} {h.m}"]
-    lines.extend("e " + " ".join(str(v) for v in e) for e in h.edges)
-    return "\n".join(lines) + "\n"
+    parse_hypergraph exactly. The edge lines are joined 4,096 at a time, so
+    that no list of m line strings is held beside the text."""
+    rows = zip(*h._cols)
+    chunks = [f"p hg {h.k} {h.n} {h.m}\n"]
+    while chunk := "".join(["e " + " ".join(map(str, e)) + "\n" for e in islice(rows, 4096)]):
+        chunks.append(chunk)
+    return "".join(chunks)
 
 
 def max_degree(h: Hypergraph) -> int:
@@ -454,7 +550,9 @@ def generate_random_bounded_degree(cfg: GeneratorConfig) -> Hypergraph:
                 if not capacity[v]:
                     live.discard(v)
         if len(chosen) == cfg.m:
-            return Hypergraph(k, n, list(chosen))
+            edges = list(chosen)
+            del chosen, capacity, live  # freed before the constructor's check allocates
+            return Hypergraph(k, n, edges)
     raise GenerationFailure(
         f"no valid instance after {attempts} attempts "
         f"(k={cfg.k}, n={cfg.n}, m={cfg.m}, max_degree={cfg.max_degree}, seed={cfg.seed})"

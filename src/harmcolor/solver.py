@@ -162,10 +162,10 @@ def resample_solve(h: Hypergraph, cfg: SolverConfig) -> SolveReport:
             success = False
             break
         if isinstance(event, BadEdge):
-            scope = h.edges[event.edge]
+            scope = h._row(event.edge)
             count_bad += 1
         else:
-            scope = tuple(sorted(set(h.edges[event.e]).symmetric_difference(h.edges[event.f])))
+            scope = tuple(sorted(set(h._row(event.e)).symmetric_difference(h._row(event.f))))
             count_pattern[event.i] += 1
         for v in scope:
             colors[v] = _uniform_color(getrandbits, bits, t)

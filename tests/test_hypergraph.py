@@ -6,8 +6,10 @@ import operator
 import re
 import sys
 import time
-from itertools import accumulate, chain
+import tracemalloc
+from itertools import accumulate, chain, combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -33,6 +35,8 @@ from harmcolor.hypergraph import (_content_lines, _header_and_blocks, _hypergrap
                                   _hypergraph_from_lines, _hypergraph_header, _line_blocks)
 from oracles import naive_generate
 
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
 
 # ----------------------------------------------------------- construction
 
@@ -49,10 +53,11 @@ def test_validation_rejects_bad_shapes():
         Hypergraph(2, 3, [(0, 3)])  # out of range
     with pytest.raises(ValueError):
         Hypergraph(2, 3, [(0, 1), (1, 0)])  # duplicate up to order
-    with pytest.raises(TypeError):
-        Hypergraph(2, 3, [(0, "a")])  # a vertex that is not an integer
-    with pytest.raises(TypeError):
-        Hypergraph(2, 3, iter([(0, "a")]))  # the same, given as a stream
+    for edge in [(0, "a"), (0, 1.5), (0, True)]:  # a vertex that is not an int
+        with pytest.raises(TypeError, match=re.escape(f"in edge {edge}")):
+            Hypergraph(2, 3, [edge])
+        with pytest.raises(TypeError, match=re.escape(f"in edge {edge}")):
+            Hypergraph(2, 3, iter([edge]))  # the same, given as a stream
 
 
 def test_strictly_increasing_int_tuples_are_kept_uncopied():
@@ -85,6 +90,93 @@ def test_max_degree():
     assert max_degree(Hypergraph(2, 3, [])) == 0
     assert max_degree(builtin_instance("path", 4)) == 2
     assert max_degree(builtin_instance("k-star", 5, k=3)) == 5
+
+
+# ------------------------------------------------------------ stored form
+
+@st.composite
+def edge_lists(draw):
+    """(k, n, edges): distinct sorted k-tuples on 0..n-1 in any order, k up
+    to 5, past the row accessor's unrolled forms."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(k, 9))
+    pool = list(combinations(range(n), k))
+    m = draw(st.integers(0, min(len(pool), 10)))
+    return k, n, draw(st.permutations(pool))[:m]
+
+
+@given(edge_lists())
+@settings(max_examples=100)
+def test_every_way_of_giving_the_edges_builds_the_same_instance(case):
+    k, n, edges = case
+    text = "".join([f"p hg {k} {n} {len(edges)}\n"] + [f"e {' '.join(map(str, e))}\n"
+                                                      for e in edges])
+    built = [parse_hypergraph(text), Hypergraph(k, n, edges), Hypergraph(k, n, tuple(edges)),
+             Hypergraph(k, n, iter(edges)), Hypergraph(k, n, [e[::-1] for e in edges])]
+    for h in built:
+        assert h == built[0]
+        assert h.edges == tuple(edges)
+        assert tuple(map(h._row, range(h.m))) == tuple(edges)
+        assert h.incidence == built[0].incidence
+        assert h.degrees == built[0].degrees
+        assert h.support == built[0].support
+        assert serialize_hypergraph(h) == text
+
+
+def test_a_parsed_instance_builds_its_rows_only_when_asked():
+    h = parse_hypergraph("p hg 3 6 2\ne 0 1 2\ne 5 3 4\n")
+    assert {col.typecode for col in h._cols} == {"i"}
+    h.incidence, h.degrees, h.support, h._row(1), serialize_hypergraph(h)
+    assert "edges" not in vars(h)
+    assert h.edges == ((0, 1, 2), (3, 4, 5))
+    # an instance built from strictly increasing tuples keeps them as its rows
+    assert "edges" in vars(Hypergraph(3, 6, [(0, 1, 2)]))
+
+
+def test_a_parsed_instance_retains_at_most_32_bytes_per_edge(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    from instances import bounded_degree_edges, instance_text
+    m = 2 * 10 ** 4
+    text = instance_text(3, m, bounded_degree_edges(1, 3, m, m, 3))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        h = parse_hypergraph(text)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert h.m == m and retained <= 32 * m
+
+
+def test_rows_of_equal_hash_are_cleared_by_the_edge_by_edge_loop(monkeypatch):
+    # a block's check counts distinct row hashes; with every hash equal, a
+    # file of more than one edge goes to the line reader's exact loop and
+    # still parses, while given rows are their own keys
+    text = serialize_hypergraph(builtin_instance("k-star", 5, k=3))
+    expected = parse_hypergraph(text)
+    monkeypatch.setattr(hypergraph, "hash", lambda row: 0, raising=False)
+    assert parse_hypergraph(text) == expected and "edges" in vars(parse_hypergraph(text))
+    assert Hypergraph(3, expected.n, list(expected.edges)) == expected
+    with pytest.raises(FormatError, match=r"duplicate edge \(0, 1, 2\)") as err:
+        parse_hypergraph(text.rsplit("e", 1)[0] + "e 0 2 1\n")
+    assert err.value.line == 6
+
+
+def test_ids_beyond_two_to_the_31_are_held_in_wide_columns():
+    n = 2 ** 31 + 10
+    text = f"p hg 3 {n} 2\ne 0 {2 ** 31} {n - 1}\ne 1 2 {2 ** 31 + 3}\n"
+    h = parse_hypergraph(text)
+    assert {col.typecode for col in h._cols} == {"q"}
+    assert h.edges == ((0, 2 ** 31, n - 1), (1, 2, 2 ** 31 + 3))
+    assert serialize_hypergraph(h) == text
+    assert Hypergraph(3, n, h.edges) == h == parse_hypergraph(serialize_hypergraph(h))
+    # up to n = 2**31 every id fits the narrow column, and one more is out of range
+    assert parse_hypergraph(f"p hg 2 {2 ** 31} 1\ne 0 {2 ** 31 - 1}\n")._cols[1][0] == 2 ** 31 - 1
+    with pytest.raises(FormatError, match="vertex id outside") as err:
+        parse_hypergraph(f"p hg 2 {2 ** 31} 1\ne 0 {2 ** 31}\n")
+    assert err.value.line == 2
+    with pytest.raises(ValueError, match="vertex id outside"):
+        Hypergraph(2, 2 ** 31, [(0, 2 ** 31)])
 
 
 def test_equality_tracks_edge_enumeration_order():
@@ -175,6 +267,10 @@ def test_serialize_round_trip_fixed():
     h = builtin_instance("k-star", 3, k=3)
     assert parse_hypergraph(serialize_hypergraph(h)) == h
     assert serialize_hypergraph(h).startswith("p hg 3 7 3\n")
+    for q in (4095, 4096, 4097, 8193):  # about the serializer's chunks of 4,096 edge lines
+        text = serialize_hypergraph(builtin_instance("matching", q, k=2))
+        assert text == "".join([f"p hg 2 {2 * q} {q}\n"] + [f"e {2 * j} {2 * j + 1}\n"
+                                                             for j in range(q)])
 
 
 @st.composite
@@ -551,6 +647,27 @@ def test_a_repeat_two_blocks_after_its_first_copy_is_named_on_its_line(monkeypat
     with pytest.raises(FormatError, match="vertex 9 colored twice") as err:
         parse_coloring("\n".join(lines))
     assert err.value.line == 2011
+
+
+def test_a_faulty_file_is_checked_edge_by_edge_once_by_the_line_reader(monkeypatch):
+    callers = []
+    original = hypergraph._canonical_rows
+
+    def counted(*args):
+        frame, names = sys._getframe(1), set()
+        while frame:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        callers.append(names & {"_hypergraph_from_blocks", "_hypergraph_from_lines"})
+        return original(*args)
+
+    monkeypatch.setattr(hypergraph, "_canonical_rows", counted)
+    lines = instance_lines(3000)
+    lines[-1] = lines[1]  # the last line repeats edge 1
+    with pytest.raises(FormatError, match=r"duplicate edge \(0, 1\)") as err:
+        parse_hypergraph("\n".join(lines))
+    assert err.value.line == len(lines)
+    assert callers == [{"_hypergraph_from_lines"}]
 
 
 @pytest.mark.parametrize("brk", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",

@@ -1,6 +1,7 @@
 """Resampling solver, exact branch and bound, and the greedy upper bound."""
 
 import hashlib
+import pickle
 import random
 import time
 from collections import Counter, defaultdict
@@ -31,10 +32,11 @@ from harmcolor import (
     max_degree,
     resample_solve,
     sample_uniform_coloring,
+    parse_hypergraph,
     serialize_coloring,
     serialize_hypergraph,
 )
-from harmcolor.coloring import EventIndex, _edge_keys, edge_key
+from harmcolor.coloring import EventIndex, _edge_keys, _verdict, edge_key
 from harmcolor.solver import EVENT_SCANS, _forbidden, _placement_order, _uniform_colors
 from oracles import (colored, coloring_of, naive_bad_edges, naive_forbidden, naive_h,
                      naive_pattern_pairs, naive_placement_order)
@@ -145,6 +147,26 @@ def test_resample_set_up_builds_the_incidence():
     report = resample_solve(h, SolverConfig(t=3, seed=7, max_resamples=0))
     assert report.resamples_total == 0 and not report.success
     assert "incidence" in vars(h)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_solve_and_verify_read_a_parsed_instance_without_its_rows(k):
+    # the solve and verify paths read the columns and single rows only
+    text = serialize_hypergraph(generate_random_bounded_degree(GeneratorConfig(
+        k=k, n=300, m=200, max_degree=k, seed=k)))
+    h = parse_hypergraph(text)
+    report = resample_solve(h, SolverConfig(t=lcl_min_colors(k, max_degree(h), h.m), seed=1))
+    assert report.success and is_harmonious(h, report.coloring)
+    serialize_coloring(report.coloring, h.n)
+    assert "edges" not in vars(h)
+    assert pickle.loads(pickle.dumps(h)) == h  # the cached row accessor is not pickled
+    h = parse_hypergraph(text)
+    coloring = sample_uniform_coloring(h, 2 * k, seed=1)
+    ok, keyed = _verdict(h, coloring)
+    index = EventIndex(h, coloring.colors, keyed)
+    assert not ok and index.bad and index.pairs
+    assert "edges" not in vars(h)
+    assert index.pairs == naive_pattern_pairs(h, coloring)
 
 
 def test_resample_is_deterministic():
