@@ -19,7 +19,8 @@ k-th power gives an exact root (checked up to 10**12), any other radicand a
 root good to at least 12 significant digits. The certificate calculators
 refuse k above LCL_MAX_K with ValueError, lcl_condition refuses a t or tau
 whose integers would exceed LCL_MAX_BITS bits, and tau_grid_search a grid
-whose k * denominator exceeds LCL_MAX_GRID.
+whose k * denominator exceeds LCL_MAX_GRID or whose work would exceed
+LCL_MAX_GRID_WORK.
 """
 
 from __future__ import annotations
@@ -51,6 +52,20 @@ LCL_MAX_GRID = 2 ** 16
 # found, k = 1000 with a tau of 75-digit numerator and denominator, answers in
 # about 0.7 s on a 2-vCPU VM, and k = 1000 at the default tau in 0.2 s.
 LCL_MAX_BITS = 2 ** 18
+
+# Each evaluation's products take time about quadratic in the bits of its
+# integers, so tau_grid_search charges every evaluation bits**2 (see
+# _grid_charge) and stops at the cost of 64 evaluations at LCL_MAX_BITS bits.
+# Its one evaluation per grid point and its first least t are charged before
+# any evaluation, each later bisection (about log2 t evaluations) before it
+# runs; bits**2 tracks the measured time of an evaluation within a factor of
+# about 6 for k from 2 to 1000. Allowed grids near the cap,
+# (k, delta, m, denominator) = (2, 1, 10**400, 400) and
+# (20, 10**150, 10**400, 4), answer in 0.7-2.7 s on a 2-vCPU VM, and
+# (1000, 10**6, 10**6, 65), whose grid never improves on its first t, in
+# 2-3 s. (2, 1, 10**400, 3200) and (20, 10**150, 10**400, 40), which improve
+# at every point and took 7-20 s there, are refused after about 2.5 and 3.5 s.
+LCL_MAX_GRID_WORK = 64 * LCL_MAX_BITS ** 2
 
 
 class LclResult(NamedTuple):
@@ -253,6 +268,27 @@ def _lcl_bits(k: int, delta: int, m: int, t: int, tau: Fraction) -> int:
     return k * max(p, q * t).bit_length() + 2 * delta.bit_length() + m.bit_length()
 
 
+def _grid_charge(k: int, delta: int, m: int, denominator: int) -> tuple[int, int]:
+    """(tbits, cost) for tau_grid_search: tbits is about the bit length of a
+    least certified t (the i = 1 term needs t > delta^2 k, the bad-edge term
+    t > delta k^2, the i = k term t^k > delta m k!), and cost = bits**2 the
+    charge for one evaluation, bits being _lcl_bits at such a t and the
+    grid's tau of largest denominator. Takes no evaluation."""
+    tbits = 2 + max(2 * delta.bit_length() + k.bit_length(),
+                    delta.bit_length() + 2 * k.bit_length(),
+                    (delta * m * factorial(k)).bit_length() // k)
+    return tbits, _lcl_bits(k, delta, m, 1 << tbits, Fraction(denominator + 1, denominator)) ** 2
+
+
+def _charge_grid(spent: int, where: str) -> None:
+    """Raise ValueError when tau_grid_search's charged work ``spent`` exceeds
+    LCL_MAX_GRID_WORK."""
+    if spent > LCL_MAX_GRID_WORK:
+        raise ValueError(f"tau_grid_search takes a grid of work up to {LCL_MAX_GRID_WORK} "
+                         f"(evaluations * bits**2 for the certificate's bits-bit integers); "
+                         f"this one reaches {spent} {where}")
+
+
 def lcl_condition(k: int, delta: int, m: int, t: int,
                   tau: Fraction | None = None) -> LclResult:
     """Evaluate the certificate inequality exactly.
@@ -306,13 +342,18 @@ def tau_grid_search(k: int, delta: int, m: int,
     evaluation. One that holds there is tested at best t minus two: if that
     fails its least t is best minus one, and otherwise a bisection below
     best minus two finds it. Raises ValueError when k * denominator exceeds
-    LCL_MAX_GRID."""
+    LCL_MAX_GRID, or when the evaluations charged (see _grid_charge) would
+    exceed LCL_MAX_GRID_WORK: at once if the grid's one evaluation per point
+    and its first least t do, else before the bisection that would."""
     _check_certificate_inputs(k, delta, m)
     if denominator < 1:
         raise ValueError(f"denominator must be positive, got {denominator}")
     if k * denominator > LCL_MAX_GRID:
         raise ValueError(f"tau_grid_search takes k * denominator up to {LCL_MAX_GRID}, "
                          f"got {k} * {denominator}")
+    tbits, cost = _grid_charge(k, delta, m, denominator)
+    spent = (denominator + 2 * tbits) * cost
+    _charge_grid(spent, "before any evaluation")
     at = _lcl_sides(k, delta, m)
     best_t = best_j = 0
     for j in range(1, denominator + 1):
@@ -322,8 +363,11 @@ def tau_grid_search(k: int, delta: int, m: int,
             best_t, best_j = _least(sides), j
         elif best_t > 1 and ge(*sides(best_t - 1)):
             t = best_t - 1
-            best_t = _least(sides, t - 1) if t > 1 and ge(*sides(t - 1)) else t
-            best_j = j
+            if t > 1 and ge(*sides(t - 1)):
+                spent += (t.bit_length() + 1) * cost  # that test and the bisection
+                _charge_grid(spent, f"at tau = 1 + {j}/{denominator}")
+                t = _least(sides, t - 1)
+            best_t, best_j = t, j
     return 1 + Fraction(best_j, denominator), best_t
 
 

@@ -165,8 +165,8 @@ def _policy_t(policy: str, t_fixed: int | None, eps: float, h: Hypergraph) -> in
     if h.m == 0:
         return h.k
     from .bounds import lcl_min_colors, theorem_ceil_colors
-    h.incidence  # built first from the columns: the solver needs it, and the degrees then
-    # come from its lengths instead of another pass over the columns
+    h._incident  # the CSR, built first from the columns: the solver needs it, and the max
+    # degree then comes from its offsets instead of another pass over the columns
     delta = max_degree(h)
     t = (lcl_min_colors(h.k, delta, h.m) if policy == "lcl-min"
          else theorem_ceil_colors(h.k, delta, h.m, eps))

@@ -161,7 +161,7 @@ class EventIndex:
     miss non-rainbow pairs such as e\\f colored (1,1,2) against f\\e
     colored (1,2,2). An edge with an uncolored vertex pairs only with
     partners that contain all of its uncolored vertices, so its candidates
-    come from the incidence lists.
+    come from the CSR incidence.
 
     ``refresh`` needs a total coloring, which is all the resampler ever has.
     There an edge's pairs all lie in its group: after the colors of some
@@ -183,7 +183,7 @@ class EventIndex:
                 if key[0]:
                     found.update(pairs_of(idx, held))
             if not key[0]:  # a pair of two such edges is found from both; the set keeps one
-                missing = [h.incidence[v] for v in row(idx) if not colors[v]]
+                missing = [h._incident(v) for v in row(idx) if not colors[v]]
                 found.update(pairs_of(idx, set(missing[0]).intersection(*missing[1:])))
         self.bad = [idx for idx in repeats if keys[idx][0]]
         self.pairs = sorted(found)

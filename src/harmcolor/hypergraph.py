@@ -13,6 +13,13 @@ the edges as sorted tuples, which the exact search and greedy read, exists
 only once something asks for it, except that an instance built from rows
 keeps the caller's rows as its ``edges``.
 
+The incidence is stored in CSR form (``Hypergraph._csr``): an offsets array
+of n + 1 entries and an array of the k*m edge ids, vertex v's ids, ascending,
+being ``ids[offsets[v]:offsets[v + 1]]``. Only this module knows that layout:
+the resampler and the verifier read the slices through ``Hypergraph._incident``,
+and ``Hypergraph.incidence``, the same lists as tuples, which the exact search
+and greedy index, is derived from the CSR on first use.
+
 One check vets the rows of an instance's columns (_valid_rows). Rows given
 to ``Hypergraph`` are canonicalised and columnised first, and checked at
 once; on any fault, the edge-by-edge loop (_canonical_rows) names the first
@@ -28,9 +35,10 @@ from __future__ import annotations
 import random
 import sys
 from array import array
+from collections import deque
 from functools import cached_property, partial
-from itertools import chain, compress, islice
-from operator import itemgetter, lt
+from itertools import accumulate, chain, compress, islice
+from operator import itemgetter, lt, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -69,9 +77,9 @@ class Hypergraph:
       * every edge has exactly k distinct integer members, all in range(n);
       * no two edges are equal as sets.
     The stored form is the columns ``_cols`` (see the module docstring).
-    The rows ``edges``, the degrees and the incidence lists are derived on
-    first use, except that rows given as strictly increasing tuples are
-    kept as ``edges``.
+    The rows ``edges``, the CSR incidence ``_csr``, the degrees and the
+    incidence tuples are derived on first use, except that rows given as
+    strictly increasing tuples are kept as ``edges``.
     """
 
     __slots__ = ("k", "n", "_cols", "__dict__")
@@ -123,25 +131,49 @@ class Hypergraph:
         return len(self._cols[0])
 
     @cached_property
-    def degrees(self) -> tuple[int, ...]:
-        """degrees[v] is the number of edges containing v: the lengths of the
-        incidence lists once those are built, else a count over the columns."""
-        if "incidence" in self.__dict__:
-            return tuple(map(len, self.incidence))
-        degrees = [0] * self.n
-        for v in chain.from_iterable(self._cols):
-            degrees[v] += 1
-        return tuple(degrees)
-
-    @cached_property
-    def incidence(self) -> tuple[tuple[int, ...], ...]:
-        """incidence[v] lists the indices of the edges containing v, ascending."""
-        # n slots in one allocation first, so that a hostile n fails at once
+    def _csr(self) -> tuple[array, array]:
+        """The incidence in CSR form (offsets, ids): the ids of the edges
+        containing v, ascending, are ids[offsets[v]:offsets[v + 1]]. Built
+        through n lists, whose n slots are allocated in one piece first, so
+        that a hostile n fails at once."""
         inc: list[list[int]] = [[] for _ in [None] * self.n]
         for idx, e in enumerate(zip(*self._cols)):
             for v in e:
                 inc[v].append(idx)
-        return tuple(map(tuple, inc))
+        offsets, ids = _typed(self.k * self.m + 1, [accumulate(map(len, inc), initial=0), ()])
+        deque(map(ids.fromlist, inc), 0)
+        return offsets, ids
+
+    @cached_property
+    def _incident(self) -> Callable[[int], array]:
+        """The incidence accessor: ``h._incident(v)`` is the CSR's slice of
+        the ids of the edges containing v, ascending."""
+        offsets, ids = self._csr
+        return lambda v: ids[offsets[v]:offsets[v + 1]]
+
+    def _degree_counts(self) -> Iterable[int]:
+        """The degrees in vertex order: the offset differences of the CSR
+        once it is built, else a count over the columns."""
+        if "_csr" in self.__dict__:
+            offsets = self._csr[0]
+            return map(sub, offsets[1:], offsets)
+        degrees = [0] * self.n
+        for v in chain.from_iterable(self._cols):
+            degrees[v] += 1
+        return degrees
+
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        """degrees[v] is the number of edges containing v."""
+        return tuple(self._degree_counts())
+
+    @cached_property
+    def incidence(self) -> tuple[tuple[int, ...], ...]:
+        """incidence[v] lists the indices of the edges containing v, ascending:
+        the CSR's slices as tuples, which share one int object per edge."""
+        offsets, ids = self._csr
+        flat = list(map(list(range(self.m)).__getitem__, ids))
+        return tuple([tuple(flat[start:stop]) for start, stop in zip(offsets, offsets[1:])])
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -163,8 +195,9 @@ class Hypergraph:
 
 
 def _typed(n: int, columns: Iterable[Iterable[int]]) -> list[array]:
-    """The int columns ``columns``, checked, as columns typed for n vertices:
-    array('i'), or array('q') when an id may reach 2**31."""
+    """The int columns ``columns``, checked, as arrays typed for values below
+    n, such as the ids of n vertices: array('i'), or array('q') when a value
+    may reach 2**31."""
     code = "i" if n <= 2 ** 31 else "q"
     return [array(code, column) for column in columns]
 
@@ -192,22 +225,33 @@ def _canonical_edges(k: int, n: int, edges: Iterable[Sequence[int]]
     """The columns and the sorted rows of a k-uniform hypergraph on n
     vertices. A list or tuple of int rows is sorted, columnised and checked
     at once, and kept as the rows if its edges are strictly increasing
-    tuples, as the generator gives them. A stream, or a list with a fault,
-    is checked edge by edge (_canonical_rows), which raises on the first
-    fault."""
+    tuples, as the generator gives them; tuples out of vertex order are
+    sorted and checked again. A stream, or a list with a fault, is checked
+    edge by edge (_canonical_rows), which raises on the first fault."""
     if isinstance(edges, (list, tuple)) and edges:
         try:
-            kept = set(map(type, edges)) == {tuple} and set(map(len, edges)) == {k}
-            rows = edges if kept else list(map(tuple, map(sorted, edges)))
-            if ((kept or set(map(len, rows)) == {k})
-                    and set(map(type, chain.from_iterable(rows))) == {int}):
-                columns = [list(map(itemgetter(j), rows)) for j in range(k)]
-                if _valid_rows(n, columns, set(), rows):
+            tuples = set(map(type, edges)) == {tuple}
+            rows = edges if tuples else list(map(tuple, map(sorted, edges)))
+            if set(map(len, rows)) == {k} and set(map(type, chain.from_iterable(rows))) == {int}:
+                columns = _checked_columns(n, rows)
+                if columns is None and tuples:
+                    # If the tuples were increasing, the check did find a
+                    # fault, and finds it again in the same rows.
+                    rows = list(map(tuple, map(sorted, edges)))
+                    columns = _checked_columns(n, rows)
+                if columns is not None:
                     return _typed(n, columns), rows
         except TypeError:  # uncomparable vertices: the loop raises TypeError
             pass
     rows = _canonical_rows(k, n, edges)
     return _typed(n, (map(itemgetter(j), rows) for j in range(k))), rows
+
+
+def _checked_columns(n: int, rows: Sequence[tuple[int, ...]]) -> list[list[int]] | None:
+    """The columns of the equally long int tuples ``rows``, or None unless
+    _valid_rows accepts them."""
+    columns = [list(map(itemgetter(j), rows)) for j in range(len(rows[0]))]
+    return columns if _valid_rows(n, columns, set(), rows) else None
 
 
 def _canonical_rows(k: int, n: int, edges: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -468,8 +512,9 @@ def serialize_hypergraph(h: Hypergraph) -> str:
 
 
 def max_degree(h: Hypergraph) -> int:
-    """Largest number of edges meeting any one vertex; 0 for an edgeless instance."""
-    return max(h.degrees, default=0)
+    """Largest number of edges meeting any one vertex; 0 for an edgeless
+    instance. Builds neither the degrees tuple nor the CSR."""
+    return max(h._degree_counts(), default=0)
 
 
 def builtin_instance(name: str, size: int, k: int = 2) -> Hypergraph:

@@ -131,15 +131,16 @@ def resample_solve(h: Hypergraph, cfg: SolverConfig) -> SolveReport:
     through the O(kΔ) edges meeting the scope, not all m edges. A refreshed
     edge's pairs are found and re-confirmed within its key group alone. The
     event lists are flat sorted lists, so each insert or delete there also
-    shifts O(#events) entries. The instance's incidence lists, which the
-    refreshes read, are built first: a hostile n fails in their one-piece
-    allocation, their transient peaks on top of the parsed instance alone,
-    not the live index, and the set-up, not the first step, pays for them.
+    shifts O(#events) entries. The instance's CSR incidence, whose slices
+    the refreshes read, is built first: a hostile n fails in its build's
+    one-piece allocation, the build's transient lists peak on top of the
+    parsed instance alone, not the live index, and the set-up, not the first
+    step, pays for it.
     """
     if cfg.t < h.k:
         raise ValueError(f"t={cfg.t} < k={h.k}: no edge can be rainbow")
     t = cfg.t
-    incidence = h.incidence  # built here, before the index (see above)
+    incident = h._incident  # the CSR, built here, before the index (see above)
     rng = random.Random(cfg.seed)
     getrandbits, bits = rng.getrandbits, t.bit_length()
     colors = _uniform_colors(rng, h.n, t)
@@ -170,7 +171,7 @@ def resample_solve(h: Hypergraph, cfg: SolverConfig) -> SolveReport:
         for v in scope:
             colors[v] = _uniform_color(getrandbits, bits, t)
         resamples += 1
-        index.refresh({idx for v in scope for idx in incidence[v]})
+        index.refresh({idx for v in scope for idx in incident(v)})
         if cfg.trace_limit:
             if len(trace) < cfg.trace_limit:
                 trace.append(TraceStep(event=event, scope=tuple(scope),
@@ -239,7 +240,7 @@ def _placement_order(h: Hypergraph) -> tuple[int, ...]:
     degree, then the least id. Both counts only grow, so a lazy heap whose
     stale entries rank below the live one gives the order in
     O((n + m k^2) log n)."""
-    incidence, degrees, edges, k = h.incidence, h.degrees, h.edges, h.k  # degrees read incidence
+    incidence, degrees, edges, k = h.incidence, h.degrees, h.edges, h.k  # degrees read the CSR
     placed_in = [0] * h.m  # placed members of each edge
     completes = [0] * h.n
     co_placed = [0] * h.n

@@ -23,6 +23,12 @@ def colored(coloring: Coloring) -> dict[int, int]:
     return {v: c for v, c in enumerate(coloring.colors) if c}
 
 
+def naive_incidence(k: int, n: int, edges: list[tuple[int, ...]]) -> list[list[int]]:
+    """For each vertex of 0..n-1, the indices of the edges of the given k-edge
+    list that contain it, ascending."""
+    return [[idx for idx, edge in enumerate(edges) if v in edge] for v in range(n)]
+
+
 def naive_bad_edges(h: Hypergraph, coloring: Coloring) -> list[int]:
     """Indices of fully colored edges with a repeated color."""
     out = []

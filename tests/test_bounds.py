@@ -25,7 +25,8 @@ from harmcolor import (
     theorem_ceil_colors,
 )
 from harmcolor import bounds
-from harmcolor.bounds import LCL_MAX_BITS, LCL_MAX_GRID, LCL_MAX_K, _float_root
+from harmcolor.bounds import (LCL_MAX_BITS, LCL_MAX_GRID, LCL_MAX_GRID_WORK, LCL_MAX_K,
+                              _float_root)
 from oracles import (naive_bad_edge_prob, naive_floor_root, naive_lcl_min_colors,
                      naive_lcl_slack, naive_lower_bound_colors, naive_monte_carlo_event_probs,
                      naive_tau_grid_search)
@@ -339,6 +340,54 @@ def test_tau_grid_search_takes_a_grid_up_to_its_cap():
     assert lcl_min_colors(2, 1, 1, tau) == t
     with pytest.raises(ValueError, match=f"k \\* denominator up to {LCL_MAX_GRID}, got 2 \\* "):
         tau_grid_search(2, 1, 1, LCL_MAX_GRID // 2 + 1)
+
+
+@pytest.mark.parametrize("k, delta, m, denominator",
+                         [(2, 1, 10**400, 3200), (20, 10**150, 10**400, 40)])
+def test_tau_grid_search_refuses_a_grid_once_its_work_passes_the_cap(k, delta, m, denominator,
+                                                                     monkeypatch):
+    # these grids improve on their t at every point and took 7-20 s; they are
+    # refused within the evaluations that the cap pays for
+    calls = 0
+    build = bounds._lcl_sides
+
+    def counted(k, delta, m):
+        at = build(k, delta, m)
+
+        def counted_at(p, q):
+            sides = at(p, q)
+
+            def counted_sides(t):
+                nonlocal calls
+                calls += 1
+                return sides(t)
+
+            return counted_sides
+
+        return counted_at
+
+    monkeypatch.setattr(bounds, "_lcl_sides", counted)
+    with pytest.raises(ValueError, match=f"grid of work up to {LCL_MAX_GRID_WORK} .* at tau = "):
+        tau_grid_search(k, delta, m, denominator)
+    assert 0 < calls * bounds._grid_charge(k, delta, m, denominator)[1] <= LCL_MAX_GRID_WORK
+
+
+def test_tau_grid_search_refuses_a_grid_beyond_its_work_cap_before_any_evaluation(monkeypatch):
+    monkeypatch.setattr(bounds, "_lcl_sides", None)
+    with pytest.raises(ValueError, match="reaches [0-9]+ before any evaluation"):
+        tau_grid_search(1000, 10**30, 10**6, 65)
+
+
+@pytest.mark.parametrize("k, delta, m, denominator",
+                         [(1000, 10**6, 10**6, 65), (2, 1, 10**400, 400)])
+def test_tau_grid_search_answers_grids_near_its_work_cap(k, delta, m, denominator):
+    # the first improves on its first t nowhere, so it makes 200 evaluations
+    # where a bisection at every point would take about 4,500
+    tau, t = tau_grid_search(k, delta, m, denominator)
+    assert lcl_condition(k, delta, m, t, tau).holds
+    assert not lcl_condition(k, delta, m, t - 1, tau).holds
+    if k == 1000:
+        assert (tau, t) == (Fraction(66, 65), 277646599636390303706)
 
 
 def test_tau_grid_search_beats_the_default():

@@ -32,7 +32,7 @@ from harmcolor import (
     serialize_coloring,
     serialize_hypergraph,
 )
-from harmcolor.bounds import LCL_MAX_BITS, LCL_MAX_GRID, LCL_MAX_K
+from harmcolor.bounds import LCL_MAX_BITS, LCL_MAX_GRID, LCL_MAX_GRID_WORK, LCL_MAX_K
 from harmcolor.cli import CSV_COLUMNS
 from oracles import naive_bad_edges, naive_is_harmonious, naive_pattern_pairs
 
@@ -415,6 +415,14 @@ def test_bound_with_a_tau_grid_above_its_cap_exits_2_at_once(denominator, capsys
     assert capsys.readouterr().err == (
         f"error: tau_grid_search takes k * denominator up to {LCL_MAX_GRID}, "
         f"got 2 * {denominator}\n")
+
+
+def test_bound_with_a_tau_grid_beyond_its_work_cap_exits_2(capsys):
+    # the grid alone took 7.1 s; it is refused once its charged work passes the cap
+    assert main(["bound", "--k", "2", "--delta", "1", "--m", str(10**400),
+                 "--tau-grid", "3200"]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: tau_grid_search takes a grid of work up to {LCL_MAX_GRID_WORK} ")
 
 
 def test_bound_with_a_t_above_the_integer_cap_exits_2_at_once(capsys):

@@ -3,6 +3,7 @@ fuzzing of both file parsers."""
 
 import hashlib
 import operator
+import pickle
 import re
 import sys
 import time
@@ -12,7 +13,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from harmcolor import (
     Coloring,
@@ -33,7 +34,7 @@ from harmcolor import hypergraph
 from harmcolor.coloring import _coloring_from_blocks, _coloring_from_lines, _coloring_header
 from harmcolor.hypergraph import (_content_lines, _header_and_blocks, _hypergraph_from_blocks,
                                   _hypergraph_from_lines, _hypergraph_header, _line_blocks)
-from oracles import naive_generate
+from oracles import naive_generate, naive_incidence
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -106,6 +107,7 @@ def edge_lists(draw):
 
 
 @given(edge_lists())
+@example((3, 5, []))
 @settings(max_examples=100)
 def test_every_way_of_giving_the_edges_builds_the_same_instance(case):
     k, n, edges = case
@@ -113,14 +115,35 @@ def test_every_way_of_giving_the_edges_builds_the_same_instance(case):
                                                       for e in edges])
     built = [parse_hypergraph(text), Hypergraph(k, n, edges), Hypergraph(k, n, tuple(edges)),
              Hypergraph(k, n, iter(edges)), Hypergraph(k, n, [e[::-1] for e in edges])]
+    built.append(pickle.loads(pickle.dumps(built[0])))
+    incidence = naive_incidence(k, n, edges)
     for h in built:
         assert h == built[0]
         assert h.edges == tuple(edges)
         assert tuple(map(h._row, range(h.m))) == tuple(edges)
-        assert h.incidence == built[0].incidence
-        assert h.degrees == built[0].degrees
-        assert h.support == built[0].support
+        assert max_degree(h) == max(map(len, incidence), default=0)  # counted on the columns
+        assert [list(h._incident(v)) for v in range(n)] == incidence
+        offsets, ids = h._csr
+        assert (len(offsets), len(ids)) == (n + 1, k * len(edges))
+        assert max_degree(h) == max(map(len, incidence), default=0)  # read from the offsets
+        assert h.incidence == tuple(map(tuple, incidence))
+        assert h.degrees == tuple(map(len, incidence))
+        assert h.support == tuple(v for v in range(n) if incidence[v])
         assert serialize_hypergraph(h) == text
+
+
+def test_the_csr_is_typed_for_its_values():
+    h = builtin_instance("k-star", 4, k=3)
+    assert [a.typecode for a in h._csr] == ["i", "i"]
+    assert [a.typecode for a in hypergraph._typed(2 ** 31 + 1, [[2 ** 31], ()])] == ["q", "q"]
+
+
+def test_the_tuple_view_shares_one_int_per_edge():
+    # as the lists it replaced did: boxing each of the k ids apart retained
+    # about 68 B more per edge at k = 3
+    h = Hypergraph(2, 601, [(v, v + 1) for v in range(600)])
+    assert h.incidence[300] == (299, 300)
+    assert all(h.incidence[v][1] is h.incidence[v + 1][0] for v in range(300, 600))
 
 
 def test_a_parsed_instance_builds_its_rows_only_when_asked():
@@ -146,6 +169,39 @@ def test_a_parsed_instance_retains_at_most_32_bytes_per_edge(monkeypatch):
     finally:
         tracemalloc.stop()
     assert h.m == m and retained <= 32 * m
+
+
+def test_the_csr_retains_at_most_24_bytes_per_edge(monkeypatch):
+    # the incidence as tuples of boxed ids retained about 100 B per edge here
+    monkeypatch.syspath_prepend(str(BENCH))
+    from instances import bounded_degree_edges
+    m = 2 * 10 ** 4
+    h = Hypergraph(3, m, bounded_degree_edges(1, 3, m, m, 3))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        h._csr
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(h._csr[1]) == 3 * m and retained <= 24 * m
+
+
+def test_tuples_out_of_vertex_order_are_sorted_and_checked_at_once(monkeypatch):
+    # as lists are: only a fault sends rows to the edge-by-edge loop
+    edges = [(0, 1, 2), (0, 2, 4), (1, 3, 4), (2, 3, 5)]
+    expected = Hypergraph(3, 6, edges)
+
+    def no_loop(*args):
+        raise AssertionError("the edge-by-edge loop ran")
+
+    monkeypatch.setattr(hypergraph, "_canonical_rows", no_loop)
+    for given_edges in ([e[::-1] for e in edges], tuple(e[::-1] for e in edges),
+                        [edges[0], (4, 2, 0)] + edges[2:]):
+        h = Hypergraph(3, 6, given_edges)
+        assert h == expected and h.edges == tuple(edges)
+    with pytest.raises(AssertionError, match="edge-by-edge loop"):
+        Hypergraph(3, 6, [(2, 1, 0), (0, 2, 1)])  # a duplicate still goes to the loop
 
 
 def test_rows_of_equal_hash_are_cleared_by_the_edge_by_edge_loop(monkeypatch):

@@ -140,13 +140,13 @@ def test_resample_report_bookkeeping(triangle):
 
 
 def test_resample_set_up_builds_the_incidence():
-    # the set-up, not the first step, pays for the incidence lists
+    # the set-up, not the first step, pays for the CSR; its tuple view is not built
     h = generate_random_bounded_degree(GeneratorConfig(k=3, n=30, m=12,
                                                        max_degree=2, seed=4))
-    assert "incidence" not in vars(h)
+    assert "_csr" not in vars(h)
     report = resample_solve(h, SolverConfig(t=3, seed=7, max_resamples=0))
     assert report.resamples_total == 0 and not report.success
-    assert "incidence" in vars(h)
+    assert "_csr" in vars(h) and "incidence" not in vars(h)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -158,14 +158,14 @@ def test_solve_and_verify_read_a_parsed_instance_without_its_rows(k):
     report = resample_solve(h, SolverConfig(t=lcl_min_colors(k, max_degree(h), h.m), seed=1))
     assert report.success and is_harmonious(h, report.coloring)
     serialize_coloring(report.coloring, h.n)
-    assert "edges" not in vars(h)
+    assert "edges" not in vars(h) and "incidence" not in vars(h)
     assert pickle.loads(pickle.dumps(h)) == h  # the cached row accessor is not pickled
     h = parse_hypergraph(text)
     coloring = sample_uniform_coloring(h, 2 * k, seed=1)
     ok, keyed = _verdict(h, coloring)
     index = EventIndex(h, coloring.colors, keyed)
     assert not ok and index.bad and index.pairs
-    assert "edges" not in vars(h)
+    assert "edges" not in vars(h) and "incidence" not in vars(h)
     assert index.pairs == naive_pattern_pairs(h, coloring)
 
 
