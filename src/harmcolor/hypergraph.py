@@ -10,8 +10,7 @@ an ``array('i')``, or an ``array('q')`` when n > 2**31. Only this module
 knows that layout. The resampler and the verifier read the columns in bulk
 passes and a single edge through ``Hypergraph._row``. ``Hypergraph.edges``,
 the edges as sorted tuples, which the exact search and greedy read, exists
-only once something asks for it, except that an instance built from rows
-keeps the caller's rows as its ``edges``.
+only once something asks for it.
 
 The incidence is stored in CSR form (``Hypergraph._csr``): an offsets array
 of n + 1 entries and an array of the k*m edge ids, vertex v's ids, ascending,
@@ -20,14 +19,19 @@ the resampler and the verifier read the slices through ``Hypergraph._incident``,
 and ``Hypergraph.incidence``, the same lists as tuples, which the exact search
 and greedy index, is derived from the CSR on first use.
 
-One check vets the rows of an instance's columns (_valid_rows). Rows given
-to ``Hypergraph`` are canonicalised and columnised first, and checked at
-once; on any fault, the edge-by-edge loop (_canonical_rows) names the first
-one. Both file formats are read by _read: the header once, each of its
-faults named on its line; the lines after it in blocks of about BLOCK_CHARS
-characters; on any fault, those lines again one by one, naming the first
-fault's line. An instance's blocks are checked a block at a time and fill
-its columns; its lines reach the constructor as a stream.
+One check vets the rows of an instance's columns (_valid_rows), and one rule
+applies it to a source of rows (_sorted_columns): the columns as given, else
+with each row sorted. Rows given to ``Hypergraph`` as a list or tuple of
+list or tuple rows are columnised and take that rule at once; a stream, or
+rows with a fault, go to the edge-by-edge loop (_canonical_rows), which
+names the first fault. Both file formats are read by _read: the header once,
+each of its faults named on its line; the lines after it in blocks of about
+BLOCK_CHARS characters; on any fault, those lines again one by one, naming
+the first fault's line. An instance's blocks take the rule a block at a time
+and fill its columns; its lines reach the constructor as a stream. Columns
+that skip the check (``Hypergraph._of_columns``) are vouched for by their
+maker: the block reader's check, the pickled instance, or the generator,
+whose draws are sorted, in range and distinct by construction.
 """
 
 from __future__ import annotations
@@ -76,10 +80,9 @@ class Hypergraph:
     Invariants, checked on construction:
       * every edge has exactly k distinct integer members, all in range(n);
       * no two edges are equal as sets.
-    The stored form is the columns ``_cols`` (see the module docstring).
-    The rows ``edges``, the CSR incidence ``_csr``, the degrees and the
-    incidence tuples are derived on first use, except that rows given as
-    strictly increasing tuples are kept as ``edges``.
+    The only stored form is the columns ``_cols`` (see the module
+    docstring): the rows ``edges``, the CSR incidence ``_csr``, the degrees
+    and the incidence tuples are derived on first use.
     """
 
     __slots__ = ("k", "n", "_cols", "__dict__")
@@ -92,13 +95,13 @@ class Hypergraph:
         if n > sys.maxsize:  # no list of n vertices can exist
             raise ValueError(f"vertex count must be at most {sys.maxsize}, got {n}")
         self.k, self.n = k, n
-        self._cols, rows = _canonical_edges(k, n, edges)
-        self.__dict__["edges"] = tuple(rows)
+        self._cols = _canonical_columns(k, n, edges)
 
     @classmethod
     def _of_columns(cls, k: int, n: int, cols: list[array]) -> Hypergraph:
-        """The instance stored as the columns ``cols``, typed for n, whose
-        rows _valid_rows accepted and whose k and n were checked."""
+        """The instance stored as the columns ``cols``, typed for n, unchecked:
+        its maker vouches for k, n and the rows, which the block reader's
+        check accepted, a pickled instance held, or the generator drew."""
         self = cls.__new__(cls)
         self.k, self.n, self._cols = k, n, cols
         return self
@@ -202,56 +205,49 @@ def _typed(n: int, columns: Iterable[Iterable[int]]) -> list[array]:
     return [array(code, column) for column in columns]
 
 
-def _valid_rows(n: int, columns: Sequence[Sequence[int]], seen: set,
-                rows: Iterable[tuple[int, ...]] | None = None) -> bool:
+def _valid_rows(n: int, columns: Sequence[Sequence[int]], seen: set) -> bool:
     """The one edge check, on all rows at once or a block at a time: whether
     the rows of the equally long, nonempty int columns ``columns`` are
     strictly increasing, within 0..n-1, and distinct from each other and
-    from those ``seen`` holds, which then holds them too. ``seen`` holds the
-    rows themselves where the caller has them as tuples (``rows``), else
-    their hashes, which take half the time and a third of the memory of a
-    set of new row tuples; two rows of equal hash read as a fault, which the
-    edge-by-edge loop then clears."""
+    from those whose hashes ``seen`` holds, which then holds theirs too.
+    Hashes take half the time and a third of the memory of a set of new row
+    tuples; two rows of equal hash read as a fault, which the edge-by-edge
+    loop then clears."""
     if not (all(all(map(lt, low, high)) for low, high in zip(columns, columns[1:]))
             and min(columns[0]) >= 0 and max(columns[-1]) < n):
         return False
     held = len(seen)
-    seen.update(map(hash, zip(*columns)) if rows is None else rows)
+    seen.update(map(hash, zip(*columns)))
     return len(seen) - held == len(columns[0])
 
 
-def _canonical_edges(k: int, n: int, edges: Iterable[Sequence[int]]
-                     ) -> tuple[list[array], Sequence[tuple[int, ...]]]:
-    """The columns and the sorted rows of a k-uniform hypergraph on n
-    vertices. A list or tuple of int rows is sorted, columnised and checked
-    at once, and kept as the rows if its edges are strictly increasing
-    tuples, as the generator gives them; tuples out of vertex order are
-    sorted and checked again. A stream, or a list with a fault, is checked
-    edge by edge (_canonical_rows), which raises on the first fault."""
-    if isinstance(edges, (list, tuple)) and edges:
-        try:
-            tuples = set(map(type, edges)) == {tuple}
-            rows = edges if tuples else list(map(tuple, map(sorted, edges)))
-            if set(map(len, rows)) == {k} and set(map(type, chain.from_iterable(rows))) == {int}:
-                columns = _checked_columns(n, rows)
-                if columns is None and tuples:
-                    # If the tuples were increasing, the check did find a
-                    # fault, and finds it again in the same rows.
-                    rows = list(map(tuple, map(sorted, edges)))
-                    columns = _checked_columns(n, rows)
-                if columns is not None:
-                    return _typed(n, columns), rows
-        except TypeError:  # uncomparable vertices: the loop raises TypeError
-            pass
+def _sorted_columns(n: int, columns: list[list[int]], seen: set) -> list[list[int]] | None:
+    """The rule that checks a source of rows: the equally long, nonempty int
+    columns ``columns`` if _valid_rows accepts them, else those of their
+    rows each sorted, as a row may list its vertices in any order, if it
+    accepts those; else None. If the rows were increasing, the first check
+    did find a fault, and the second finds it again in the same rows."""
+    if _valid_rows(n, columns, seen):
+        return columns
+    columns = list(map(list, zip(*map(sorted, zip(*columns)))))
+    return columns if _valid_rows(n, columns, seen) else None
+
+
+def _canonical_columns(k: int, n: int, edges: Iterable[Sequence[int]]) -> list[array]:
+    """The typed columns of the edges of a k-uniform hypergraph on n
+    vertices. A nonempty list or tuple of list or tuple rows of k ints each
+    is columnised and checked at once (_sorted_columns); a stream, other
+    rows (a dict row indexed by position would give its values, not its
+    members), or rows with a fault are checked edge by edge
+    (_canonical_rows), which raises on the first fault."""
+    if (isinstance(edges, (list, tuple)) and edges and set(map(type, edges)) <= {list, tuple}
+            and set(map(len, edges)) == {k}
+            and set(map(type, chain.from_iterable(edges))) == {int}):
+        columns = _sorted_columns(n, [list(map(itemgetter(j), edges)) for j in range(k)], set())
+        if columns is not None:
+            return _typed(n, columns)
     rows = _canonical_rows(k, n, edges)
-    return _typed(n, (map(itemgetter(j), rows) for j in range(k))), rows
-
-
-def _checked_columns(n: int, rows: Sequence[tuple[int, ...]]) -> list[list[int]] | None:
-    """The columns of the equally long int tuples ``rows``, or None unless
-    _valid_rows accepts them."""
-    columns = [list(map(itemgetter(j), rows)) for j in range(len(rows[0]))]
-    return columns if _valid_rows(n, columns, set(), rows) else None
+    return _typed(n, (map(itemgetter(j), rows) for j in range(k)))
 
 
 def _canonical_rows(k: int, n: int, edges: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -444,21 +440,16 @@ def parse_hypergraph(text: str) -> Hypergraph:
 
 def _hypergraph_from_blocks(k: int, n: int, m: int, blocks: Iterable[list[str]]) -> Hypergraph:
     """parse_hypergraph's block reader over the line blocks after the header
-    ``p hg <k> <n> <m>``: checks each block's converted columns with
-    _valid_rows, while their ids are still int objects, and appends them to
-    the k columns; only a block with a line out of vertex order has its
+    ``p hg <k> <n> <m>``: checks each block's converted columns by
+    _sorted_columns, while their ids are still int objects, and appends them
+    to the k columns; only a block with a line out of vertex order has its
     rows built, to sort them. Raises ValueError, without a line number, on
     any fault."""
     cols, seen = _typed(n, [()] * k), set()
     for block in blocks:
         columns = [list(map(int, column)) for column in _block_columns(block, "e", k)]
-        if columns and not _valid_rows(n, columns, seen):
-            # a line may list its vertices in any order: check the block again
-            # with each row sorted. If the rows were increasing, the check did
-            # find a fault, and finds it again in the same rows.
-            columns = list(map(list, zip(*map(sorted, zip(*columns)))))
-            if not _valid_rows(n, columns, seen):
-                raise ValueError("an edge line with a fault")
+        if columns and (columns := _sorted_columns(n, columns, seen)) is None:
+            raise ValueError("an edge line with a fault")
         for col, column in zip(cols, columns):
             col.fromlist(column)
     if len(cols[0]) != m:
@@ -595,9 +586,10 @@ def generate_random_bounded_degree(cfg: GeneratorConfig) -> Hypergraph:
                 if not capacity[v]:
                     live.discard(v)
         if len(chosen) == cfg.m:
-            edges = list(chosen)
-            del chosen, capacity, live  # freed before the constructor's check allocates
-            return Hypergraph(k, n, edges)
+            del capacity, live  # freed before the columns are built
+            # the draws are sorted, in range and distinct: no check is due
+            return Hypergraph._of_columns(k, n, _typed(n, (map(itemgetter(j), chosen)
+                                                           for j in range(k))))
     raise GenerationFailure(
         f"no valid instance after {attempts} attempts "
         f"(k={cfg.k}, n={cfg.n}, m={cfg.m}, max_degree={cfg.max_degree}, seed={cfg.seed})"

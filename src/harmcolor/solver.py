@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from heapq import heapify, heappop, heappush
+from itertools import count, filterfalse
 from math import comb
 from typing import Callable, Mapping, NamedTuple, Union
 
@@ -387,7 +388,7 @@ def greedy_upper(h: Hypergraph) -> tuple[Coloring, int]:
                 extra = theirs - ours
                 if v not in partner and 0 not in theirs and len(extra) == 1 and ours <= theirs:
                     barred |= extra
-        c = min(set(range(1, len(barred) + 2)) - barred)
+        c = next(filterfalse(barred.__contains__, count(1)))  # the least color not barred
         assert c <= highest + 1, "the fresh color should always fit"
         colors[v] = c
         _complete(completing, sides, c)

@@ -2,7 +2,6 @@
 fuzzing of both file parsers."""
 
 import hashlib
-import operator
 import pickle
 import re
 import sys
@@ -59,13 +58,6 @@ def test_validation_rejects_bad_shapes():
             Hypergraph(2, 3, [edge])
         with pytest.raises(TypeError, match=re.escape(f"in edge {edge}")):
             Hypergraph(2, 3, iter([edge]))  # the same, given as a stream
-
-
-def test_strictly_increasing_int_tuples_are_kept_uncopied():
-    # the memory of the generator's and the block reader's instances rests on this
-    edges = [(0, 1, 2), (0, 2, 4), (1, 3, 4)]
-    h = Hypergraph(3, 5, edges)
-    assert h.edges == tuple(edges) and all(map(operator.is_, h.edges, edges))
 
 
 def test_edges_are_normalized_sorted_tuples():
@@ -152,8 +144,11 @@ def test_a_parsed_instance_builds_its_rows_only_when_asked():
     h.incidence, h.degrees, h.support, h._row(1), serialize_hypergraph(h)
     assert "edges" not in vars(h)
     assert h.edges == ((0, 1, 2), (3, 4, 5))
-    # an instance built from strictly increasing tuples keeps them as its rows
-    assert "edges" in vars(Hypergraph(3, 6, [(0, 1, 2)]))
+    # the columns are the only stored form, however the instance was built
+    for h in (Hypergraph(3, 6, [(0, 1, 2)]), Hypergraph(3, 6, [[0, 1, 2]]),
+              generate_random_bounded_degree(GeneratorConfig(k=3, n=6, m=2, max_degree=1)),
+              parse_hypergraph("p hg 3 6 1\ne 0 1 2\n")):
+        assert "edges" not in vars(h)
 
 
 def test_a_parsed_instance_retains_at_most_32_bytes_per_edge(monkeypatch):
@@ -188,7 +183,8 @@ def test_the_csr_retains_at_most_24_bytes_per_edge(monkeypatch):
 
 
 def test_tuples_out_of_vertex_order_are_sorted_and_checked_at_once(monkeypatch):
-    # as lists are: only a fault sends rows to the edge-by-edge loop
+    # as lists and a mix of both are: only a fault sends rows to the
+    # edge-by-edge loop
     edges = [(0, 1, 2), (0, 2, 4), (1, 3, 4), (2, 3, 5)]
     expected = Hypergraph(3, 6, edges)
 
@@ -197,22 +193,54 @@ def test_tuples_out_of_vertex_order_are_sorted_and_checked_at_once(monkeypatch):
 
     monkeypatch.setattr(hypergraph, "_canonical_rows", no_loop)
     for given_edges in ([e[::-1] for e in edges], tuple(e[::-1] for e in edges),
-                        [edges[0], (4, 2, 0)] + edges[2:]):
+                        [edges[0], (4, 2, 0)] + edges[2:], [list(e[::-1]) for e in edges],
+                        tuple(list(e) for e in edges),
+                        [edges[0], [4, 2, 0], (3, 4, 1), [2, 3, 5]]):
         h = Hypergraph(3, 6, given_edges)
         assert h == expected and h.edges == tuple(edges)
-    with pytest.raises(AssertionError, match="edge-by-edge loop"):
-        Hypergraph(3, 6, [(2, 1, 0), (0, 2, 1)])  # a duplicate still goes to the loop
+    # a parsed block takes the same rule
+    assert parse_hypergraph("p hg 3 6 4\ne 2 1 0\ne 4 2 0\ne 1 3 4\ne 5 2 3\n") == expected
+    for faulty in ([(2, 1, 0), (0, 2, 1)], [[2, 1, 0], [0, 2, 1]], [(2, 1, 0), [0, 2, 1]]):
+        with pytest.raises(AssertionError, match="edge-by-edge loop"):
+            Hypergraph(3, 6, faulty)  # a duplicate still goes to the loop
+
+
+@pytest.mark.parametrize("edges, outcome", [
+    ([{2, 0, 1}], ((0, 1, 2),)),
+    # read by position, this row would be the edge (3, 4, 5)
+    ([{0: 3, 1: 4, 2: 5}], ((0, 1, 2),)),
+    ([range(3), (1, 2, 3)], ((0, 1, 2), (1, 2, 3))),
+    (["012"], (TypeError, "non-integer vertex id in edge ('0', '1', '2')")),
+    ([{0, 1, 2}, {2, 1, 0}], (ValueError, "duplicate edge (0, 1, 2)")),
+    ([(0, 1, 2), {0: 3, 1: 4, 2: 5}], (ValueError, "duplicate edge (0, 1, 2)")),
+    ([frozenset({0, 1}), (1, 2, 3)], (ValueError, "edge has 2 vertices, expected 3")),
+    ([{0, 1, 9}], (ValueError, "vertex id outside 0..5 in edge (0, 1, 9)")),
+])
+def test_rows_that_are_not_lists_or_tuples_are_checked_edge_by_edge(edges, outcome):
+    if isinstance(outcome[0], tuple):
+        assert Hypergraph(3, 6, edges).edges == outcome
+    else:
+        with pytest.raises(outcome[0], match=re.escape(outcome[1])):
+            Hypergraph(3, 6, edges)
 
 
 def test_rows_of_equal_hash_are_cleared_by_the_edge_by_edge_loop(monkeypatch):
-    # a block's check counts distinct row hashes; with every hash equal, a
-    # file of more than one edge goes to the line reader's exact loop and
-    # still parses, while given rows are their own keys
+    # the check counts distinct row hashes; with every hash equal, a file of
+    # more than one edge goes to the line reader's exact loop and still
+    # parses, and rows given to the constructor go to its loop and build
     text = serialize_hypergraph(builtin_instance("k-star", 5, k=3))
     expected = parse_hypergraph(text)
+    loops = []
+    original = hypergraph._canonical_rows
+
+    def counted(*args):
+        loops.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(hypergraph, "_canonical_rows", counted)
     monkeypatch.setattr(hypergraph, "hash", lambda row: 0, raising=False)
-    assert parse_hypergraph(text) == expected and "edges" in vars(parse_hypergraph(text))
-    assert Hypergraph(3, expected.n, list(expected.edges)) == expected
+    assert parse_hypergraph(text) == expected and len(loops) == 1
+    assert Hypergraph(3, expected.n, list(expected.edges)) == expected and len(loops) == 2
     with pytest.raises(FormatError, match=r"duplicate edge \(0, 1, 2\)") as err:
         parse_hypergraph(text.rsplit("e", 1)[0] + "e 0 2 1\n")
     assert err.value.line == 6
@@ -842,6 +870,11 @@ def test_generator_respects_contract_across_configs():
                         assert h.k == k and h.n == n and h.m == m
                         assert max_degree(h) <= dmax
                         assert len(set(h.edges)) == m
+                        # the constructor's full check vouches for the
+                        # generator's unchecked columns
+                        rebuilt = Hypergraph(k, n, list(h.edges))
+                        assert rebuilt == h
+                        assert [c.typecode for c in rebuilt._cols] == [c.typecode for c in h._cols]
                         checked += 1
     assert checked >= 100
 
@@ -925,6 +958,29 @@ def test_generator_matches_its_goldens(k, m):
     h = generate_random_bounded_degree(GeneratorConfig(k=k, n=2 * m, m=m, max_degree=3, seed=7))
     digest = hashlib.sha256(serialize_hypergraph(h).encode()).hexdigest()
     assert digest == GENERATOR_GOLDENS[(k, m)]
+
+
+def test_the_generator_hands_over_its_draws_unchecked(monkeypatch):
+    def no_check(*args):
+        raise AssertionError("a generated instance was checked")
+
+    monkeypatch.setattr(hypergraph, "_valid_rows", no_check)
+    monkeypatch.setattr(hypergraph, "_canonical_rows", no_check)
+    h = generate_random_bounded_degree(GeneratorConfig(k=3, n=2000, m=1000, max_degree=3, seed=7))
+    digest = hashlib.sha256(serialize_hypergraph(h).encode()).hexdigest()
+    assert digest == GENERATOR_GOLDENS[(3, 1000)]
+
+
+def test_a_generated_instance_retains_at_most_32_bytes_per_edge():
+    m = 2 * 10 ** 4
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        h = generate_random_bounded_degree(GeneratorConfig(k=3, n=m, m=m, max_degree=3, seed=1))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert h.m == m and retained <= 32 * m
 
 
 def test_generator_scales_to_large_instances():
