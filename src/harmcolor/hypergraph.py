@@ -39,9 +39,11 @@ from __future__ import annotations
 import random
 import sys
 from array import array
+from bisect import bisect_left
 from collections import deque
 from functools import cached_property, partial
 from itertools import accumulate, chain, compress, islice
+from math import ceil, log
 from operator import itemgetter, lt, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
@@ -51,6 +53,8 @@ BLOCK_CHARS = 16_384
 """A block of the block readers ends at the first LF this many characters or
 more past its start. Its token lists and converted columns are the readers'
 only transient besides the result, so this bounds their memory over it."""
+
+LIVE_BLOCK = 8192  # the id range of each of _LiveVertices's lists, set by measurement
 
 # the resampler's pick rules and the exact search's default node budget, kept
 # here so that the CLI parser reads them without loading the solver
@@ -558,12 +562,13 @@ def generate_random_bounded_degree(cfg: GeneratorConfig) -> Hypergraph:
     which GeneratorConfig itself rejects.
 
     The k vertices are drawn as ranks among the vertices with capacity, by
-    ``rng.sample(range(live), k)``, and mapped to vertices through a Fenwick
-    tree. ``random.sample`` only takes the length of its population and
-    indexes it, so this makes the same RNG calls and picks the same vertices
-    as sampling from the ascending list of those vertices, rebuilt per edge:
-    each seed yields that O(n*m) generator's instance (tests/oracles.py keeps
-    it as ``naive_generate``). Cost: O(n + m*k*log n) per attempt.
+    the RNG calls of ``rng.sample(range(live), k)`` (_sample_ranks), and
+    mapped to vertices by _LiveVertices. ``random.sample`` only takes the
+    length of its population and indexes it, so these are the RNG calls and
+    picks of sampling from the ascending list of those vertices, rebuilt per
+    edge: each seed yields that O(n*m) generator's instance (tests/oracles.py
+    keeps it as ``naive_generate``). Cost: O(n + m*k*log(n/B)) per attempt,
+    B = LIVE_BLOCK.
     """
     rng = random.Random(cfg.seed)
     k, n = cfg.k, cfg.n
@@ -575,7 +580,7 @@ def generate_random_bounded_degree(cfg: GeneratorConfig) -> Hypergraph:
         chosen: dict[tuple[int, ...], None] = {}  # the edges in draw order
         while len(chosen) < cfg.m and live.size >= k:
             for _draw in range(100):
-                edge = tuple(sorted(map(live.vertex, rng.sample(range(live.size), k))))
+                edge = tuple(sorted(map(live.vertex, _sample_ranks(rng.getrandbits, live.size, k))))
                 if edge not in chosen:
                     break
             else:  # only duplicates within the draw budget
@@ -596,34 +601,57 @@ def generate_random_bounded_degree(cfg: GeneratorConfig) -> Hypergraph:
     )
 
 
-class _LiveVertices:
-    """A subset of 0..n-1, initially all of it, as a Fenwick tree over the
-    membership flags: O(n) to build, O(log n) to discard a member or to find
-    the member of a given rank. ``size`` is the number of members."""
+def _sample_ranks(getrandbits: Callable[[int], int], size: int, k: int) -> list[int]:
+    """``rng.sample(range(size), k)`` by the same rng.getrandbits calls: its
+    pool branch when size is at most its setsize, else its set branch, each
+    with its _randbelow inlined, as solver._uniform_color inlines randint."""
+    if size <= 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0):
+        pool = list(range(size))
+        for i in range(size, size - k, -1):  # the pick among pool[:i] goes to pool[i - 1]
+            j = getrandbits(i.bit_length())
+            while j >= i:
+                j = getrandbits(i.bit_length())
+            pool[j], pool[i - 1] = pool[i - 1], pool[j]
+        return pool[size - k:][::-1]
+    bits, picks = size.bit_length(), []
+    while len(picks) < k:
+        j = getrandbits(bits)
+        if j < size and j not in picks:
+            picks.append(j)
+    return picks
 
-    __slots__ = ("tree", "top", "size")
+
+class _LiveVertices:
+    """A subset of 0..n-1, initially all of it, as the sorted lists of its
+    members in [jB, (j+1)B), B = LIVE_BLOCK, and a Fenwick tree over their
+    lengths: O(n) to build, O(log(n/B)) to find the member of a given rank
+    or to discard one, plus a list shift. ``size`` is the number of members."""
+
+    __slots__ = ("lists", "tree", "top", "size")
 
     def __init__(self, n: int):
-        self.tree = [i & -i for i in range(n + 1)]  # tree[i] sums flags (i - lowbit(i), i]
-        self.top = (1 << n.bit_length()) >> 1  # the largest power of 2 <= n
+        self.lists = [list(range(low, min(low + LIVE_BLOCK, n))) for low in range(0, n, LIVE_BLOCK)]
+        ends = [min(j * LIVE_BLOCK, n) for j in range(len(self.lists) + 1)]
+        self.tree = [end - ends[j - (j & -j)] for j, end in enumerate(ends)]  # (j - lowbit(j), j]
+        self.top = (1 << len(self.lists).bit_length()) >> 1  # the largest power of 2 <= #lists
         self.size = n
 
     def vertex(self, rank: int) -> int:
         """The member with exactly ``rank`` smaller members."""
-        tree, n = self.tree, len(self.tree) - 1
-        pos, step = 0, self.top
+        tree, last = self.tree, len(self.tree) - 1
+        j, step = 0, self.top
         while step:
-            nxt = pos + step
-            if nxt <= n and tree[nxt] <= rank:
-                pos = nxt
-                rank -= tree[nxt]
+            if j + step <= last and tree[j + step] <= rank:
+                j += step
+                rank -= tree[j]
             step >>= 1
-        return pos  # the 1-based tree position pos + 1 is vertex pos
+        return self.lists[j][rank]  # list j is tree position j + 1
 
     def discard(self, v: int) -> None:
         """Remove member v."""
-        tree, i = self.tree, v + 1
-        while i < len(tree):
-            tree[i] -= 1
-            i += i & -i
+        members, tree, j = self.lists[v // LIVE_BLOCK], self.tree, v // LIVE_BLOCK + 1
+        del members[bisect_left(members, v)]
+        while j < len(tree):
+            tree[j] -= 1
+            j += j & -j
         self.size -= 1

@@ -3,6 +3,7 @@ fuzzing of both file parsers."""
 
 import hashlib
 import pickle
+import random
 import re
 import sys
 import time
@@ -31,8 +32,9 @@ from harmcolor import (
 )
 from harmcolor import hypergraph
 from harmcolor.coloring import _coloring_from_blocks, _coloring_from_lines, _coloring_header
-from harmcolor.hypergraph import (_content_lines, _header_and_blocks, _hypergraph_from_blocks,
-                                  _hypergraph_from_lines, _hypergraph_header, _line_blocks)
+from harmcolor.hypergraph import (LIVE_BLOCK, _content_lines, _header_and_blocks,
+                                  _hypergraph_from_blocks, _hypergraph_from_lines,
+                                  _hypergraph_header, _line_blocks, _LiveVertices, _sample_ranks)
 from oracles import naive_generate, naive_incidence
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -939,6 +941,42 @@ def generate_or_failure(generate, cfg):
 def test_generator_matches_the_naive_generator(cfg):
     assert generate_or_failure(generate_random_bounded_degree, cfg) == \
         generate_or_failure(naive_generate, cfg)
+
+
+@given(generator_configs())
+@settings(max_examples=300, deadline=None)
+def test_generator_matches_the_naive_generator_over_many_lists(cfg):
+    # lists of 4 vertices: n <= 60 spans up to 15 of them
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hypergraph, "LIVE_BLOCK", 4)
+        assert generate_or_failure(generate_random_bounded_degree, cfg) == \
+            generate_or_failure(naive_generate, cfg)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8, 25])
+def test_rank_draw_is_the_draw_of_sample(k):
+    # every generator golden rests on this: a Python whose sample draws
+    # otherwise fails here first. Sizes up to 21 (k <= 5), 85 (k = 6..8) and
+    # 277 (k = 25) take sample's pool branch, larger ones its set branch.
+    for size in range(k, 301):
+        for seed in range(20):
+            fast, slow = random.Random(seed), random.Random(seed)
+            assert _sample_ranks(fast.getrandbits, size, k) == slow.sample(range(size), k)
+            assert fast.getstate() == slow.getstate()
+
+
+@pytest.mark.parametrize("n", [1, LIVE_BLOCK - 1, LIVE_BLOCK, LIVE_BLOCK + 1, 3 * LIVE_BLOCK + 17])
+def test_live_vertices_match_a_sorted_list(n):
+    rng = random.Random(n)
+    live, members = _LiveVertices(n), list(range(n))
+    assert list(map(live.vertex, range(n))) == members
+    for v in rng.sample(members, n):
+        live.discard(v)
+        members.remove(v)
+        assert live.size == len(members)
+        if members:
+            ranks = [0, len(members) - 1] + [rng.randrange(len(members)) for _ in range(3)]
+            assert list(map(live.vertex, ranks)) == [members[rank] for rank in ranks]
 
 
 # SHA-256 of serialize_hypergraph, recorded with the O(n*m) generator:
