@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 import sys
 from bisect import bisect_left, insort
+from collections import deque
 from functools import cached_property
 from itertools import compress, islice
 from operator import eq, itemgetter
@@ -355,20 +356,19 @@ def _coloring_header(lineno: int, line: str, tokens: list[str]) -> tuple[int, in
     return t, n
 
 
-def _coloring_from_blocks(t: int, n: int, blocks: Iterable[list[str]]) -> tuple[Coloring, int]:
-    """parse_coloring's block reader over the line blocks after the header
+def _coloring_from_blocks(t: int, n: int, blocks: Iterable[str]) -> tuple[Coloring, int]:
+    """parse_coloring's block reader over the block texts after the header
     ``c <t> <n>``: raises ValueError, without a line number, on any fault."""
     colors = [0] * n
     for block in blocks:
         columns = _block_columns(block, "v", 2)
         if not columns:
             continue
-        vertices, hues = list(map(int, columns[0])), list(map(int, columns[1]))
+        vertices, hues = columns
         if (min(vertices) < 0 or max(vertices) >= n or min(hues) < 1 or max(hues) > t
                 or len(set(vertices)) != len(vertices) or any(map(colors.__getitem__, vertices))):
             raise ValueError("a vertex or color out of range, or a vertex colored twice")
-        for vertex, color in zip(vertices, hues):
-            colors[vertex] = color
+        deque(map(colors.__setitem__, vertices, hues), 0)
     return Coloring(t=t, colors=colors), n
 
 

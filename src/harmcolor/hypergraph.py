@@ -25,9 +25,10 @@ with each row sorted. Rows given to ``Hypergraph`` as a list or tuple of
 list or tuple rows are columnised and take that rule at once; a stream, or
 rows with a fault, go to the edge-by-edge loop (_canonical_rows), which
 names the first fault. Both file formats are read by _read: the header once,
-each of its faults named on its line; the lines after it in blocks of about
-BLOCK_CHARS characters; on any fault, those lines again one by one, naming
-the first fault's line. An instance's blocks take the rule a block at a time
+each of its faults named on its line; the lines after it in block texts of
+about BLOCK_CHARS characters, a canonical ASCII one split once as bytes
+(_block_columns); on any fault, those lines again one by one, naming the
+first fault's line. An instance's blocks take the rule a block at a time
 and fill its columns; its lines reach the constructor as a stream. Columns
 that skip the check (``Hypergraph._of_columns``) are vouched for by their
 maker: the block reader's check, the pickled instance, or the generator,
@@ -42,7 +43,7 @@ from array import array
 from bisect import bisect_left
 from collections import deque
 from functools import cached_property, partial
-from itertools import accumulate, chain, compress, islice
+from itertools import accumulate, chain, compress, islice, repeat
 from math import ceil, log
 from operator import itemgetter, lt, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
@@ -346,37 +347,36 @@ class GeneratorConfig(_Checked, _GeneratorFields):
             )
 
 
-def _content_lines(blocks: Iterable[list[str]], lineno: int
-                   ) -> Iterator[tuple[int, str, list[str]]]:
-    """(line number, stripped line, tokens) for each line of ``blocks`` that
-    is neither blank nor a ``#`` comment, the first line of ``blocks`` being
-    line lineno + 1."""
-    for lineno, raw in enumerate(chain.from_iterable(blocks), start=lineno + 1):
+def _content_lines(blocks: Iterable[str], lineno: int) -> Iterator[tuple[int, str, list[str]]]:
+    """(line number, stripped line, tokens) for each line of the block texts
+    ``blocks`` that is neither blank nor a ``#`` comment, the first line of
+    ``blocks`` being line lineno + 1."""
+    lines = chain.from_iterable(map(str.split, blocks, repeat("\n")))  # each block freed once split
+    for lineno, raw in enumerate(lines, start=lineno + 1):
         tokens = raw.split()
         if tokens and not tokens[0].startswith("#"):
             yield lineno, raw.strip(), tokens
 
 
-def _line_blocks(text: str, pos: int = 0) -> Iterator[list[str]]:
-    """The lines of text from offset pos on, split at LF (a CR before it
-    stays in its line), in blocks: each ends at the end of text or before the
-    first LF at or after BLOCK_CHARS characters past its start."""
+def _line_blocks(text: str, pos: int = 0) -> Iterator[str]:
+    """The text from offset pos on in blocks of whole lines, each as its text:
+    a block ends at the end of text or before the first LF at or after
+    BLOCK_CHARS characters past its start (a CR before an LF is in its line)."""
     while pos < len(text):
         cut = text.find("\n", pos + BLOCK_CHARS)
         cut = len(text) if cut < 0 else cut
-        yield text[pos:cut].split("\n")
+        yield text[pos:cut]
         pos = cut + 1
 
 
-def _header_and_blocks(text: str
-                       ) -> tuple[int, str, list[str], Callable[[], Iterator[list[str]]]]:
+def _header_and_blocks(text: str) -> tuple[int, str, list[str], Callable[[], Iterator[str]]]:
     """The line number, stripped line and tokens of the first line of text
     that is neither blank nor a ``#`` comment, which either format takes as
-    its header, and a function that gives the line blocks after it afresh
-    on each call. Raises FormatError when text has no such line."""
+    its header, and a function that gives the blocks after it afresh on each
+    call. Raises FormatError when text has no such line."""
     lineno = pos = 0
     for block in _line_blocks(text):
-        for raw in block:
+        for raw in block.split("\n"):
             lineno, pos = lineno + 1, pos + len(raw) + 1
             tokens = raw.split()
             if tokens and not tokens[0].startswith("#"):
@@ -384,18 +384,32 @@ def _header_and_blocks(text: str
     raise FormatError("no header line found")
 
 
-def _block_columns(block: list[str], tag: str, width: int) -> list[tuple[str, ...]]:
-    """The tokens after the tag of a block's content lines, as ``width``
-    columns, or [] for a block without content lines. Raises ValueError
-    unless every content line is ``tag`` and ``width`` more tokens."""
-    rows = list(filter(None, map(str.split, block)))  # blank lines dropped
+def _block_columns(block: str, tag: str, width: int) -> list[list[int]]:
+    """The int tokens after the tag of the content lines of the block text
+    ``block``, as ``width`` columns, or [] if it has none; ValueError unless
+    every content line is ``tag`` and ``width`` int tokens. A canonical ASCII
+    block (a final LF aside) is split once as bytes and read by stride: its
+    lines start with the tag and a space, as many as the tags, one every
+    width + 1 tokens, and int() refuses the tag and \\x1c-\\x1f, which only
+    str.split() splits at, so they give str.split()'s tokens."""
+    data, w = block.encode().rstrip(b"\n") if block.isascii() else b"", width + 1
+    tokens, lines, head = data.split(), data.count(b"\n") + 1, tag.encode() + b" "
+    if (len(tokens) == w * lines and tokens[::w].count(head[:-1]) == lines
+            and data.startswith(head) and data.count(b"\n" + head) == lines - 1):
+        return [list(map(int, tokens[j::w])) for j in range(1, w)]
+    return _line_columns(block, tag, width)
+
+
+def _line_columns(block: str, tag: str, width: int) -> list[list[int]]:
+    """_block_columns of a block that is not canonical, read line by line."""
+    rows = list(filter(None, map(str.split, block.split("\n"))))  # blank lines dropped
     if set(map(itemgetter(0), rows)) - {tag}:
         rows = [row for row in rows if not row[0].startswith("#")]
         if set(map(itemgetter(0), rows)) - {tag}:
             raise ValueError(f"a content line without the tag {tag!r}")
     if set(map(len, rows)) - {width + 1}:
         raise ValueError(f"a content line without {width} fields")
-    return list(zip(*rows))[1:]
+    return [list(map(int, column)) for column in list(zip(*rows))[1:]]
 
 
 def _hypergraph_header(lineno: int, line: str, tokens: list[str]) -> tuple[int, int, int]:
@@ -417,7 +431,7 @@ def _read(text: str, header: Callable[[int, str, list[str]], tuple],
           from_blocks: Callable[..., T], from_lines: Callable[..., T]) -> T:
     """Parse either format: ``header(lineno, line, tokens)`` gives the header's
     fields or a FormatError on its line; ``from_blocks(*fields, blocks)``
-    reads the line blocks after it, raising ValueError on any fault; then
+    reads the block texts after it, raising ValueError on any fault; then
     ``from_lines(*fields, lines)`` reads the content lines again and names
     the first fault's line, once the block reader's result is freed."""
     lineno, line, tokens, blocks = _header_and_blocks(text)
@@ -442,8 +456,8 @@ def parse_hypergraph(text: str) -> Hypergraph:
     return _read(text, _hypergraph_header, _hypergraph_from_blocks, _hypergraph_from_lines)
 
 
-def _hypergraph_from_blocks(k: int, n: int, m: int, blocks: Iterable[list[str]]) -> Hypergraph:
-    """parse_hypergraph's block reader over the line blocks after the header
+def _hypergraph_from_blocks(k: int, n: int, m: int, blocks: Iterable[str]) -> Hypergraph:
+    """parse_hypergraph's block reader over the block texts after the header
     ``p hg <k> <n> <m>``: checks each block's converted columns by
     _sorted_columns, while their ids are still int objects, and appends them
     to the k columns; only a block with a line out of vertex order has its
@@ -451,7 +465,7 @@ def _hypergraph_from_blocks(k: int, n: int, m: int, blocks: Iterable[list[str]])
     any fault."""
     cols, seen = _typed(n, [()] * k), set()
     for block in blocks:
-        columns = [list(map(int, column)) for column in _block_columns(block, "e", k)]
+        columns = _block_columns(block, "e", k)
         if columns and (columns := _sorted_columns(n, columns, seen)) is None:
             raise ValueError("an edge line with a fault")
         for col, column in zip(cols, columns):

@@ -9,6 +9,8 @@ a greedy first-fit baseline.
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from collections import defaultdict
 from heapq import heapify, heappop, heappush
 from itertools import count, filterfalse
@@ -102,10 +104,19 @@ def sample_uniform_coloring(h: Hypergraph, t: int, seed: int = 0) -> Coloring:
 
 
 def _uniform_colors(rng: random.Random, n: int, t: int) -> list[int]:
-    """The initial draw of sample_uniform_coloring and resample_solve: one
-    uniform color from 1..t per vertex, in vertex order."""
+    """The initial draw of sample_uniform_coloring and resample_solve: the
+    colors and end state of one _uniform_color per vertex. For t < 2**32 its
+    draws are the top t.bit_length() bits of 32-bit words, so rounds of as
+    many words as colors are missing, at most 4,096, keep the words below t."""
     getrandbits, bits = rng.getrandbits, t.bit_length()
-    return [_uniform_color(getrandbits, bits, t) for _ in range(n)]
+    if bits > 32 or sys.byteorder != "little":
+        return [_uniform_color(getrandbits, bits, t) for _ in range(n)]
+    colors, shift = [], 32 - bits
+    top = int.from_bytes((2 ** 32 - 2 ** shift).to_bytes(4, "little") * 4096, "little")
+    while missing := min(n - len(colors), 4096):
+        words = ((getrandbits(32 * missing) & top) >> shift).to_bytes(4 * missing, "little")
+        colors += [w + 1 for w in array("I", words) if w < t]
+    return colors
 
 
 def _uniform_color(getrandbits: Callable[[int], int], bits: int, t: int) -> int:

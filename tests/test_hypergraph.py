@@ -518,7 +518,7 @@ def coloring_lines(n: int) -> list[str]:
 def body_block_ends(text):
     """The line numbers of the last lines of the blocks after text's header."""
     lineno, _, _, blocks = _header_and_blocks(text)
-    return list(accumulate(map(len, blocks()), initial=lineno))[1:]
+    return list(accumulate((len(block.split("\n")) for block in blocks()), initial=lineno))[1:]
 
 
 def end_a_block_on(monkeypatch, text, line):
@@ -575,12 +575,12 @@ def test_a_long_preamble_is_read_by_the_block_readers(monkeypatch):
             (instance_lines(3000), parse_hypergraph, builtin_instance("path", 3001)),
             (coloring_lines(3000), parse_coloring, coloring)]:
         text = "\n".join(PREAMBLE + lines) + "\n"
-        assert lines[0] not in next(_line_blocks(text))
+        assert lines[0] not in next(_line_blocks(text)).split("\n")
         assert parse(text) == expected
         # 2,200 comment and blank lines mid-body fill at least one block
         lines[1500:1500] = PREAMBLE * 2
         text = "\n".join(lines) + "\n"
-        assert any(set(block) <= set(PREAMBLE) for block in _line_blocks(text))
+        assert any(set(block.split("\n")) <= set(PREAMBLE) for block in _line_blocks(text))
         assert parse(text) == expected
 
 
@@ -604,6 +604,12 @@ def test_a_header_is_read_once_and_its_fault_raised_at_once(monkeypatch, parse, 
     assert err.value.line == len(PREAMBLE) + 1
 
 
+def last_lines_holding(text, line):
+    """The last lines of the blocks of text that hold ``line`` as a line."""
+    blocks = [block.split("\n") for block in _line_blocks(text)]
+    return [block[-1] for block in blocks if line in block]
+
+
 def test_a_long_line_ends_its_block(monkeypatch):
     # 97 chars an edge line and up to 87 a coloring line; a comment line
     # longer than a block is the last line of the block it starts in
@@ -615,13 +621,13 @@ def test_a_long_line_ends_its_block(monkeypatch):
     lines = serialize_hypergraph(h).split("\n")
     lines.insert(500, long_line)
     text = "\n".join(lines)
-    assert [block[-1] for block in _line_blocks(text) if long_line in block] == [long_line]
+    assert last_lines_holding(text, long_line) == [long_line]
     assert hypergraph_by_blocks(text) == hypergraph_by_lines(text) == h
     c = Coloring(10 ** 80, [10 ** 79 + v for v in range(m)])
     lines = serialize_coloring(c, m).split("\n")
     lines.insert(500, long_line)
     text = "\n".join(lines)
-    assert [block[-1] for block in _line_blocks(text) if long_line in block] == [long_line]
+    assert last_lines_holding(text, long_line) == [long_line]
     assert coloring_by_blocks(text) == coloring_by_lines(text) == (c, m)
 
 
@@ -634,7 +640,7 @@ def test_a_block_ends_at_the_first_lf_past_block_chars(lines, final_lf, size, da
     pos = data.draw(st.integers(0, len(text)))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(hypergraph, "BLOCK_CHARS", size)
-        blocks = list(_line_blocks(text, pos))
+        blocks = [block.split("\n") for block in _line_blocks(text, pos)]
     # a final LF may end the last block, with no empty line after it
     joined = "\n".join(chain.from_iterable(blocks))
     assert text[pos:] in (joined, joined + "\n")
@@ -762,6 +768,129 @@ def test_a_line_ends_at_lf_only(brk):
     # other line breaks are whitespace inside a line, here inside a comment
     assert parse_hypergraph(f"p hg 2 3 1\n# note{brk}e 0 1\ne 1 2\n").edges == ((1, 2),)
     assert parse_coloring(f"c 2 2\n# note{brk}v 0 1\nv 1 2\n") == (Coloring(2, [0, 2]), 2)
+
+
+# the ASCII separators of str.split(); bytes.split() does not split at \x1c-\x1f
+SEPARATORS = [" ", "  ", "\t", "\v", "\f", "\r", "\x1c", "\x1d", "\x1e", "\x1f"]
+
+
+@st.composite
+def hostile_body(draw, tag: str, rows: list[tuple[int, ...]]) -> list[str]:
+    """The body lines of ``rows``, each ``tag`` and the row's ints, mostly
+    canonical and otherwise mangled: other separators between, inside,
+    before or after its tokens, ints spelled with a sign, leading zeros or
+    an underscore, the tag glued to the first int or on a line of its own,
+    one int too many or too few, the line split in two or joined to the
+    line before, or a blank or comment line before it."""
+    lines = []
+    for row in rows:
+        tokens = [tag] + [draw(st.sampled_from([str(v), str(v), f"+{v}", f"00{v}", f"0_{v}"]))
+                          if v >= 0 else str(v) for v in row]
+        kind = draw(st.sampled_from(["canonical"] * 8 + [
+            "spaced", "inside", "glued", "lone", "extra", "short", "split", "joined", "blank",
+            "comment"]))
+        if kind == "spaced":
+            around = [draw(st.sampled_from(["", *SEPARATORS])) for _ in range(2)]
+            between = [draw(st.sampled_from(SEPARATORS)) for _ in tokens[1:]]
+            tokens = [around[0] + tokens[0]] + list(map(str.__add__, between, tokens[1:]))
+            tokens[-1] += around[1]
+            lines.append("".join(tokens))
+            continue
+        if kind == "inside":
+            at = draw(st.integers(1, len(tokens) - 1))
+            cut = draw(st.integers(0, len(tokens[at])))
+            tokens[at] = tokens[at][:cut] + draw(st.sampled_from(SEPARATORS)) + tokens[at][cut:]
+        elif kind == "glued":
+            tokens[:2] = [tokens[0] + tokens[1]]
+        elif kind == "lone":
+            lines.append(tag)
+        elif kind == "extra":
+            tokens.append(tokens[-1])
+        elif kind == "short":
+            tokens.pop()
+        elif kind == "split":
+            at = draw(st.integers(1, len(tokens) - 1))
+            lines.append(" ".join(tokens[:at]))
+            tokens = tokens[at:]
+        elif kind == "joined" and lines:
+            tokens = [lines.pop()] + tokens
+        elif kind in ("blank", "comment"):
+            lines.append(draw(st.sampled_from(["", " ", "\r"] if kind == "blank" else
+                                              ["#", "# e 0 1", f"{tag}#"])))
+        lines.append(" ".join(tokens))
+    return lines
+
+
+def hostile_text(draw, header: str, lines: list[str]) -> str:
+    """header and lines as one text, its last line with or without an LF."""
+    return "\n".join([header] + lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@st.composite
+def hostile_instance_files(draw) -> str:
+    k, n = draw(st.integers(2, 3)), draw(st.integers(3, 7))
+    universe = n + draw(st.sampled_from([0, 0, 0, 1]))  # vertex n is out of range
+    edges = draw(st.lists(st.sampled_from(list(combinations(range(universe), k))),
+                          unique=True, max_size=40))
+    rows = [draw(st.permutations(edge)) if draw(st.booleans()) else edge for edge in edges]
+    m = max(0, len(edges) + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    return hostile_text(draw, f"p hg {k} {n} {m}", draw(hostile_body("e", rows)))
+
+
+@st.composite
+def hostile_coloring_files(draw) -> str:
+    t, n = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    vertices = draw(st.lists(st.integers(0, n - 1 + draw(st.sampled_from([0, 0, 1]))),
+                             unique=True, max_size=40))
+    rows = [(v, draw(st.integers(1, t + draw(st.sampled_from([0, 0, 1]))))) for v in vertices]
+    return hostile_text(draw, f"c {t} {n}", draw(hostile_body("v", rows)))
+
+
+@pytest.mark.parametrize("parse, by_lines, files", [
+    (parse_hypergraph, hypergraph_by_lines, hostile_instance_files()),
+    (parse_coloring, coloring_by_lines, hostile_coloring_files()),
+], ids=["instance", "coloring"])
+@given(data=st.data())
+@settings(max_examples=400)
+def test_the_byte_path_gives_the_line_readers_verdict(parse, by_lines, files, data):
+    # blocks of a few lines each: a text spans many blocks, canonical and not
+    text = data.draw(files)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hypergraph, "BLOCK_CHARS", data.draw(st.integers(1, 48)))
+        assert read_outcome(parse, text) == read_outcome(by_lines, text)
+
+
+@pytest.mark.parametrize("body", [
+    "e 0 1 e 1 2\n\ne 2 3",  # a line of two rows, then a blank line: as many tokens as 3 rows
+    "e 0 1 e 1 2\ne\n2 3",  # ... then a row split after its tag
+    "e 0 1 e 1 2\n2 3 e\n",  # ... then a row with its tag last
+    "\ne 0 1 e 1 2\ne 2 3",  # a blank line, then a line of two rows
+    " e 0 1\ne\t1 2\ne 2 3\x1f",  # leading space, tab, \x1f: valid, and not canonical
+    "e 0 1\ne 1 2\x1c3\ne 2 3",  # \x1c splits a token for str.split() only
+])
+def test_a_block_with_as_many_tokens_as_rows_is_read_by_lines(body):
+    # every block here holds as many tokens as three rows and starts with a tag
+    for text, parse, by_lines in [(f"p hg 2 4 3\n{body}", parse_hypergraph, hypergraph_by_lines),
+                                  (f"c 4 4\n{body.replace('e', 'v')}", parse_coloring,
+                                   coloring_by_lines)]:
+        assert read_outcome(parse, text) == read_outcome(by_lines, text)
+
+
+def test_a_canonical_file_never_reaches_the_per_line_path(monkeypatch):
+    no_readers(monkeypatch, "lines")
+
+    def line_columns(*args):
+        raise AssertionError("the per-line path ran")
+
+    monkeypatch.setattr(hypergraph, "_line_columns", line_columns)
+    h = generate_random_bounded_degree(GeneratorConfig(k=3, n=3000, m=3000, max_degree=3, seed=4))
+    c = Coloring(400, [1 + v % 400 for v in range(3000)])
+    for size in (hypergraph.BLOCK_CHARS, 64):
+        monkeypatch.setattr(hypergraph, "BLOCK_CHARS", size)
+        for text, parse, expected in [(serialize_hypergraph(h), parse_hypergraph, h),
+                                      (serialize_coloring(c, 3000), parse_coloring, (c, 3000))]:
+            for variant in (text, text.rstrip("\n"), text.replace("\n", "\r\n")):
+                assert parse(variant) == expected
 
 
 # ---------------------------------------------------------- parser fuzzing

@@ -37,7 +37,8 @@ from harmcolor import (
     serialize_hypergraph,
 )
 from harmcolor.coloring import EventIndex, _edge_keys, _verdict, edge_key
-from harmcolor.solver import EVENT_SCANS, _forbidden, _placement_order, _uniform_colors
+from harmcolor.solver import (EVENT_SCANS, _forbidden, _placement_order, _uniform_color,
+                             _uniform_colors)
 from oracles import (colored, coloring_of, naive_bad_edges, naive_forbidden, naive_h,
                      naive_pattern_pairs, naive_placement_order)
 
@@ -78,6 +79,20 @@ def test_uniform_draw_is_the_stream_of_randint(t):
     # every golden rests on this: a Python whose randint draws otherwise fails here first
     fast, slow = random.Random(t), random.Random(t)
     assert _uniform_colors(fast, 10**4, t) == [slow.randint(1, t) for _ in range(10**4)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 1000, 9000])
+def test_the_bulk_draw_is_the_per_color_loop(n):
+    # the same colors and the same generator state after them, on either
+    # side of each power of two and of the 32-bit words the bulk draw reads;
+    # 9,000 colors take more than two rounds of at most 4,096 words
+    palettes = sorted(set(range(1, 71)) | {2 ** j + d for j in range(1, 40) for d in (-1, 0, 1)})
+    for t in palettes:
+        bulk, loop = random.Random(t), random.Random(t)
+        getrandbits, bits = loop.getrandbits, t.bit_length()
+        expected = [_uniform_color(getrandbits, bits, t) for _ in range(n)]
+        assert _uniform_colors(bulk, n, t) == expected
+        assert bulk.getstate() == loop.getstate()
 
 
 @given(st.integers(1, 2**70), st.integers(0, 2**32))
