@@ -259,7 +259,6 @@ def _load_instance(path: str) -> Hypergraph:
 def cmd_solve(args: argparse.Namespace) -> int:
     from .coloring import serialize_coloring
     from .solver import SolverConfig, resample_solve
-    instance = _load_instance(args.input)
     if args.t_policy == "fixed" and args.colors is None:
         print("solve: --t-policy fixed needs --colors", file=sys.stderr)
         return EXIT_USAGE
@@ -267,6 +266,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print("solve: --colors conflicts with --t-policy "
               f"{args.t_policy}; pick one", file=sys.stderr)
         return EXIT_USAGE
+    instance = _load_instance(args.input)
     t = _policy_t(args.t_policy, args.colors, args.eps, instance)
     report = resample_solve(instance, SolverConfig(
         t=t, seed=args.seed, max_resamples=args.max_resamples,

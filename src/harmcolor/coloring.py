@@ -28,7 +28,8 @@ from itertools import compress, islice
 from operator import eq, itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
-from .hypergraph import FormatError, Hypergraph, _block_columns, _Checked, _read
+from .hypergraph import (FormatError, Hypergraph, _block_columns, _Checked, _content_lines,
+                         _find_header, _line_blocks)
 
 
 class _ColoringFields(NamedTuple):
@@ -335,10 +336,26 @@ def colors_used(c: Coloring) -> int:
 def parse_coloring(text: str) -> tuple[Coloring, int]:
     """Parse the coloring format: header ``c <t> <n>``, then ``v <vertex>
     <color>`` lines. Returns (coloring, n) with n the declared vertex count.
-    Comments (#) and blank lines are skipped, and a line ends at LF. Read by
-    _read: in blocks, checked a block at a time; on any fault, line by line,
-    naming the line of the first fault (_coloring_from_lines)."""
-    return _read(text, _coloring_header, _coloring_from_blocks, _coloring_from_lines)
+    Comments (#) and blank lines are skipped, and a line ends at LF. Each
+    block is checked at once against the vertices colored before it; only a
+    block that faults is read again by _color_lines, which names the first
+    fault's line."""
+    lineno, line, tokens, pos = _find_header(text)
+    t, n = _coloring_header(lineno, line, tokens)
+    colors = [0] * n
+    for block in _line_blocks(text, pos):
+        try:
+            vertices, hues = _block_columns(block, "v", 2) or ([], [])
+        except ValueError:  # read below, once the traceback and its tokens are freed
+            vertices = None
+        if vertices is None or vertices and (
+                min(vertices) < 0 or max(vertices) >= n or min(hues) < 1 or max(hues) > t
+                or len(set(vertices)) != len(vertices) or any(map(colors.__getitem__, vertices))):
+            _color_lines(t, n, colors, _content_lines(block, text.count("\n", 0, pos)))
+        else:
+            deque(map(colors.__setitem__, vertices, hues), 0)
+        pos += len(block) + 1
+    return Coloring(t=t, colors=colors), n
 
 
 def _coloring_header(lineno: int, line: str, tokens: list[str]) -> tuple[int, int]:
@@ -356,28 +373,11 @@ def _coloring_header(lineno: int, line: str, tokens: list[str]) -> tuple[int, in
     return t, n
 
 
-def _coloring_from_blocks(t: int, n: int, blocks: Iterable[str]) -> tuple[Coloring, int]:
-    """parse_coloring's block reader over the block texts after the header
-    ``c <t> <n>``: raises ValueError, without a line number, on any fault."""
-    colors = [0] * n
-    for block in blocks:
-        columns = _block_columns(block, "v", 2)
-        if not columns:
-            continue
-        vertices, hues = columns
-        if (min(vertices) < 0 or max(vertices) >= n or min(hues) < 1 or max(hues) > t
-                or len(set(vertices)) != len(vertices) or any(map(colors.__getitem__, vertices))):
-            raise ValueError("a vertex or color out of range, or a vertex colored twice")
-        deque(map(colors.__setitem__, vertices, hues), 0)
-    return Coloring(t=t, colors=colors), n
-
-
-def _coloring_from_lines(t: int, n: int, lines: Iterator[tuple[int, str, list[str]]]
-                         ) -> tuple[Coloring, int]:
-    """parse_coloring's line reader over the content lines after the header
-    ``c <t> <n>``: checks one line at a time and raises a FormatError on the
-    line of the first fault."""
-    colors = [0] * n
+def _color_lines(t: int, n: int, colors: list[int],
+                 lines: Iterator[tuple[int, str, list[str]]]) -> None:
+    """parse_coloring's per-line check: enters the content lines ``lines``
+    one at a time into ``colors``, the list of the header ``c <t> <n>``, and
+    raises a FormatError on the line of the first fault."""
     for lineno, line, tokens in lines:
         if tokens[0] != "v" or len(tokens) != 3:
             raise FormatError(f"expected 'v <vertex> <color>', got {line!r}", lineno)
@@ -392,7 +392,6 @@ def _coloring_from_lines(t: int, n: int, lines: Iterator[tuple[int, str, list[st
         if colors[vertex]:
             raise FormatError(f"vertex {vertex} colored twice", lineno)
         colors[vertex] = color
-    return Coloring(t=t, colors=colors), n
 
 
 def serialize_coloring(c: Coloring, n: int) -> str:

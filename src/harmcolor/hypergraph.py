@@ -24,15 +24,18 @@ applies it to a source of rows (_sorted_columns): the columns as given, else
 with each row sorted. Rows given to ``Hypergraph`` as a list or tuple of
 list or tuple rows are columnised and take that rule at once; a stream, or
 rows with a fault, go to the edge-by-edge loop (_canonical_rows), which
-names the first fault. Both file formats are read by _read: the header once,
-each of its faults named on its line; the lines after it in block texts of
-about BLOCK_CHARS characters, a canonical ASCII one split once as bytes
-(_block_columns); on any fault, those lines again one by one, naming the
-first fault's line. An instance's blocks take the rule a block at a time
-and fill its columns; its lines reach the constructor as a stream. Columns
-that skip the check (``Hypergraph._of_columns``) are vouched for by their
-maker: the block reader's check, the pickled instance, or the generator,
-whose draws are sorted, in range and distinct by construction.
+names the first fault. Both file formats are read in one pass: the header
+once, each of its faults named on its line; the lines after it in block
+texts of about BLOCK_CHARS characters, a canonical ASCII one split once as
+bytes (_block_columns), each block checked at once against the blocks
+accepted before it. Only a block that faults is read again, line by line
+against that same state, by its format's per-line check, which names the
+fault's line. An edge is checked alone by _canonical_edge, whether the
+edge-by-edge loop or the instance's per-line check (_edge_lines) reads it,
+so both name a fault alike. Columns that skip the check
+(``Hypergraph._of_columns``) are vouched for by their maker: the block
+reader's check, the pickled instance, or the generator, whose draws are
+sorted, in range and distinct by construction.
 """
 
 from __future__ import annotations
@@ -42,13 +45,11 @@ import sys
 from array import array
 from bisect import bisect_left
 from collections import deque
-from functools import cached_property, partial
-from itertools import accumulate, chain, compress, islice, repeat
+from functools import cached_property
+from itertools import accumulate, chain, compress, islice
 from math import ceil, log
 from operator import itemgetter, lt, sub
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
-
-T = TypeVar("T")
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 BLOCK_CHARS = 16_384
 """A block of the block readers ends at the first LF this many characters or
@@ -217,7 +218,7 @@ def _valid_rows(n: int, columns: Sequence[Sequence[int]], seen: set) -> bool:
     from those whose hashes ``seen`` holds, which then holds theirs too.
     Hashes take half the time and a third of the memory of a set of new row
     tuples; two rows of equal hash read as a fault, which the edge-by-edge
-    loop then clears."""
+    loop or the per-line check then clears."""
     if not (all(all(map(lt, low, high)) for low, high in zip(columns, columns[1:]))
             and min(columns[0]) >= 0 and max(columns[-1]) < n):
         return False
@@ -265,18 +266,25 @@ def _canonical_rows(k: int, n: int, edges: Iterable[Sequence[int]]) -> list[tupl
         given = tuple(edge)
         if set(map(type, given)) - {int}:
             raise TypeError(f"non-integer vertex id in edge {given}")
-        e = tuple(sorted(given))
-        if len(e) != k:
-            raise ValueError(f"edge has {len(e)} vertices, expected {k}")
-        if len(set(e)) != k:
-            raise ValueError(f"repeated vertex in edge {given}")
-        if e[0] < 0 or e[-1] >= n:
-            raise ValueError(f"vertex id outside 0..{n - 1} in edge {given}")
+        e = _canonical_edge(k, n, given)
         if e in seen:
             raise ValueError(f"duplicate edge {e}")
         seen.add(e)
         canon.append(e)
     return canon
+
+
+def _canonical_edge(k: int, n: int, given: tuple[int, ...]) -> tuple[int, ...]:
+    """The int edge ``given`` as a sorted tuple, checked alone: ValueError,
+    naming the edge as given, unless it has k distinct vertices in 0..n-1."""
+    e = tuple(sorted(given))
+    if len(e) != k:
+        raise ValueError(f"edge has {len(e)} vertices, expected {k}")
+    if len(set(e)) != k:
+        raise ValueError(f"repeated vertex in edge {given}")
+    if e[0] < 0 or e[-1] >= n:
+        raise ValueError(f"vertex id outside 0..{n - 1} in edge {given}")
+    return e
 
 
 class _Checked:
@@ -347,12 +355,11 @@ class GeneratorConfig(_Checked, _GeneratorFields):
             )
 
 
-def _content_lines(blocks: Iterable[str], lineno: int) -> Iterator[tuple[int, str, list[str]]]:
-    """(line number, stripped line, tokens) for each line of the block texts
-    ``blocks`` that is neither blank nor a ``#`` comment, the first line of
-    ``blocks`` being line lineno + 1."""
-    lines = chain.from_iterable(map(str.split, blocks, repeat("\n")))  # each block freed once split
-    for lineno, raw in enumerate(lines, start=lineno + 1):
+def _content_lines(block: str, lineno: int) -> Iterator[tuple[int, str, list[str]]]:
+    """(line number, stripped line, tokens) for each line of the block text
+    ``block`` that is neither blank nor a ``#`` comment, its first line
+    being line lineno + 1."""
+    for lineno, raw in enumerate(block.split("\n"), start=lineno + 1):
         tokens = raw.split()
         if tokens and not tokens[0].startswith("#"):
             yield lineno, raw.strip(), tokens
@@ -369,18 +376,18 @@ def _line_blocks(text: str, pos: int = 0) -> Iterator[str]:
         pos = cut + 1
 
 
-def _header_and_blocks(text: str) -> tuple[int, str, list[str], Callable[[], Iterator[str]]]:
+def _find_header(text: str) -> tuple[int, str, list[str], int]:
     """The line number, stripped line and tokens of the first line of text
     that is neither blank nor a ``#`` comment, which either format takes as
-    its header, and a function that gives the blocks after it afresh on each
-    call. Raises FormatError when text has no such line."""
+    its header, and the offset of the line after it, where its blocks start
+    (_line_blocks). Raises FormatError when text has no such line."""
     lineno = pos = 0
     for block in _line_blocks(text):
         for raw in block.split("\n"):
             lineno, pos = lineno + 1, pos + len(raw) + 1
             tokens = raw.split()
             if tokens and not tokens[0].startswith("#"):
-                return lineno, raw.strip(), tokens, partial(_line_blocks, text, pos)
+                return lineno, raw.strip(), tokens, pos
     raise FormatError("no header line found")
 
 
@@ -427,85 +434,65 @@ def _hypergraph_header(lineno: int, line: str, tokens: list[str]) -> tuple[int, 
     return k, n, m
 
 
-def _read(text: str, header: Callable[[int, str, list[str]], tuple],
-          from_blocks: Callable[..., T], from_lines: Callable[..., T]) -> T:
-    """Parse either format: ``header(lineno, line, tokens)`` gives the header's
-    fields or a FormatError on its line; ``from_blocks(*fields, blocks)``
-    reads the block texts after it, raising ValueError on any fault; then
-    ``from_lines(*fields, lines)`` reads the content lines again and names
-    the first fault's line, once the block reader's result is freed."""
-    lineno, line, tokens, blocks = _header_and_blocks(text)
-    fields = header(lineno, line, tokens)
-    try:
-        return from_blocks(*fields, blocks())
-    except ValueError:
-        pass
-    return from_lines(*fields, _content_lines(blocks(), lineno))
-
-
 def parse_hypergraph(text: str) -> Hypergraph:
     """Parse the line-oriented instance format.
 
     Line 1 is ``p hg <k> <n> <m>``; each of the next m lines is
     ``e <v1> ... <vk>`` with 0-based vertex ids. ``#`` begins a comment line,
     blank lines are skipped, and a line ends at LF (a CR before it is
-    whitespace). Read by _read: the edge lines in blocks into the columns,
-    each block checked at once; on any fault, one by one, naming the line of
-    the first offending edge (_hypergraph_from_lines).
+    whitespace). Each block's converted columns are checked at once by
+    _sorted_columns, while their ids are still int objects, and appended to
+    the k columns; only a block with a line out of vertex order has its rows
+    built, to sort them. A block that faults, or that would hold edge m + 1,
+    is read again by _edge_lines, which names the first fault's line.
     """
-    return _read(text, _hypergraph_header, _hypergraph_from_blocks, _hypergraph_from_lines)
-
-
-def _hypergraph_from_blocks(k: int, n: int, m: int, blocks: Iterable[str]) -> Hypergraph:
-    """parse_hypergraph's block reader over the block texts after the header
-    ``p hg <k> <n> <m>``: checks each block's converted columns by
-    _sorted_columns, while their ids are still int objects, and appends them
-    to the k columns; only a block with a line out of vertex order has its
-    rows built, to sort them. Raises ValueError, without a line number, on
-    any fault."""
+    lineno, line, tokens, pos = _find_header(text)
+    k, n, m = _hypergraph_header(lineno, line, tokens)
     cols, seen = _typed(n, [()] * k), set()
-    for block in blocks:
-        columns = _block_columns(block, "e", k)
-        if columns and (columns := _sorted_columns(n, columns, seen)) is None:
-            raise ValueError("an edge line with a fault")
-        for col, column in zip(cols, columns):
-            col.fromlist(column)
+    for block in _line_blocks(text, pos):
+        try:
+            columns = _block_columns(block, "e", k)
+        except ValueError:  # read below, once the traceback and its tokens are freed
+            columns = None
+        if columns is None or columns and ((columns := _sorted_columns(n, columns, seen)) is None
+                                           or len(cols[0]) + len(columns[0]) > m):
+            seen.clear()  # the failed check may have entered the block's hashes
+            seen.update(map(hash, zip(*cols)))
+            _edge_lines(k, n, m, cols, seen, _content_lines(block, text.count("\n", 0, pos)))
+        else:
+            for col, column in zip(cols, columns):
+                col.fromlist(column)
+        pos += len(block) + 1
     if len(cols[0]) != m:
-        raise ValueError(f"declared {m} edges but found {len(cols[0])}")
+        raise FormatError(f"declared {m} edges but found {len(cols[0])}")
     return Hypergraph._of_columns(k, n, cols)
 
 
-def _hypergraph_from_lines(k: int, n: int, m: int,
-                           lines: Iterator[tuple[int, str, list[str]]]) -> Hypergraph:
-    """parse_hypergraph's line reader over the content lines after the header
-    ``p hg <k> <n> <m>``: the edges stream into ``Hypergraph``, which checks
-    them one at a time; its ValueError comes back as a FormatError on the
-    line of the offending edge, the last one handed on."""
-    lineno = 0
-
-    def edges() -> Iterator[tuple[int, ...]]:
-        nonlocal lineno
-        found = 0
-        for lineno, line, tokens in lines:
-            if tokens[0] != "e":
-                raise FormatError(f"expected edge line 'e <v1> ... <v{k}>', got {line!r}", lineno)
-            if found == m:
-                raise FormatError(f"more than the declared {m} edges", lineno)
-            found += 1
-            try:
-                verts = tuple(map(int, tokens[1:]))
-            except ValueError:
-                raise FormatError(f"non-integer vertex id in {line!r}", lineno) from None
-            yield verts
-        if found != m:
-            raise FormatError(f"declared {m} edges but found {found}")
-
-    try:
-        return Hypergraph(k, n, edges())
-    except FormatError:
-        raise
-    except ValueError as exc:
-        raise FormatError(str(exc), lineno) from None
+def _edge_lines(k: int, n: int, m: int, cols: list[array], seen: set,
+                lines: Iterator[tuple[int, str, list[str]]]) -> None:
+    """parse_hypergraph's per-line check: appends the edges of the content
+    lines ``lines`` one at a time to the columns ``cols`` of the header
+    ``p hg <k> <n> <m>``, whose row hashes ``seen`` holds, and raises a
+    FormatError on the line of the first fault. A hash already held is a
+    duplicate only if an equal row is in the columns; else it is cleared."""
+    for lineno, line, tokens in lines:
+        if tokens[0] != "e":
+            raise FormatError(f"expected edge line 'e <v1> ... <v{k}>', got {line!r}", lineno)
+        if len(cols[0]) == m:
+            raise FormatError(f"more than the declared {m} edges", lineno)
+        try:
+            given = tuple(map(int, tokens[1:]))
+        except ValueError:
+            raise FormatError(f"non-integer vertex id in {line!r}", lineno) from None
+        try:
+            e = _canonical_edge(k, n, given)
+        except ValueError as exc:
+            raise FormatError(str(exc), lineno) from None
+        if hash(e) in seen and e in zip(*cols):
+            raise FormatError(f"duplicate edge {e}", lineno)
+        seen.add(hash(e))
+        for col, v in zip(cols, e):
+            col.append(v)
 
 
 def serialize_hypergraph(h: Hypergraph) -> str:

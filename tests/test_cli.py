@@ -120,6 +120,13 @@ def test_solve_t_policy_flags(tmp_path, triangle_file, capsys):
                  "--t-policy", "theorem-ceil"]) == 2
     assert capsys.readouterr().err == (
         "solve: --colors conflicts with --t-policy theorem-ceil; pick one\n")
+    # the flags are checked before the instance is read
+    missing = str(tmp_path / "missing.hg")
+    assert main(["solve", "--input", missing]) == 2
+    assert capsys.readouterr().err == "solve: --t-policy fixed needs --colors\n"
+    assert main(["solve", "--input", missing, "--colors", "3", "--t-policy", "lcl-min"]) == 2
+    assert capsys.readouterr().err == (
+        "solve: --colors conflicts with --t-policy lcl-min; pick one\n")
 
 
 @pytest.mark.parametrize("policy", ["lcl-min", "theorem-ceil"])

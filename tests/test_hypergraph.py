@@ -1,6 +1,7 @@
 """Instance type, file format, builtin families, the random generator, and
 fuzzing of both file parsers."""
 
+import gc
 import hashlib
 import pickle
 import random
@@ -30,11 +31,9 @@ from harmcolor import (
     serialize_coloring,
     serialize_hypergraph,
 )
-from harmcolor import hypergraph
-from harmcolor.coloring import _coloring_from_blocks, _coloring_from_lines, _coloring_header
-from harmcolor.hypergraph import (LIVE_BLOCK, _content_lines, _header_and_blocks,
-                                  _hypergraph_from_blocks, _hypergraph_from_lines,
-                                  _hypergraph_header, _line_blocks, _LiveVertices, _sample_ranks)
+from harmcolor import coloring, hypergraph
+from harmcolor.hypergraph import (LIVE_BLOCK, _find_header, _line_blocks, _LiveVertices,
+                                  _sample_ranks)
 from oracles import naive_generate, naive_incidence
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -226,23 +225,31 @@ def test_rows_that_are_not_lists_or_tuples_are_checked_edge_by_edge(edges, outco
             Hypergraph(3, 6, edges)
 
 
+def count_calls(monkeypatch, module, name, calls):
+    """Patch module.name to append its name to the list ``calls`` on each call."""
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(name)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
 def test_rows_of_equal_hash_are_cleared_by_the_edge_by_edge_loop(monkeypatch):
     # the check counts distinct row hashes; with every hash equal, a file of
-    # more than one edge goes to the line reader's exact loop and still
-    # parses, and rows given to the constructor go to its loop and build
+    # more than one edge goes to the per-line check, which compares rows
+    # and still parses, and rows given to the constructor go to its loop
+    # and build
     text = serialize_hypergraph(builtin_instance("k-star", 5, k=3))
     expected = parse_hypergraph(text)
     loops = []
-    original = hypergraph._canonical_rows
-
-    def counted(*args):
-        loops.append(None)
-        return original(*args)
-
-    monkeypatch.setattr(hypergraph, "_canonical_rows", counted)
+    count_calls(monkeypatch, hypergraph, "_edge_lines", loops)
+    count_calls(monkeypatch, hypergraph, "_canonical_rows", loops)
     monkeypatch.setattr(hypergraph, "hash", lambda row: 0, raising=False)
-    assert parse_hypergraph(text) == expected and len(loops) == 1
-    assert Hypergraph(3, expected.n, list(expected.edges)) == expected and len(loops) == 2
+    assert parse_hypergraph(text) == expected and loops == ["_edge_lines"]
+    assert Hypergraph(3, expected.n, list(expected.edges)) == expected
+    assert loops == ["_edge_lines", "_canonical_rows"]
     with pytest.raises(FormatError, match=r"duplicate edge \(0, 1, 2\)") as err:
         parse_hypergraph(text.rsplit("e", 1)[0] + "e 0 2 1\n")
     assert err.value.line == 6
@@ -451,28 +458,41 @@ def read_outcome(parse, text):
         return str(exc), exc.line
 
 
-def hypergraph_by_blocks(text):
-    """parse_hypergraph's header and block reader alone, without the line reader."""
-    lineno, line, tokens, blocks = _header_and_blocks(text)
-    return _hypergraph_from_blocks(*_hypergraph_header(lineno, line, tokens), blocks())
+def no_readers(monkeypatch, kind):
+    """Patch the ``kind`` readers of both formats to fail: "lines", the
+    per-line checks, or "blocks", the block reader _block_columns."""
+    def reader(*args):
+        raise AssertionError(f"a {kind} reader ran")
+
+    for module, name in {"lines": [(hypergraph, "_edge_lines"), (coloring, "_color_lines")],
+                         "blocks": [(hypergraph, "_block_columns"),
+                                    (coloring, "_block_columns")]}[kind]:
+        monkeypatch.setattr(module, name, reader)
 
 
-def hypergraph_by_lines(text):
-    """parse_hypergraph's header and line reader alone, without the block reader."""
-    lineno, line, tokens, blocks = _header_and_blocks(text)
-    return _hypergraph_from_lines(*_hypergraph_header(lineno, line, tokens),
-                                  _content_lines(blocks(), lineno))
+def refuse_block(*args):
+    raise ValueError("a block read line by line")
 
 
-def coloring_by_blocks(text):
-    lineno, line, tokens, blocks = _header_and_blocks(text)
-    return _coloring_from_blocks(*_coloring_header(lineno, line, tokens), blocks())
+def by_readers(parse, kind):
+    """parse reading every block by its block reader alone, its per-line
+    check patched to fail (kind "blocks"), or by its per-line check alone,
+    _block_columns patched to raise (kind "lines")."""
+    def read(text):
+        with pytest.MonkeyPatch.context() as patch:
+            if kind == "blocks":
+                no_readers(patch, "lines")
+            else:
+                patch.setattr(sys.modules[parse.__module__], "_block_columns", refuse_block)
+            return parse(text)
+
+    return read
 
 
-def coloring_by_lines(text):
-    lineno, line, tokens, blocks = _header_and_blocks(text)
-    return _coloring_from_lines(*_coloring_header(lineno, line, tokens),
-                                _content_lines(blocks(), lineno))
+hypergraph_by_blocks = by_readers(parse_hypergraph, "blocks")
+hypergraph_by_lines = by_readers(parse_hypergraph, "lines")
+coloring_by_blocks = by_readers(parse_coloring, "blocks")
+coloring_by_lines = by_readers(parse_coloring, "lines")
 
 
 @st.composite
@@ -517,8 +537,9 @@ def coloring_lines(n: int) -> list[str]:
 
 def body_block_ends(text):
     """The line numbers of the last lines of the blocks after text's header."""
-    lineno, _, _, blocks = _header_and_blocks(text)
-    return list(accumulate((len(block.split("\n")) for block in blocks()), initial=lineno))[1:]
+    lineno, _, _, pos = _find_header(text)
+    return list(accumulate((len(block.split("\n")) for block in _line_blocks(text, pos)),
+                           initial=lineno))[1:]
 
 
 def end_a_block_on(monkeypatch, text, line):
@@ -556,15 +577,6 @@ def test_the_block_readers_read_every_block(monkeypatch, blocks, shift):
 
 # 1,100 comment and blank lines put the header past the first block of 1,024 characters
 PREAMBLE = ["# a comment", ""] * 550
-
-
-def no_readers(monkeypatch, kind):
-    """Patch the ``kind`` readers, "lines" or "blocks", of both formats to fail."""
-    def reader(*args):
-        raise AssertionError(f"a {kind} reader ran")
-
-    monkeypatch.setattr(f"harmcolor.hypergraph._hypergraph_from_{kind}", reader)
-    monkeypatch.setattr(f"harmcolor.coloring._coloring_from_{kind}", reader)
 
 
 def test_a_long_preamble_is_read_by_the_block_readers(monkeypatch):
@@ -698,12 +710,12 @@ def test_a_coloring_fault_at_a_block_edge_is_named_on_its_line(monkeypatch, line
 
 
 @pytest.mark.parametrize("parse, reader, lines, fault, needle", [
-    (parse_hypergraph, "_hypergraph_from_lines", instance_lines, "e 0 x", "non-integer vertex id"),
-    (parse_coloring, "_coloring_from_lines", coloring_lines, "v 0 x", "non-integer field"),
+    (parse_hypergraph, "_edge_lines", instance_lines, "e 0 x", "non-integer vertex id"),
+    (parse_coloring, "_color_lines", coloring_lines, "v 0 x", "non-integer field"),
 ])
 def test_the_line_reader_runs_after_the_block_readers_fault_is_handled(
         monkeypatch, parse, reader, lines, fault, needle):
-    # inside the except clause, the traceback would keep the block reader's partial result alive
+    # inside the except clause, the traceback would keep the faulty block's tokens alive
     module = sys.modules[parse.__module__]
     original = getattr(module, reader)
 
@@ -741,25 +753,69 @@ def test_a_repeat_two_blocks_after_its_first_copy_is_named_on_its_line(monkeypat
     assert err.value.line == 2011
 
 
-def test_a_faulty_file_is_checked_edge_by_edge_once_by_the_line_reader(monkeypatch):
-    callers = []
-    original = hypergraph._canonical_rows
+def peak_of(parse, text):
+    """The tracemalloc peak of parse(text), with the cyclic collector off."""
+    gc.disable()
+    tracemalloc.start()
+    try:
+        parse_or_format_error(parse, text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
 
-    def counted(*args):
-        frame, names = sys._getframe(1), set()
-        while frame:
-            names.add(frame.f_code.co_name)
-            frame = frame.f_back
-        callers.append(names & {"_hypergraph_from_blocks", "_hypergraph_from_lines"})
-        return original(*args)
 
-    monkeypatch.setattr(hypergraph, "_canonical_rows", counted)
-    lines = instance_lines(3000)
-    lines[-1] = lines[1]  # the last line repeats edge 1
-    with pytest.raises(FormatError, match=r"duplicate edge \(0, 1\)") as err:
-        parse_hypergraph("\n".join(lines))
-    assert err.value.line == len(lines)
-    assert callers == [{"_hypergraph_from_lines"}]
+def best_time_of(parse, text):
+    """The least of three wall times of parse(text)."""
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        parse_or_format_error(parse, text)
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+@pytest.mark.parametrize("fault", ["late duplicate", "truncated", "colored twice"])
+def test_a_fault_costs_its_own_block(monkeypatch, fault):
+    # the block reader reads each block once, only the faulty block is read
+    # again line by line, and naming the fault takes about the memory and
+    # time of a clean parse; the messages and lines are those of the
+    # whole-text line reader this replaced. A row hash of the faulty block
+    # left in the set would send each of its rows to a scan of the columns.
+    monkeypatch.syspath_prepend(str(BENCH))
+    from instances import bounded_degree_edges
+    m = 2 * 10 ** 4
+    if fault == "colored twice":
+        parse, per_line = parse_coloring, (coloring, "_color_lines")
+        clean = serialize_coloring(Coloring(400, [1 + v % 400 for v in range(m)]), m)
+        lines = clean.split("\n")
+        lines[-2] = "v 0 7"  # vertex 0 again, vertex m - 1 left uncolored
+        message = "vertex 0 colored twice"
+    else:
+        parse, per_line = parse_hypergraph, (hypergraph, "_edge_lines")
+        h = Hypergraph(3, m, bounded_degree_edges(1, 3, m, m, 3))
+        clean = serialize_hypergraph(h)
+        lines = clean.split("\n")
+        if fault == "late duplicate":
+            lines[-2] = lines[1]
+            message = f"duplicate edge {h.edges[0]}"
+        else:  # the last line cut before its last vertex
+            lines[-2] = lines[-2].rsplit(" ", 1)[0]
+            message = "edge has 2 vertices, expected 3"
+    text = "\n".join(lines)
+    assert len(body_block_ends(text)) > 10
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (hypergraph, coloring):
+            count_calls(patch, module, "_block_columns", calls)
+        count_calls(patch, *per_line, calls)
+        with pytest.raises(FormatError) as err:
+            parse(text)
+    assert (str(err.value), err.value.line) == (f"line {m + 1}: {message}", m + 1)
+    assert calls.count("_block_columns") == len(body_block_ends(text))
+    assert calls.count(per_line[1]) == 1
+    assert peak_of(parse, text) <= 1.1 * peak_of(parse, clean)
+    assert best_time_of(parse, text) <= 3 * best_time_of(parse, clean)
 
 
 @pytest.mark.parametrize("brk", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
