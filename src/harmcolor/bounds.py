@@ -20,30 +20,39 @@ root good to at least 12 significant digits. The certificate calculators
 refuse k above LCL_MAX_K with ValueError, lcl_condition refuses a t or tau
 whose integers would exceed LCL_MAX_BITS bits, and tau_grid_search a grid
 whose k * denominator exceeds LCL_MAX_GRID or whose work would exceed
-LCL_MAX_GRID_WORK.
+LCL_MAX_GRID_WORK. tau_grid_search uses the slack's concavity in tau: it
+evaluates the certificate near the slack's peak, not at every grid point.
 """
 
 from __future__ import annotations
 
 import random
 import sys
-from fractions import Fraction
 from functools import wraps
 from math import ceil, comb, exp, factorial, gcd, inf, isfinite, lcm, log, perm
 from operator import ge
-from typing import Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
+
+# fractions, with the decimal and numbers modules it loads, is imported by the
+# functions that take or return a Fraction, so that a CLI child certifying at
+# the default tau does not load it
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 # The certificate's integers have about k * log2(q * t) bits, and one search
 # evaluates it O(log t) times at O(k) products each: at k = 1000,
-# lcl_min_colors answers in well under a second, and tau_grid_search with a
-# denominator of 64 in 1.1-1.4 s on a 2-vCPU VM.
+# lcl_min_colors answers in about 0.13 s, and tau_grid_search with a
+# denominator of 64 in about 0.4 s on a 2-vCPU VM.
 LCL_MAX_K = 1000
 
-# tau_grid_search runs one certificate per grid point, each of O(k) products,
-# so k * denominator bounds its work. At this cap the slowest grid allowed,
-# k = 1000 with a denominator of 65, answers in about 2 s on a 2-vCPU VM, and
-# k = 2 with a denominator of 32768 in about 0.1 s.
+# tau_grid_search builds the certificate's coefficients, O(k) products, at
+# each grid point it evaluates, and a point of denominator q adds about
+# k * log2(q) bits to its integers; its evaluations grow only with
+# log2(denominator), and LCL_MAX_GRID_WORK bounds them. At this cap the
+# slowest grid allowed, k = 1000 with a denominator of 65, answers in
+# 0.7-0.9 s on a 2-vCPU VM, and k = 2 with a denominator of 32768 in under a
+# millisecond.
 LCL_MAX_GRID = 2 ** 16
 
 # lcl_condition takes its t and tau from the caller, so k alone does not bound
@@ -55,16 +64,17 @@ LCL_MAX_BITS = 2 ** 18
 
 # Each evaluation's products take time about quadratic in the bits of its
 # integers, so tau_grid_search charges every evaluation bits**2 (see
-# _grid_charge) and stops at the cost of 64 evaluations at LCL_MAX_BITS bits.
-# Its one evaluation per grid point and its first least t are charged before
-# any evaluation, each later bisection (about log2 t evaluations) before it
-# runs; bits**2 tracks the measured time of an evaluation within a factor of
-# about 6 for k from 2 to 1000. Allowed grids near the cap,
-# (k, delta, m, denominator) = (2, 1, 10**400, 400) and
-# (20, 10**150, 10**400, 4), answer in 0.7-2.7 s on a 2-vCPU VM, and
-# (1000, 10**6, 10**6, 65), whose grid never improves on its first t, in
-# 2-3 s. (2, 1, 10**400, 3200) and (20, 10**150, 10**400, 40), which improve
-# at every point and took 7-20 s there, are refused after about 2.5 and 3.5 s.
+# _grid_charge) before it runs, and stops at the cost of 64 evaluations at
+# LCL_MAX_BITS bits. It refuses a grid before any evaluation when its first
+# least t, about 2 * tbits evaluations, would already pass that. bits**2
+# tracks the measured time of an evaluation within a factor of about 6 for k
+# from 2 to 1000. On a 2-vCPU VM, (k, delta, m, denominator) =
+# (2, 1, 10**400, 3200) answers in 1,334 evaluations and 4 ms,
+# (20, 10**150, 10**400, 40) in 4,009 and 1.0 s, and (1000, 10**6, 10**6, 65)
+# in 148 and 0.7-0.9 s; an evaluation at every grid point took 7-20 s on the
+# first two and was refused. (3, 10**724, 10**400, 64) and
+# (100, 10**86, 10**6, 64), whose peak is tau = 2, far from k/(k-1), would
+# take about 1.9 times the cap, and are refused after 0.7 and 1.8 s.
 LCL_MAX_GRID_WORK = 64 * LCL_MAX_BITS ** 2
 
 
@@ -153,30 +163,35 @@ def lower_bound_colors(k: int, m: int) -> int:
         raise ValueError(f"k must be at least 2, got {k}")
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
-    return _least(lambda r: (comb(r, k), m))  # comb(r, k) == 0 < m for r < k
+    return _least(lambda r: comb(r, k) >= m)  # comb(r, k) == 0 < m for r < k
 
 
-def _least(sides: Callable[[int], tuple[int, int]], hi: int | None = None) -> int:
-    """Least t >= 1 whose sides(t) = (lhs, rhs) has lhs >= rhs, for sides
-    whose comparison, once true, stays true as t grows and is true somewhere:
-    doubling brackets it, bisection pins it down. A given hi is a t known to
-    hold, so the bisection runs on (0, hi] at once."""
+def _least(holds: Callable[[int], bool], hi: int | None = None) -> int:
+    """Least t >= 1 with holds(t), for a holds that, once true, stays true as
+    t grows and is true somewhere. Without hi, doubling from 1 brackets it; a
+    given hi is a t known to hold, and steps down from it that double in
+    length bracket it. Bisection then pins it down."""
     if hi is None:
         hi = 1
-        while not ge(*sides(hi)):
+        while not holds(hi):
             hi *= 2
         lo = hi // 2  # fails at lo (or lo == 0)
     else:
-        lo = 0
+        step, lo = 1, hi - 1
+        while lo > 0 and holds(lo):
+            hi, step = lo, 2 * step
+            lo = hi - step
+        lo = max(lo, 0)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if ge(*sides(mid)) else (mid, hi)
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
     return hi
 
 
 def bad_edge_prob_exact(k: int, t: int) -> Fraction:
     """Exact probability that a uniform t-coloring makes one k-edge bad:
     1 - prod_{j=0}^{k-1} (t-j)/t, which is 1 whenever t < k."""
+    from fractions import Fraction
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     if t < 1:
@@ -186,6 +201,7 @@ def bad_edge_prob_exact(k: int, t: int) -> Fraction:
 
 def bad_edge_prob_bound(k: int, t: int) -> Fraction:
     """The k^2/t upper bound on the bad-edge probability (may exceed 1)."""
+    from fractions import Fraction
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     if t < 1:
@@ -195,6 +211,7 @@ def bad_edge_prob_bound(k: int, t: int) -> Fraction:
 
 def pattern_prob_bound(i: int, t: int) -> Fraction:
     """The i!/t^i upper bound on two disjoint colored i-sets matching as sets."""
+    from fractions import Fraction
     if i < 1:
         raise ValueError(f"i must be at least 1, got {i}")
     if t < 1:
@@ -260,11 +277,10 @@ def _check_certificate_inputs(k: int, delta: int, m: int) -> None:
     check_certificate_k(k)
 
 
-def _lcl_bits(k: int, delta: int, m: int, t: int, tau: Fraction) -> int:
-    """About the bit length of the largest integer that lcl_condition builds:
-    the sides of _lcl_sides are sums of products of a k-th power of p or
-    q*t (tau = p/q) with delta^2 or delta*m, and of factors that k bounds."""
-    p, q = tau.numerator, tau.denominator
+def _lcl_bits(k: int, delta: int, m: int, t: int, p: int, q: int) -> int:
+    """About the bit length of the largest integer that lcl_condition builds at
+    tau = p/q: the sides of _lcl_sides are sums of products of a k-th power of
+    p or q*t with delta^2 or delta*m, and of factors that k bounds."""
     return k * max(p, q * t).bit_length() + 2 * delta.bit_length() + m.bit_length()
 
 
@@ -277,16 +293,15 @@ def _grid_charge(k: int, delta: int, m: int, denominator: int) -> tuple[int, int
     tbits = 2 + max(2 * delta.bit_length() + k.bit_length(),
                     delta.bit_length() + 2 * k.bit_length(),
                     (delta * m * factorial(k)).bit_length() // k)
-    return tbits, _lcl_bits(k, delta, m, 1 << tbits, Fraction(denominator + 1, denominator)) ** 2
+    return tbits, _lcl_bits(k, delta, m, 1 << tbits, denominator + 1, denominator) ** 2
 
 
-def _charge_grid(spent: int, where: str) -> None:
-    """Raise ValueError when tau_grid_search's charged work ``spent`` exceeds
-    LCL_MAX_GRID_WORK."""
-    if spent > LCL_MAX_GRID_WORK:
-        raise ValueError(f"tau_grid_search takes a grid of work up to {LCL_MAX_GRID_WORK} "
-                         f"(evaluations * bits**2 for the certificate's bits-bit integers); "
-                         f"this one reaches {spent} {where}")
+def _grid_refusal(spent: int, where: str) -> ValueError:
+    """tau_grid_search's refusal of a grid whose charged work ``spent``
+    exceeds LCL_MAX_GRID_WORK."""
+    return ValueError(f"tau_grid_search takes a grid of work up to {LCL_MAX_GRID_WORK} "
+                      f"(evaluations * bits**2 for the certificate's bits-bit integers); "
+                      f"this one reaches {spent} {where}")
 
 
 def lcl_condition(k: int, delta: int, m: int, t: int,
@@ -300,18 +315,20 @@ def lcl_condition(k: int, delta: int, m: int, t: int,
     answer cannot hinge on rounding. Raises ValueError when those integers
     would exceed LCL_MAX_BITS bits (see _lcl_bits).
     """
+    from fractions import Fraction
     _check_certificate_inputs(k, delta, m)
     if t < 1:
         raise ValueError(f"t must be at least 1, got {t}")
     tau = Fraction(k, k - 1) if tau is None else Fraction(tau)
     if tau < 1:
         raise ValueError(f"tau must be at least 1, got {tau}")
-    bits = _lcl_bits(k, delta, m, t, tau)
+    p, q = tau.numerator, tau.denominator
+    bits = _lcl_bits(k, delta, m, t, p, q)
     if bits > LCL_MAX_BITS:
         raise ValueError(f"the exact certificate takes integers up to {LCL_MAX_BITS} bits, "
                          f"about k * log2(max(p, q*t)) for tau = p/q; got {bits}")
-    lhs, rhs = _lcl_sides(k, delta, m)(tau.numerator, tau.denominator)(t)
-    slack = Fraction(tau.numerator * (lhs - rhs), tau.denominator * lhs)  # D = lhs / tau
+    lhs, rhs = _lcl_sides(k, delta, m)(p, q)(t)
+    slack = Fraction(p * (lhs - rhs), q * lhs)  # D = lhs / tau
     return LclResult(holds=lhs >= rhs, slack=slack)
 
 
@@ -322,10 +339,16 @@ def lcl_min_colors(k: int, delta: int, m: int, tau: Fraction | None = None) -> i
     exists. Requires tau > 1 — at tau = 1 the inequality is never satisfiable.
     """
     _check_certificate_inputs(k, delta, m)
-    tau = Fraction(k, k - 1) if tau is None else Fraction(tau)
-    if tau <= 1:
-        raise ValueError(f"tau must exceed 1, got {tau}")
-    return _least(_lcl_sides(k, delta, m)(tau.numerator, tau.denominator))
+    if tau is None:
+        p, q = k, k - 1
+    else:
+        from fractions import Fraction
+        tau = Fraction(tau)
+        if tau <= 1:
+            raise ValueError(f"tau must exceed 1, got {tau}")
+        p, q = tau.numerator, tau.denominator
+    sides = _lcl_sides(k, delta, m)(p, q)
+    return _least(lambda t: ge(*sides(t)))
 
 
 def tau_grid_search(k: int, delta: int, m: int,
@@ -335,16 +358,26 @@ def tau_grid_search(k: int, delta: int, m: int,
     not always optimal — e.g. (k=3, delta=2, m=15) certifies t=141 at tau=3/2
     but t=140 at tau=49/32.
 
-    Each grid point is the two ints p = (denominator + j)/g and
-    q = denominator/g, g = gcd(j, denominator); only the returned tau is a
-    Fraction. The certificate holds for every t from its least one up, so a
-    tau that fails at the best t so far minus one cannot win, and costs one
-    evaluation. One that holds there is tested at best t minus two: if that
-    fails its least t is best minus one, and otherwise a bisection below
-    best minus two finds it. Raises ValueError when k * denominator exceeds
-    LCL_MAX_GRID, or when the evaluations charged (see _grid_charge) would
-    exceed LCL_MAX_GRID_WORK: at once if the grid's one evaluation per point
-    and its first least t do, else before the bisection that would."""
+    The certificate's right side is a polynomial in tau with nonnegative
+    coefficients, that of tau^k positive, all falling as t grows. So at one
+    t the slack is strictly concave along the grid: the points certifying t
+    are one run around the slack's peak, and as t grows the peak's j never
+    falls and the run only grows. The answer is the least t whose peak
+    holds, with the least j of its run. Each search is a _least; the peak
+    at t is the least j whose forward difference is not positive, at most
+    the peak found at a larger t. t starts as the least at the grid point
+    nearest k/(k-1) and, while the peak at t is another point, becomes that
+    point's least. Each point is the two ints p = (denominator + j)/g and
+    q = denominator/g, g = gcd(j, denominator), evaluated once per t; slacks
+    at one t compare as (lhs - rhs)/q^k, by cross-multiplication, since
+    _lcl_sides scales both sides by L*(q*t)^k. Only the returned tau is a
+    Fraction.
+
+    Raises ValueError when k * denominator exceeds LCL_MAX_GRID, or when the
+    evaluations charged (see _grid_charge) would exceed LCL_MAX_GRID_WORK: at
+    once if the first lcl_min_colors would, else before the evaluation that
+    would."""
+    from fractions import Fraction
     _check_certificate_inputs(k, delta, m)
     if denominator < 1:
         raise ValueError(f"denominator must be positive, got {denominator}")
@@ -352,23 +385,60 @@ def tau_grid_search(k: int, delta: int, m: int,
         raise ValueError(f"tau_grid_search takes k * denominator up to {LCL_MAX_GRID}, "
                          f"got {k} * {denominator}")
     tbits, cost = _grid_charge(k, delta, m, denominator)
-    spent = (denominator + 2 * tbits) * cost
-    _charge_grid(spent, "before any evaluation")
+    if 2 * tbits * cost > LCL_MAX_GRID_WORK:
+        raise _grid_refusal(2 * tbits * cost, "before any evaluation")
     at = _lcl_sides(k, delta, m)
-    best_t = best_j = 0
-    for j in range(1, denominator + 1):
-        g = gcd(j, denominator)
-        sides = at((denominator + j) // g, denominator // g)
-        if not best_t:
-            best_t, best_j = _least(sides), j
-        elif best_t > 1 and ge(*sides(best_t - 1)):
-            t = best_t - 1
-            if t > 1 and ge(*sides(t - 1)):
-                spent += (t.bit_length() + 1) * cost  # that test and the bisection
-                _charge_grid(spent, f"at tau = 1 + {j}/{denominator}")
-                t = _least(sides, t - 1)
-            best_t, best_j = t, j
-    return 1 + Fraction(best_j, denominator), best_t
+    points: dict[int, tuple[Callable[[int], tuple[int, int]], int]] = {}
+    slacks: dict[tuple[int, int], tuple[int, int]] = {}
+    spent = 0
+
+    def slack(j: int, t: int) -> tuple[int, int]:
+        """(lhs - rhs, q^k) of the certificate at t and tau = 1 + j/denominator."""
+        nonlocal spent
+        value = slacks.get((j, t))
+        if value is None:
+            point = points.get(j)
+            if point is None:
+                g = gcd(j, denominator)
+                point = points[j] = (at((denominator + j) // g, denominator // g),
+                                     (denominator // g) ** k)
+            spent += cost
+            if spent > LCL_MAX_GRID_WORK:
+                raise _grid_refusal(spent, f"at tau = 1 + {j}/{denominator}")
+            lhs, rhs = point[0](t)
+            value = slacks[j, t] = lhs - rhs, point[1]
+        return value
+
+    def holds(j: int, t: int) -> bool:
+        return slack(j, t)[0] >= 0
+
+    def falls(j: int, t: int) -> bool:
+        """Whether the slack at t is no greater at j + 1 than at j."""
+        (here, q_k), (there, next_q_k) = slack(j, t), slack(j + 1, t)
+        return there * q_k <= here * next_q_k
+
+    def peak(t: int, hi: int) -> int:
+        """The least j of greatest slack at t, given that it is at most hi."""
+        return _least(lambda j: falls(j, t), hi)
+
+    def certified(t: int) -> bool:
+        """Whether the peak at t holds; if so it bounds the peaks of smaller t."""
+        nonlocal top
+        j = peak(t, top)
+        if not holds(j, t):
+            return False
+        top = j
+        return True
+
+    j = min(max((2 * denominator + k - 1) // (2 * k - 2), 1), denominator)  # nearest k/(k-1)
+    t = _least(lambda t: holds(j, t))
+    top = denominator
+    while (top := peak(t, top)) != j:
+        j = top
+        t = _least(lambda t: holds(j, t), t)
+    t = _least(certified, t)
+    j = _least(lambda j: holds(j, t), top)
+    return 1 + Fraction(j, denominator), t
 
 
 def theorem_ceil_colors(k: int, delta: int, m: int, eps: float = 0.0) -> int:

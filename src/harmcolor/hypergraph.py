@@ -453,11 +453,12 @@ def parse_hypergraph(text: str) -> Hypergraph:
         try:
             columns = _block_columns(block, "e", k)
         except ValueError:  # read below, once the traceback and its tokens are freed
+            columns = None  # and seen holds no hash of the block
+        if columns and ((columns := _sorted_columns(n, columns, seen)) is None
+                        or len(cols[0]) + len(columns[0]) > m):
             columns = None
-        if columns is None or columns and ((columns := _sorted_columns(n, columns, seen)) is None
-                                           or len(cols[0]) + len(columns[0]) > m):
-            seen.clear()  # the failed check may have entered the block's hashes
-            seen.update(map(hash, zip(*cols)))
+            _rehash(seen, cols)  # the check may have entered the block's hashes
+        if columns is None:
             _edge_lines(k, n, m, cols, seen, _content_lines(block, text.count("\n", 0, pos)))
         else:
             for col, column in zip(cols, columns):
@@ -466,6 +467,12 @@ def parse_hypergraph(text: str) -> Hypergraph:
     if len(cols[0]) != m:
         raise FormatError(f"declared {m} edges but found {len(cols[0])}")
     return Hypergraph._of_columns(k, n, cols)
+
+
+def _rehash(seen: set, cols: list[array]) -> None:
+    """Make ``seen`` hold the row hashes of the columns ``cols`` and no other."""
+    seen.clear()
+    seen.update(map(hash, zip(*cols)))
 
 
 def _edge_lines(k: int, n: int, m: int, cols: list[array], seen: set,

@@ -289,11 +289,12 @@ def test_lcl_min_matches_the_upward_walk(k, delta, m, tau):
     assert lcl_min_colors(k, delta, m, tau) == naive_lcl_min_colors(k, delta, m, tau)
 
 
-@given(st.integers(2, 5), st.integers(1, 5), st.integers(1, 10**6), st.integers(1, 40))
+@given(st.integers(2, 6), st.integers(1, 6), st.integers(1, 10**12), st.integers(1, 200))
+@example(3, 2, 9019, 166)  # (129/83, 166), one t below where peak and least t first agree
 @settings(max_examples=40, deadline=None)
 def test_tau_grid_search_is_the_least_pair_on_the_grid(k, delta, m, denominator):
-    # the search from the incumbent against a full search per tau, at sizes the
-    # upward walk of test_tau_grid_search_matches_the_upward_walks cannot reach
+    # the search by peaks against a full search per tau, at sizes the upward
+    # walk of test_tau_grid_search_matches_the_upward_walks cannot reach
     taus = [1 + Fraction(j, denominator) for j in range(1, denominator + 1)]
     t, tau = min((lcl_min_colors(k, delta, m, tau), tau) for tau in taus)
     assert tau_grid_search(k, delta, m, denominator) == (tau, t)
@@ -306,12 +307,11 @@ def test_tau_grid_search_matches_the_upward_walks(k, delta, m, denominator):
                                                                               denominator)
 
 
-@pytest.mark.parametrize("k, delta, m, most", [(2, 3, 16, 400), (3, 3, 10**400, 15_000)],
+@pytest.mark.parametrize("k, delta, m, most", [(2, 3, 16, 24), (3, 3, 10**400, 1_000)],
                          ids=["k2-m16", "k3-m1e400"])
 def test_tau_grid_search_evaluates_few_certificates(k, delta, m, most, monkeypatch):
-    # a tau that holds at the best t so far minus one is tested at minus two before
-    # any bisection, and the bisection runs below that; restarting the search from
-    # t = 1 at each new best takes 881 and 28,611 evaluations here
+    # the search by peaks makes 18 and 912 evaluations here; a search of every
+    # grid point from the best t so far made 393 and 14,795
     calls = 0
     build = bounds._lcl_sides
 
@@ -343,11 +343,13 @@ def test_tau_grid_search_takes_a_grid_up_to_its_cap():
 
 
 @pytest.mark.parametrize("k, delta, m, denominator",
-                         [(2, 1, 10**400, 3200), (20, 10**150, 10**400, 40)])
+                         [(3, 10**724, 10**400, 64), (100, 10**86, 10**6, 64)],
+                         ids=["k3-delta1e724", "k100-delta1e86"])
 def test_tau_grid_search_refuses_a_grid_once_its_work_passes_the_cap(k, delta, m, denominator,
                                                                      monkeypatch):
-    # these grids improve on their t at every point and took 7-20 s; they are
-    # refused within the evaluations that the cap pays for
+    # the first least t fits under the cap, but the peak of these grids is
+    # tau = 2, far from k/(k-1), and the search there needs about 1.9 times
+    # the cap; they are refused within the evaluations that the cap pays for
     calls = 0
     build = bounds._lcl_sides
 
@@ -379,10 +381,12 @@ def test_tau_grid_search_refuses_a_grid_beyond_its_work_cap_before_any_evaluatio
 
 
 @pytest.mark.parametrize("k, delta, m, denominator",
-                         [(1000, 10**6, 10**6, 65), (2, 1, 10**400, 400)])
+                         [(1000, 10**6, 10**6, 65), (2, 1, 10**400, 400), (2, 1, 10**400, 3200),
+                          (20, 10**150, 10**400, 40)])
 def test_tau_grid_search_answers_grids_near_its_work_cap(k, delta, m, denominator):
-    # the first improves on its first t nowhere, so it makes 200 evaluations
-    # where a bisection at every point would take about 4,500
+    # the first takes 148 evaluations, where one at every grid point took 200;
+    # the last two improved on their t at every grid point, and a search of
+    # every point was refused after 605,245 and 8,024 evaluations
     tau, t = tau_grid_search(k, delta, m, denominator)
     assert lcl_condition(k, delta, m, t, tau).holds
     assert not lcl_condition(k, delta, m, t - 1, tau).holds

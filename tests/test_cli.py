@@ -12,6 +12,7 @@ import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -25,6 +26,7 @@ from harmcolor import (
     ExperimentSpec,
     Hypergraph,
     builtin_instance,
+    lcl_condition,
     main,
     max_degree,
     parse_coloring,
@@ -425,11 +427,23 @@ def test_bound_with_a_tau_grid_above_its_cap_exits_2_at_once(denominator, capsys
 
 
 def test_bound_with_a_tau_grid_beyond_its_work_cap_exits_2(capsys):
-    # the grid alone took 7.1 s; it is refused once its charged work passes the cap
-    assert main(["bound", "--k", "2", "--delta", "1", "--m", str(10**400),
-                 "--tau-grid", "3200"]) == 2
+    # the search needs about 1.9 times the cap; it is refused once its charged
+    # work passes the cap
+    assert main(["bound", "--k", "100", "--delta", str(10**86), "--m", str(10**6),
+                 "--tau-grid", "64"]) == 2
     assert capsys.readouterr().err.startswith(
         f"error: tau_grid_search takes a grid of work up to {LCL_MAX_GRID_WORK} ")
+
+
+def test_bound_answers_a_tau_grid_that_improved_at_every_point(capsys):
+    # on this grid, which improves on its t at every point, a search of every
+    # grid point took 7.1 s and was refused at the work cap
+    assert main(["bound", "--k", "2", "--delta", "1", "--m", str(10**400),
+                 "--tau-grid", "3200"]) == 0
+    row = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+    tau, t = Fraction(row["tau_grid_best_tau"]), int(row["tau_grid_best_t"])
+    assert lcl_condition(2, 1, 10**400, t, tau).holds
+    assert not lcl_condition(2, 1, 10**400, t - 1, tau).holds
 
 
 def test_bound_with_a_t_above_the_integer_cap_exits_2_at_once(capsys):
@@ -905,7 +919,10 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     assert loaded["bound"] == loaded["gen"] | {"harmcolor.bounds", "fractions"}
     # a fixed palette needs no bound: the solver imports bounds only for the exact search
     assert loaded["solve --colors"] == loaded["verify"] | {"harmcolor.solver"}
+    # the certificate at the default tau runs on ints: only a Fraction loads fractions
+    assert loaded["solve"] == loaded["solve --colors"] | {"harmcolor.bounds"}
     assert {"harmcolor.solver", "csv"} <= loaded["experiment"]
+    assert "fractions" not in loaded["experiment"]
     assert not any("dataclasses" in names for names in loaded.values())
 
 

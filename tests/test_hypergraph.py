@@ -775,13 +775,16 @@ def best_time_of(parse, text):
     return min(times)
 
 
-@pytest.mark.parametrize("fault", ["late duplicate", "truncated", "colored twice"])
+@pytest.mark.parametrize("fault", ["late duplicate", "truncated", "one edge too many",
+                                   "colored twice"])
 def test_a_fault_costs_its_own_block(monkeypatch, fault):
     # the block reader reads each block once, only the faulty block is read
     # again line by line, and naming the fault takes about the memory and
     # time of a clean parse; the messages and lines are those of the
     # whole-text line reader this replaced. A row hash of the faulty block
-    # left in the set would send each of its rows to a scan of the columns.
+    # left in the set would send each of its rows to a scan of the columns,
+    # so the set is rebuilt where the block check entered the block's hashes,
+    # and only there: a block the block reader refused entered none.
     monkeypatch.syspath_prepend(str(BENCH))
     from instances import bounded_degree_edges
     m = 2 * 10 ** 4
@@ -799,9 +802,12 @@ def test_a_fault_costs_its_own_block(monkeypatch, fault):
         if fault == "late duplicate":
             lines[-2] = lines[1]
             message = f"duplicate edge {h.edges[0]}"
-        else:  # the last line cut before its last vertex
+        elif fault == "truncated":  # the last line cut before its last vertex
             lines[-2] = lines[-2].rsplit(" ", 1)[0]
             message = "edge has 2 vertices, expected 3"
+        else:  # the header declares one edge fewer than the file holds
+            lines[0] = f"p hg 3 {m} {m - 1}"
+            message = f"more than the declared {m - 1} edges"
     text = "\n".join(lines)
     assert len(body_block_ends(text)) > 10
     calls = []
@@ -809,11 +815,13 @@ def test_a_fault_costs_its_own_block(monkeypatch, fault):
         for module in (hypergraph, coloring):
             count_calls(patch, module, "_block_columns", calls)
         count_calls(patch, *per_line, calls)
+        count_calls(patch, hypergraph, "_rehash", calls)
         with pytest.raises(FormatError) as err:
             parse(text)
     assert (str(err.value), err.value.line) == (f"line {m + 1}: {message}", m + 1)
     assert calls.count("_block_columns") == len(body_block_ends(text))
     assert calls.count(per_line[1]) == 1
+    assert calls.count("_rehash") == (fault in ("late duplicate", "one edge too many"))
     assert peak_of(parse, text) <= 1.1 * peak_of(parse, clean)
     assert best_time_of(parse, text) <= 3 * best_time_of(parse, clean)
 
