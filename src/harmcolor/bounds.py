@@ -16,12 +16,15 @@ is one integer comparison and the slack one exact Fraction. Only the two
 real-valued closed forms (theorem_bound, remark_bound) use floating point.
 They take their k-th roots in log space, so no radicand overflows; a perfect
 k-th power gives an exact root (checked up to 10**12), any other radicand a
-root good to at least 12 significant digits. The certificate calculators
-refuse k above LCL_MAX_K with ValueError, lcl_condition refuses a t or tau
-whose integers would exceed LCL_MAX_BITS bits, and tau_grid_search a grid
-whose k * denominator exceeds LCL_MAX_GRID or whose work would exceed
-LCL_MAX_GRID_WORK. tau_grid_search uses the slack's concavity in tau: it
-evaluates the certificate near the slack's peak, not at every grid point.
+root good to at least 12 significant digits; beyond float range they raise
+FloatRangeError. The certificate calculators refuse k above LCL_MAX_K with
+ValueError, lcl_condition refuses a t or tau whose integers would exceed
+LCL_MAX_BITS bits, and tau_grid_search a grid whose k * denominator exceeds
+LCL_MAX_GRID. Every evaluation of the certificate is charged for its work
+before it runs, and a search whose charge would pass LCL_MAX_WORK raises
+ValueError (see _lcl_sides). tau_grid_search uses the slack's concavity in
+tau: it evaluates the certificate near the slack's peak, not at every grid
+point.
 """
 
 from __future__ import annotations
@@ -41,18 +44,19 @@ if TYPE_CHECKING:
 
 
 # The certificate's integers have about k * log2(q * t) bits, and one search
-# evaluates it O(log t) times at O(k) products each: at k = 1000,
-# lcl_min_colors answers in about 0.13 s, and tau_grid_search with a
-# denominator of 64 in about 0.4 s on a 2-vCPU VM.
+# evaluates it O(log t) times at O(k) products each: at k = 1000 with
+# delta = m = 1, lcl_min_colors answers in about 0.13 s, and tau_grid_search
+# with a denominator of 64 in about 0.4 s on a 2-vCPU VM. A larger delta * m
+# makes t, and so each evaluation, larger; LCL_MAX_WORK bounds that.
 LCL_MAX_K = 1000
 
 # tau_grid_search builds the certificate's coefficients, O(k) products, at
 # each grid point it evaluates, and a point of denominator q adds about
-# k * log2(q) bits to its integers; its evaluations grow only with
-# log2(denominator), and LCL_MAX_GRID_WORK bounds them. At this cap the
-# slowest grid allowed, k = 1000 with a denominator of 65, answers in
-# 0.7-0.9 s on a 2-vCPU VM, and k = 2 with a denominator of 32768 in under a
-# millisecond.
+# k * log2(q) bits to its integers. k * denominator bounds the size of the
+# grid and of those coefficients before any evaluation, so that a huge
+# denominator is refused at once; LCL_MAX_WORK bounds the evaluations. At
+# this cap k = 1000 with a denominator of 65 answers in 0.7-0.9 s on a
+# 2-vCPU VM, and k = 2 with a denominator of 32768 in under a millisecond.
 LCL_MAX_GRID = 2 ** 16
 
 # lcl_condition takes its t and tau from the caller, so k alone does not bound
@@ -63,19 +67,16 @@ LCL_MAX_GRID = 2 ** 16
 LCL_MAX_BITS = 2 ** 18
 
 # Each evaluation's products take time about quadratic in the bits of its
-# integers, so tau_grid_search charges every evaluation bits**2 (see
-# _grid_charge) before it runs, and stops at the cost of 64 evaluations at
-# LCL_MAX_BITS bits. It refuses a grid before any evaluation when its first
-# least t, about 2 * tbits evaluations, would already pass that. bits**2
-# tracks the measured time of an evaluation within a factor of about 6 for k
-# from 2 to 1000. On a 2-vCPU VM, (k, delta, m, denominator) =
-# (2, 1, 10**400, 3200) answers in 1,334 evaluations and 4 ms,
-# (20, 10**150, 10**400, 40) in 4,009 and 1.0 s, and (1000, 10**6, 10**6, 65)
-# in 148 and 0.7-0.9 s; an evaluation at every grid point took 7-20 s on the
-# first two and was refused. (3, 10**724, 10**400, 64) and
-# (100, 10**86, 10**6, 64), whose peak is tau = 2, far from k/(k-1), would
-# take about 1.9 times the cap, and are refused after 0.7 and 1.8 s.
-LCL_MAX_GRID_WORK = 64 * LCL_MAX_BITS ** 2
+# integers, so every evaluation is charged bits**2 before it runs (see
+# _lcl_sides), and one search stops at the cost of 64 evaluations at
+# LCL_MAX_BITS bits; lcl_condition's single evaluation never reaches it.
+# bits**2 tracks the measured time of an evaluation within a factor of about
+# 6 for k from 2 to 1000, so a refusal comes after 0.4-3.2 s on a 2-vCPU VM.
+# tau_grid_search answers (2, 1, 10**400, 3200) in 1,334 evaluations and
+# 4 ms, (20, 10**150, 10**400, 40) in 4,009 and 1.0 s, and
+# (1000, 10**6, 10**6, 65) in 148 and 0.7-0.9 s; lcl_min_colors refuses
+# (1000, 10**60, 10**6) after 2.8 s, where it ran 51 s without the charge.
+LCL_MAX_WORK = 64 * LCL_MAX_BITS ** 2
 
 
 class LclResult(NamedTuple):
@@ -104,8 +105,12 @@ def _float_root(x: int, k: int) -> float:
     return float(r) if r ** k == x else root
 
 
+class FloatRangeError(ValueError):
+    """A closed form whose value leaves float range."""
+
+
 def _float_range(closed_form: Callable[..., float]) -> Callable[..., float]:
-    """Make a closed form whose value leaves float range raise ValueError,
+    """Make a closed form whose value leaves float range raise FloatRangeError,
     whether its arithmetic overflowed to inf or raised OverflowError."""
 
     @wraps(closed_form)
@@ -115,7 +120,7 @@ def _float_range(closed_form: Callable[..., float]) -> Callable[..., float]:
         except OverflowError:
             value = inf
         if not isfinite(value):
-            raise ValueError(f"{closed_form.__name__} is beyond float range")
+            raise FloatRangeError(f"{closed_form.__name__} is beyond float range")
         return value
 
     return checked
@@ -237,10 +242,16 @@ def _lcl_sides(k: int, delta: int,
     delta^2 * k * (L/(k-i))) are built once, here; the returned function of
     (p, q) builds the rest of each coefficient. No coefficient depends on t,
     so each t then costs one Horner pass in a over the 1 term and the i-sum,
-    k products of the running sum by a, with no gcd and no Fraction."""
+    k products of the running sum by a, with no gcd and no Fraction.
+
+    Every evaluation of one _lcl_sides(k, delta, m), at any (p, q), adds
+    bits**2 to one running charge before it runs, bits being _lcl_bits at
+    (t, p, q), and raises ValueError instead of running once the charge
+    would pass LCL_MAX_WORK."""
     big_l = lcm(*range(1, k))
     k_factorial = factorial(k)
     spread = [delta * delta * k * (big_l // (k - i)) for i in range(1, k)]
+    spent = 0
 
     def at(p: int, q: int) -> Callable[[int], tuple[int, int]]:
         top = p * q ** (k - 1) * big_l
@@ -254,6 +265,12 @@ def _lcl_sides(k: int, delta: int,
             horner.append(fixed * i_factorial_p_i)
 
         def sides(t: int) -> tuple[int, int]:
+            nonlocal spent
+            spent += _lcl_bits(k, delta, m, t, p, q) ** 2
+            if spent > LCL_MAX_WORK:
+                raise ValueError(f"the certificate's searches take work up to {LCL_MAX_WORK} "
+                                 f"(evaluations * bits**2 for integers of bits bits); "
+                                 f"this one reaches {spent}")
             a = q * t
             total = 0
             for coefficient in horner:
@@ -278,30 +295,11 @@ def _check_certificate_inputs(k: int, delta: int, m: int) -> None:
 
 
 def _lcl_bits(k: int, delta: int, m: int, t: int, p: int, q: int) -> int:
-    """About the bit length of the largest integer that lcl_condition builds at
-    tau = p/q: the sides of _lcl_sides are sums of products of a k-th power of
-    p or q*t with delta^2 or delta*m, and of factors that k bounds."""
+    """About the bit length of the largest integer that one evaluation of the
+    certificate builds at t and tau = p/q: the sides of _lcl_sides are sums of
+    products of a k-th power of p or q*t with delta^2 or delta*m, and of
+    factors that k bounds."""
     return k * max(p, q * t).bit_length() + 2 * delta.bit_length() + m.bit_length()
-
-
-def _grid_charge(k: int, delta: int, m: int, denominator: int) -> tuple[int, int]:
-    """(tbits, cost) for tau_grid_search: tbits is about the bit length of a
-    least certified t (the i = 1 term needs t > delta^2 k, the bad-edge term
-    t > delta k^2, the i = k term t^k > delta m k!), and cost = bits**2 the
-    charge for one evaluation, bits being _lcl_bits at such a t and the
-    grid's tau of largest denominator. Takes no evaluation."""
-    tbits = 2 + max(2 * delta.bit_length() + k.bit_length(),
-                    delta.bit_length() + 2 * k.bit_length(),
-                    (delta * m * factorial(k)).bit_length() // k)
-    return tbits, _lcl_bits(k, delta, m, 1 << tbits, denominator + 1, denominator) ** 2
-
-
-def _grid_refusal(spent: int, where: str) -> ValueError:
-    """tau_grid_search's refusal of a grid whose charged work ``spent``
-    exceeds LCL_MAX_GRID_WORK."""
-    return ValueError(f"tau_grid_search takes a grid of work up to {LCL_MAX_GRID_WORK} "
-                      f"(evaluations * bits**2 for the certificate's bits-bit integers); "
-                      f"this one reaches {spent} {where}")
 
 
 def lcl_condition(k: int, delta: int, m: int, t: int,
@@ -337,6 +335,8 @@ def lcl_min_colors(k: int, delta: int, m: int, tau: Fraction | None = None) -> i
 
     The RHS is strictly decreasing in t and tends to 1 < tau, so a threshold
     exists. Requires tau > 1 — at tau = 1 the inequality is never satisfiable.
+    Raises ValueError before the evaluation whose charge (see _lcl_sides)
+    would pass LCL_MAX_WORK.
     """
     _check_certificate_inputs(k, delta, m)
     if tau is None:
@@ -373,10 +373,8 @@ def tau_grid_search(k: int, delta: int, m: int,
     _lcl_sides scales both sides by L*(q*t)^k. Only the returned tau is a
     Fraction.
 
-    Raises ValueError when k * denominator exceeds LCL_MAX_GRID, or when the
-    evaluations charged (see _grid_charge) would exceed LCL_MAX_GRID_WORK: at
-    once if the first lcl_min_colors would, else before the evaluation that
-    would."""
+    Raises ValueError when k * denominator exceeds LCL_MAX_GRID, or before
+    the evaluation whose charge (see _lcl_sides) would pass LCL_MAX_WORK."""
     from fractions import Fraction
     _check_certificate_inputs(k, delta, m)
     if denominator < 1:
@@ -384,17 +382,12 @@ def tau_grid_search(k: int, delta: int, m: int,
     if k * denominator > LCL_MAX_GRID:
         raise ValueError(f"tau_grid_search takes k * denominator up to {LCL_MAX_GRID}, "
                          f"got {k} * {denominator}")
-    tbits, cost = _grid_charge(k, delta, m, denominator)
-    if 2 * tbits * cost > LCL_MAX_GRID_WORK:
-        raise _grid_refusal(2 * tbits * cost, "before any evaluation")
     at = _lcl_sides(k, delta, m)
     points: dict[int, tuple[Callable[[int], tuple[int, int]], int]] = {}
     slacks: dict[tuple[int, int], tuple[int, int]] = {}
-    spent = 0
 
     def slack(j: int, t: int) -> tuple[int, int]:
         """(lhs - rhs, q^k) of the certificate at t and tau = 1 + j/denominator."""
-        nonlocal spent
         value = slacks.get((j, t))
         if value is None:
             point = points.get(j)
@@ -402,9 +395,6 @@ def tau_grid_search(k: int, delta: int, m: int,
                 g = gcd(j, denominator)
                 point = points[j] = (at((denominator + j) // g, denominator // g),
                                      (denominator // g) ** k)
-            spent += cost
-            if spent > LCL_MAX_GRID_WORK:
-                raise _grid_refusal(spent, f"at tau = 1 + {j}/{denominator}")
             lhs, rhs = point[0](t)
             value = slacks[j, t] = lhs - rhs, point[1]
         return value

@@ -18,7 +18,7 @@ import sys
 from collections import namedtuple
 from itertools import product
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 # each command imports the other modules, and csv, fractions and json, when it
 # runs, so that a CLI child loads only what its command needs
@@ -322,15 +322,22 @@ def cmd_exact(args: argparse.Namespace) -> int:
 
 
 def _bound_rows(args: argparse.Namespace) -> list[tuple[str, str]]:
-    from .bounds import (bad_edge_prob_bound, bad_edge_prob_exact, check_certificate_k,
-                         lcl_condition, lcl_min_colors, lower_bound_colors,
-                         monte_carlo_event_probs, pattern_prob_bound, remark_bound,
-                         tau_grid_search, theorem_bound)
+    from .bounds import (FloatRangeError, bad_edge_prob_bound, bad_edge_prob_exact,
+                         check_certificate_k, lcl_condition, lcl_min_colors,
+                         lower_bound_colors, monte_carlo_event_probs, pattern_prob_bound,
+                         remark_bound, tau_grid_search, theorem_bound)
     k, delta, m, eps = args.k, args.delta, args.m, args.eps
     check_certificate_k(k)  # first: the closed forms' k! alone takes hours at k = 10**9
+
+    def closed_form(bound: Callable[..., float], *inputs) -> str:
+        try:  # a value beyond float range is a row; the exact rows still answer
+            return _fmt(bound(k, delta, m, *inputs))
+        except FloatRangeError:
+            return "beyond float range"
+
     rows = [
-        ("theorem", _fmt(theorem_bound(k, delta, m, eps))),
-        ("remark", _fmt(remark_bound(k, delta, m))),
+        ("theorem", closed_form(theorem_bound, eps)),
+        ("remark", closed_form(remark_bound)),
         ("lower", str(lower_bound_colors(k, m))),
         ("lcl_min", str(lcl_min_colors(k, delta, m))),
     ]

@@ -25,8 +25,7 @@ from harmcolor import (
     theorem_ceil_colors,
 )
 from harmcolor import bounds
-from harmcolor.bounds import (LCL_MAX_BITS, LCL_MAX_GRID, LCL_MAX_GRID_WORK, LCL_MAX_K,
-                              _float_root)
+from harmcolor.bounds import LCL_MAX_BITS, LCL_MAX_GRID, LCL_MAX_K, LCL_MAX_WORK, _float_root
 from oracles import (naive_bad_edge_prob, naive_floor_root, naive_lcl_min_colors,
                      naive_lcl_slack, naive_lower_bound_colors, naive_monte_carlo_event_probs,
                      naive_tau_grid_search)
@@ -307,12 +306,11 @@ def test_tau_grid_search_matches_the_upward_walks(k, delta, m, denominator):
                                                                               denominator)
 
 
-@pytest.mark.parametrize("k, delta, m, most", [(2, 3, 16, 24), (3, 3, 10**400, 1_000)],
-                         ids=["k2-m16", "k3-m1e400"])
-def test_tau_grid_search_evaluates_few_certificates(k, delta, m, most, monkeypatch):
-    # the search by peaks makes 18 and 912 evaluations here; a search of every
-    # grid point from the best t so far made 393 and 14,795
-    calls = 0
+def priced(monkeypatch) -> list:
+    """Wrap bounds._lcl_sides so that each evaluation of the certificate
+    appends its price, _lcl_bits**2, to the returned list as it is called; a
+    refused evaluation's price is the last one."""
+    prices = []
     build = bounds._lcl_sides
 
     def counted(k, delta, m):
@@ -322,8 +320,7 @@ def test_tau_grid_search_evaluates_few_certificates(k, delta, m, most, monkeypat
             sides = at(p, q)
 
             def counted_sides(t):
-                nonlocal calls
-                calls += 1
+                prices.append(bounds._lcl_bits(k, delta, m, t, p, q) ** 2)
                 return sides(t)
 
             return counted_sides
@@ -331,8 +328,17 @@ def test_tau_grid_search_evaluates_few_certificates(k, delta, m, most, monkeypat
         return counted_at
 
     monkeypatch.setattr(bounds, "_lcl_sides", counted)
+    return prices
+
+
+@pytest.mark.parametrize("k, delta, m, most", [(2, 3, 16, 24), (3, 3, 10**400, 1_000)],
+                         ids=["k2-m16", "k3-m1e400"])
+def test_tau_grid_search_evaluates_few_certificates(k, delta, m, most, monkeypatch):
+    # the search by peaks makes 18 and 912 evaluations here; a search of every
+    # grid point from the best t so far made 393 and 14,795
+    prices = priced(monkeypatch)
     tau_grid_search(k, delta, m, 64)
-    assert 0 < calls <= most
+    assert 0 < len(prices) <= most
 
 
 def test_tau_grid_search_takes_a_grid_up_to_its_cap():
@@ -342,51 +348,41 @@ def test_tau_grid_search_takes_a_grid_up_to_its_cap():
         tau_grid_search(2, 1, 1, LCL_MAX_GRID // 2 + 1)
 
 
+def refused_at_the_cap(prices: list, search, *inputs) -> None:
+    """Assert that search(*inputs) is refused by the work meter before the
+    evaluation whose price would take the work it ran past LCL_MAX_WORK."""
+    with pytest.raises(ValueError, match=f"take work up to {LCL_MAX_WORK} .* reaches "):
+        search(*inputs)
+    *ran, refused = prices
+    assert 0 < sum(ran) <= LCL_MAX_WORK < sum(ran) + refused
+
+
 @pytest.mark.parametrize("k, delta, m, denominator",
                          [(3, 10**724, 10**400, 64), (100, 10**86, 10**6, 64)],
                          ids=["k3-delta1e724", "k100-delta1e86"])
 def test_tau_grid_search_refuses_a_grid_once_its_work_passes_the_cap(k, delta, m, denominator,
                                                                      monkeypatch):
-    # the first least t fits under the cap, but the peak of these grids is
-    # tau = 2, far from k/(k-1), and the search there needs about 1.9 times
-    # the cap; they are refused within the evaluations that the cap pays for
-    calls = 0
-    build = bounds._lcl_sides
-
-    def counted(k, delta, m):
-        at = build(k, delta, m)
-
-        def counted_at(p, q):
-            sides = at(p, q)
-
-            def counted_sides(t):
-                nonlocal calls
-                calls += 1
-                return sides(t)
-
-            return counted_sides
-
-        return counted_at
-
-    monkeypatch.setattr(bounds, "_lcl_sides", counted)
-    with pytest.raises(ValueError, match=f"grid of work up to {LCL_MAX_GRID_WORK} .* at tau = "):
-        tau_grid_search(k, delta, m, denominator)
-    assert 0 < calls * bounds._grid_charge(k, delta, m, denominator)[1] <= LCL_MAX_GRID_WORK
+    # the peak of these grids is tau = 2, far from k/(k-1), and the search
+    # there needs more work than the cap
+    refused_at_the_cap(priced(monkeypatch), tau_grid_search, k, delta, m, denominator)
 
 
-def test_tau_grid_search_refuses_a_grid_beyond_its_work_cap_before_any_evaluation(monkeypatch):
-    monkeypatch.setattr(bounds, "_lcl_sides", None)
-    with pytest.raises(ValueError, match="reaches [0-9]+ before any evaluation"):
-        tau_grid_search(1000, 10**30, 10**6, 65)
+def test_lcl_min_colors_refuses_a_search_once_its_work_passes_the_cap(monkeypatch):
+    # its least t has about 13,300 bits; without the meter it answered in 7.1 s
+    refused_at_the_cap(priced(monkeypatch), lcl_min_colors, 3, 10**2000, 1)
 
 
 @pytest.mark.parametrize("k, delta, m, denominator",
                          [(1000, 10**6, 10**6, 65), (2, 1, 10**400, 400), (2, 1, 10**400, 3200),
-                          (20, 10**150, 10**400, 40)])
+                          (20, 10**150, 10**400, 40), (100, 10**74, 10**232, 64)],
+                         ids=["k1000-D65", "k2-m1e400-D400", "k2-m1e400-D3200",
+                              "k20-delta1e150-D40", "k100-delta1e74-D64"])
 def test_tau_grid_search_answers_grids_near_its_work_cap(k, delta, m, denominator):
     # the first takes 148 evaluations, where one at every grid point took 200;
-    # the last two improved on their t at every grid point, and a search of
-    # every point was refused after 605,245 and 8,024 evaluations
+    # (2, 1, 10**400, 3200) and (20, 10**150, 10**400, 40) improved on their t
+    # at every grid point, and a search of every point was refused after
+    # 605,245 and 8,024 evaluations; the last was refused after 2.3 s when
+    # each evaluation was charged a price estimated from a guessed t
     tau, t = tau_grid_search(k, delta, m, denominator)
     assert lcl_condition(k, delta, m, t, tau).holds
     assert not lcl_condition(k, delta, m, t - 1, tau).holds

@@ -27,6 +27,7 @@ from harmcolor import (
     Hypergraph,
     builtin_instance,
     lcl_condition,
+    lcl_min_colors,
     main,
     max_degree,
     parse_coloring,
@@ -34,7 +35,7 @@ from harmcolor import (
     serialize_coloring,
     serialize_hypergraph,
 )
-from harmcolor.bounds import LCL_MAX_BITS, LCL_MAX_GRID, LCL_MAX_GRID_WORK, LCL_MAX_K
+from harmcolor.bounds import LCL_MAX_BITS, LCL_MAX_GRID, LCL_MAX_K, LCL_MAX_WORK
 from harmcolor.cli import CSV_COLUMNS
 from oracles import naive_bad_edges, naive_is_harmonious, naive_pattern_pairs
 
@@ -426,13 +427,28 @@ def test_bound_with_a_tau_grid_above_its_cap_exits_2_at_once(denominator, capsys
         f"got 2 * {denominator}\n")
 
 
+WORK_REFUSAL = f"error: the certificate's searches take work up to {LCL_MAX_WORK} "
+
+
 def test_bound_with_a_tau_grid_beyond_its_work_cap_exits_2(capsys):
-    # the search needs about 1.9 times the cap; it is refused once its charged
-    # work passes the cap
+    # the search needs more work than the cap; it is refused once its charged
+    # work would pass the cap
     assert main(["bound", "--k", "100", "--delta", str(10**86), "--m", str(10**6),
                  "--tau-grid", "64"]) == 2
-    assert capsys.readouterr().err.startswith(
-        f"error: tau_grid_search takes a grid of work up to {LCL_MAX_GRID_WORK} ")
+    assert capsys.readouterr().err.startswith(WORK_REFUSAL)
+
+
+@pytest.mark.parametrize("delta, grid", [(10**60, []), (10**30, ["--tau-grid", "65"])],
+                         ids=["lcl-min-delta1e60", "tau-grid-delta1e30"])
+def test_bound_with_a_certificate_search_beyond_its_work_cap_exits_2(delta, grid, capsys):
+    # without the meter lcl_min_colors ran 51 s at delta = 10**60 and answered,
+    # and the two searches at delta = 10**30 took 11.1 s
+    start = time.perf_counter()
+    assert main(["bound", "--k", "1000", "--delta", str(delta), "--m", str(10**6)] + grid) == 2
+    assert time.perf_counter() - start < 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(WORK_REFUSAL)
 
 
 def test_bound_answers_a_tau_grid_that_improved_at_every_point(capsys):
@@ -487,13 +503,25 @@ BOUND = ["bound", "--k", "2", "--delta", "1", "--m", "8"]
     (BOUND + ["--tau", "3/0"], "not a rational number: '3/0'"),
     (BOUND + ["--eps", "nan"], "eps must be a finite nonnegative number, got nan"),
     (BOUND + ["--eps", "inf"], "eps must be a finite nonnegative number, got inf"),
-    (["bound", "--k", "3", "--delta", str(10**400), "--m", "5"],
-     "remark_bound is beyond float range"),
     (BOUND + ["--t", str(sys.maxsize + 1), "--mc-trials", "10"], "t must be at most"),
-], ids=["tau-1/0", "tau-3/0-without-t", "eps-nan", "eps-inf", "delta-1e400", "t-2**63-mc"])
+], ids=["tau-1/0", "tau-3/0-without-t", "eps-nan", "eps-inf", "t-2**63-mc"])
 def test_non_finite_or_oversized_bound_numbers_exit_2(argv, needle, capsys):
     assert main(argv) == 2
     assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, beyond", [
+    (["bound", "--k", "3", "--delta", str(10**200), "--m", str(10**6)], {"remark"}),
+    (["bound", "--k", "3", "--delta", str(10**400), "--m", "5"], {"remark"}),
+    (BOUND + ["--eps", "1e308"], {"theorem"}),
+], ids=["delta-1e200", "delta-1e400", "eps-1e308"])
+def test_bound_prints_a_closed_form_beyond_float_range_as_a_row(argv, beyond, capsys):
+    # the exact rows still answer: lcl_min is the exact certificate's least t
+    assert main(argv) == 0
+    rows = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+    assert {name for name, value in rows.items() if value == "beyond float range"} == beyond
+    k, delta, m = (int(argv[argv.index(flag) + 1]) for flag in ("--k", "--delta", "--m"))
+    assert int(rows["lcl_min"]) == lcl_min_colors(k, delta, m)
 
 
 @pytest.mark.parametrize("eps", ["inf", "1e308"])
@@ -514,8 +542,10 @@ NUMBER_FLAGS = ("--delta", "--m", "--t", "--eps", "--tau")
 BOUND_BASE = {"--k": "3", "--delta": "2", "--m": "15", "--t": "141", "--eps": "0.1",
               "--tau": "3/2", "--mc-trials": "100"}
 # the caps, and small numbers where several options change at once, keep each run
-# short: a large k or delta is real work, and the grid's cap bounds k * denominator
-# (k = 3 with delta = m = 10**6 and the largest grid allowed takes about 2 s)
+# short: a large k or delta is real work. The grid's cap refuses a huge k * denominator
+# at once, and the certificate's work cap ends any search in seconds; at k = 3 a token
+# of 10**400 in --delta, where a closed form leaves float range, costs the exact rows
+# about 0.2 s, and the largest grid allowed at delta = m = 10**6 a few milliseconds
 BOUND_VALUES = {flag: SMALL for flag in NUMBER_FLAGS}
 BOUND_VALUES["--k"] = st.integers(-2, 100).map(str) | st.sampled_from(["nan", "3/2", "1/0", "x"])
 BOUND_VALUES["--tau-grid"] = NUMBERS
