@@ -1,7 +1,5 @@
 """``python -m harmcolor``: the command-line front end."""
 
-import sys
+from .cli import main_and_exit
 
-from .cli import main
-
-sys.exit(main())
+main_and_exit()

@@ -224,8 +224,8 @@ def pattern_prob_bound(i: int, t: int) -> Fraction:
     return Fraction(factorial(i), t ** i)
 
 
-def _lcl_sides(k: int, delta: int,
-               m: int) -> Callable[[int, int], Callable[[int], tuple[int, int]]]:
+def _lcl_sides(k: int, delta: int, m: int,
+               search: str) -> Callable[[int, int], Callable[[int], tuple[int, int]]]:
     """The certificate inequality at weight tau = p/q, taken as two ints, as a
     function of t that returns (lhs, rhs): both sides multiplied by
     D = L * (q*t)^k, where L = lcm(1..k-1), so that both are integers and
@@ -247,7 +247,7 @@ def _lcl_sides(k: int, delta: int,
     Every evaluation of one _lcl_sides(k, delta, m), at any (p, q), adds
     bits**2 to one running charge before it runs, bits being _lcl_bits at
     (t, p, q), and raises ValueError instead of running once the charge
-    would pass LCL_MAX_WORK."""
+    would pass LCL_MAX_WORK; its message names the search and (k, delta, m)."""
     big_l = lcm(*range(1, k))
     k_factorial = factorial(k)
     spread = [delta * delta * k * (big_l // (k - i)) for i in range(1, k)]
@@ -268,9 +268,10 @@ def _lcl_sides(k: int, delta: int,
             nonlocal spent
             spent += _lcl_bits(k, delta, m, t, p, q) ** 2
             if spent > LCL_MAX_WORK:
-                raise ValueError(f"the certificate's searches take work up to {LCL_MAX_WORK} "
-                                 f"(evaluations * bits**2 for integers of bits bits); "
-                                 f"this one reaches {spent}")
+                raise ValueError(f"{search} stopped at k={k}, delta={_brief(delta)}, "
+                                 f"m={_brief(m)}: the certificate's searches take work up "
+                                 f"to {LCL_MAX_WORK} (evaluations * bits**2 for integers "
+                                 f"of bits bits); this one reaches {spent}")
             a = q * t
             total = 0
             for coefficient in horner:
@@ -281,6 +282,12 @@ def _lcl_sides(k: int, delta: int,
         return sides
 
     return at
+
+
+def _brief(n: int) -> str:
+    """n in decimal up to 256 bits, else its bit length: a message stays short,
+    and str refuses an int beyond the interpreter's digit limit."""
+    return str(n) if n.bit_length() <= 256 else f"a {n.bit_length()}-bit integer"
 
 
 def check_certificate_k(k: int) -> None:
@@ -325,7 +332,7 @@ def lcl_condition(k: int, delta: int, m: int, t: int,
     if bits > LCL_MAX_BITS:
         raise ValueError(f"the exact certificate takes integers up to {LCL_MAX_BITS} bits, "
                          f"about k * log2(max(p, q*t)) for tau = p/q; got {bits}")
-    lhs, rhs = _lcl_sides(k, delta, m)(p, q)(t)
+    lhs, rhs = _lcl_sides(k, delta, m, "lcl_condition")(p, q)(t)
     slack = Fraction(p * (lhs - rhs), q * lhs)  # D = lhs / tau
     return LclResult(holds=lhs >= rhs, slack=slack)
 
@@ -347,7 +354,7 @@ def lcl_min_colors(k: int, delta: int, m: int, tau: Fraction | None = None) -> i
         if tau <= 1:
             raise ValueError(f"tau must exceed 1, got {tau}")
         p, q = tau.numerator, tau.denominator
-    sides = _lcl_sides(k, delta, m)(p, q)
+    sides = _lcl_sides(k, delta, m, "the least-palette search (lcl_min_colors)")(p, q)
     return _least(lambda t: ge(*sides(t)))
 
 
@@ -382,7 +389,7 @@ def tau_grid_search(k: int, delta: int, m: int,
     if k * denominator > LCL_MAX_GRID:
         raise ValueError(f"tau_grid_search takes k * denominator up to {LCL_MAX_GRID}, "
                          f"got {k} * {denominator}")
-    at = _lcl_sides(k, delta, m)
+    at = _lcl_sides(k, delta, m, "the tau-grid search (tau_grid_search)")
     points: dict[int, tuple[Callable[[int], tuple[int, int]], int]] = {}
     slacks: dict[tuple[int, int], tuple[int, int]] = {}
 

@@ -13,12 +13,14 @@ or infeasible parameters, 3 I/O or format errors, or out of memory.
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
+import os
 import sys
 from collections import namedtuple
 from itertools import product
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NoReturn, Sequence
 
 # each command imports the other modules, and csv, fractions and json, when it
 # runs, so that a CLI child loads only what its command needs
@@ -419,15 +421,7 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="harmcolor",
-        description="Harmonious colorings of k-uniform hypergraphs: "
-                    "verify, solve, bound, generate, experiment.",
-        epilog="exit codes: 0 ok; 1 negative answer; 2 usage; 3 I/O or format",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _gen_parser(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("gen", help="write a random bounded-degree instance")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -438,6 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="instance file (default stdout)")
     p.set_defaults(func=cmd_gen)
 
+
+def _solve_parser(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("solve", help="build a harmonious coloring by resampling")
     p.add_argument("--input", required=True, help="instance file")
     p.add_argument("--colors", type=int, default=None, help="palette size t")
@@ -449,16 +445,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="coloring file (default stdout)")
     p.set_defaults(func=cmd_solve)
 
+
+def _verify_parser(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("verify", help="check a coloring file against an instance")
     p.add_argument("--input", required=True, help="instance file")
     p.add_argument("--coloring", required=True, help="coloring file")
     p.set_defaults(func=cmd_verify)
 
+
+def _exact_parser(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("exact", help="harmonious number by branch and bound")
     p.add_argument("--input", required=True, help="instance file")
     p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(func=cmd_exact)
 
+
+def _bound_parser(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("bound", help="print the bound calculators side by side")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--delta", type=int, required=True)
@@ -477,11 +479,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("table", "csv"), default="table")
     p.set_defaults(func=cmd_bound)
 
+
+def _experiment_parser(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("experiment", help="run a seeded batch and emit CSV")
     p.add_argument("--spec", required=True, help="JSON experiment spec")
     p.add_argument("--output", default=None, help="override the spec's CSV path")
     p.set_defaults(func=cmd_experiment)
 
+
+# each command's subparser, in the order the help lists them
+SUBPARSERS = {"gen": _gen_parser, "solve": _solve_parser, "verify": _verify_parser,
+              "exact": _exact_parser, "bound": _bound_parser, "experiment": _experiment_parser}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser, with every command's subparser, or only that of
+    command. The subparsers' metavar is the one argparse would make from all
+    of them, so the top-level usage reads the same either way; it is left
+    unset on the full parser, whose invalid-choice error names it."""
+    parser = argparse.ArgumentParser(
+        prog="harmcolor",
+        description="Harmonious colorings of k-uniform hypergraphs: "
+                    "verify, solve, bound, generate, experiment.",
+        epilog="exit codes: 0 ok; 1 negative answer; 2 usage; 3 I/O or format",
+    )
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if command is None
+                                else "{" + ",".join(SUBPARSERS) + "}")
+    for name in SUBPARSERS if command is None else [command]:
+        SUBPARSERS[name](sub)
     return parser
 
 
@@ -500,7 +526,10 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _run(argv: Sequence[str] | None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command word first needs only its own subparser; anything else (help,
+    # no arguments, an unknown word) gets the full parser and its messages
+    parser = build_parser(argv[0] if argv and argv[0] in SUBPARSERS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage or help
@@ -522,5 +551,30 @@ def _run(argv: Sequence[str] | None) -> int:
         return EXIT_USAGE
 
 
+def main_and_exit() -> NoReturn:
+    """The script entry of every CLI child (``harmcolor``, ``python -m
+    harmcolor`` and ``python -m harmcolor.cli``): run main, run the atexit
+    handlers (a coverage or profiling hook saves its data there), flush
+    stdout and stderr, and end the process with os._exit, skipping the
+    interpreter's teardown, whose freeing of every module and object a dying
+    process does not need. That is the interpreter's own exit order, except
+    that a failed flush is reported as an I/O error, exit 3, where the
+    interpreter would print "Exception ignored" and exit 120. An exception
+    that escapes main takes the interpreter's usual exit."""
+    code = main()
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:  # None when the process started with the stream closed
+                stream.flush()
+        except OSError as exc:
+            code = EXIT_IO
+            try:
+                print(f"error: {exc}", file=sys.stderr, flush=True)
+            except OSError:  # stderr cannot take the report either
+                pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    main_and_exit()

@@ -313,8 +313,8 @@ def priced(monkeypatch) -> list:
     prices = []
     build = bounds._lcl_sides
 
-    def counted(k, delta, m):
-        at = build(k, delta, m)
+    def counted(k, delta, m, search):
+        at = build(k, delta, m, search)
 
         def counted_at(p, q):
             sides = at(p, q)
@@ -349,9 +349,11 @@ def test_tau_grid_search_takes_a_grid_up_to_its_cap():
 
 
 def refused_at_the_cap(prices: list, search, *inputs) -> None:
-    """Assert that search(*inputs) is refused by the work meter before the
-    evaluation whose price would take the work it ran past LCL_MAX_WORK."""
-    with pytest.raises(ValueError, match=f"take work up to {LCL_MAX_WORK} .* reaches "):
+    """Assert that search(*inputs) is refused by the work meter, in a message
+    that names the search and its k, before the evaluation whose price would
+    take the work it ran past LCL_MAX_WORK."""
+    with pytest.raises(ValueError, match=f"\\({search.__name__}\\) stopped at k={inputs[0]}, "
+                                         f".* take work up to {LCL_MAX_WORK} .* reaches "):
         search(*inputs)
     *ran, refused = prices
     assert 0 < sum(ran) <= LCL_MAX_WORK < sum(ran) + refused

@@ -36,7 +36,7 @@ from harmcolor import (
     serialize_hypergraph,
 )
 from harmcolor.bounds import LCL_MAX_BITS, LCL_MAX_GRID, LCL_MAX_K, LCL_MAX_WORK
-from harmcolor.cli import CSV_COLUMNS
+from harmcolor.cli import CSV_COLUMNS, SUBPARSERS, build_parser
 from oracles import naive_bad_edges, naive_is_harmonious, naive_pattern_pairs
 
 
@@ -427,7 +427,11 @@ def test_bound_with_a_tau_grid_above_its_cap_exits_2_at_once(denominator, capsys
         f"got 2 * {denominator}\n")
 
 
-WORK_REFUSAL = f"error: the certificate's searches take work up to {LCL_MAX_WORK} "
+def work_refusal(search: str, k: int, delta: int | str, m: int) -> str:
+    """The start of the work meter's refusal of a search at (k, delta, m),
+    where an input beyond 256 bits is named by its bit length."""
+    return (f"error: {search} stopped at k={k}, delta={delta}, m={m}: "
+            f"the certificate's searches take work up to {LCL_MAX_WORK} ")
 
 
 def test_bound_with_a_tau_grid_beyond_its_work_cap_exits_2(capsys):
@@ -435,20 +439,24 @@ def test_bound_with_a_tau_grid_beyond_its_work_cap_exits_2(capsys):
     # work would pass the cap
     assert main(["bound", "--k", "100", "--delta", str(10**86), "--m", str(10**6),
                  "--tau-grid", "64"]) == 2
-    assert capsys.readouterr().err.startswith(WORK_REFUSAL)
+    assert capsys.readouterr().err.startswith(work_refusal(  # 10**86 has 286 bits
+        "the tau-grid search (tau_grid_search)", 100, "a 286-bit integer", 10**6))
 
 
 @pytest.mark.parametrize("delta, grid", [(10**60, []), (10**30, ["--tau-grid", "65"])],
                          ids=["lcl-min-delta1e60", "tau-grid-delta1e30"])
 def test_bound_with_a_certificate_search_beyond_its_work_cap_exits_2(delta, grid, capsys):
     # without the meter lcl_min_colors ran 51 s at delta = 10**60 and answered,
-    # and the two searches at delta = 10**30 took 11.1 s
+    # and the two searches at delta = 10**30 took 11.1 s; bound runs the
+    # least-palette search first, and here it is the one refused, so the
+    # message tells that the grid never ran
     start = time.perf_counter()
     assert main(["bound", "--k", "1000", "--delta", str(delta), "--m", str(10**6)] + grid) == 2
     assert time.perf_counter() - start < 10
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(WORK_REFUSAL)
+    assert captured.err.startswith(work_refusal(
+        "the least-palette search (lcl_min_colors)", 1000, delta, 10**6))
 
 
 def test_bound_answers_a_tau_grid_that_improved_at_every_point(capsys):
@@ -883,21 +891,142 @@ def test_experiment_spec_accepts_null_where_allowed(tmp_path):
     assert spec.t_fixed is None and spec.max_resamples is None
 
 
-def run_python(*args: str) -> subprocess.CompletedProcess:
-    """Run the interpreter on args with this checkout's package on the path."""
+def run_python(*args: str, stdout=subprocess.PIPE, **env: str | None) -> subprocess.CompletedProcess:
+    """Run the interpreter on args with this checkout's package on the path;
+    each keyword sets that variable in the child's environment, or removes
+    it when None."""
     src = str(Path(harmcolor.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=env, timeout=120)
+    child = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]), **env)
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, timeout=120,
+                          env={key: value for key, value in child.items() if value is not None})
 
 
-@pytest.mark.parametrize("module", ["harmcolor", "harmcolor.cli"])
-def test_python_dash_m_runs_the_cli(module):
-    proc = run_python("-m", module, "bound", "--k", "2", "--delta", "1", "--m", "1")
+def in_process(argv: list[str], capsys) -> tuple[str, str, int]:
+    code = main(argv)
+    captured = capsys.readouterr()
+    return captured.out, captured.err, code
+
+
+@pytest.mark.parametrize("code, argv", [
+    (0, ["bound", "--k", "2", "--delta", "1", "--m", "1"]),
+    (1, ["verify", "--input", "{triangle}", "--coloring", "{bad}"]),
+    (2, ["gen", "--k", "1", "--n", "3", "--m", "1", "--max-degree", "1"]),
+    (3, ["exact", "--input", "{missing}"]),
+], ids=["exit0", "exit1", "exit2", "exit3"])
+def test_python_dash_m_runs_the_cli(code, argv, tmp_path, triangle_file, capsys):
+    # both module entries, the one the installed script runs too, end the
+    # child as in-process main returns
+    bad = tmp_path / "bad.col"
+    bad.write_text("c 3 3\nv 0 1\nv 1 1\nv 2 2\n")
+    argv = [arg.format(triangle=triangle_file, bad=bad, missing=tmp_path / "nope.hg")
+            for arg in argv]
+    expected = in_process(argv, capsys)
+    assert expected[2] == code and expected[0] + expected[1]
+    for module in ("harmcolor", "harmcolor.cli"):
+        proc = run_python("-m", module, *argv, PYTHONUNBUFFERED=None)
+        assert (proc.stdout, proc.stderr, proc.returncode) == expected, module
+
+
+def test_the_script_entry_runs_the_atexit_handlers_and_flushes_after_them():
+    proc = run_python("-c", "import atexit, sys\n"
+                      "atexit.register(print, 'atexit ran', end='')\n"
+                      "sys.argv[1:] = ['bound', '--k', '2', '--delta', '1', '--m', '1']\n"
+                      "from harmcolor.cli import main_and_exit\nmain_and_exit()",
+                      PYTHONUNBUFFERED=None)
     assert proc.returncode == 0, proc.stderr
-    assert "RuntimeWarning" not in proc.stderr
-    assert proc.stdout.splitlines()[-1].split() == ["lcl_min", "21"]
+    assert proc.stdout.endswith("lcl_min  21\natexit ran")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("command", ["bound", "verify"])
+def test_a_failed_flush_of_stdout_exits_3(command, tmp_path, triangle_file):
+    # buffered stdout is written when it is flushed at exit; the interpreter's
+    # own flush there printed "Exception ignored" and exited 120
+    coloring = tmp_path / "c.col"
+    coloring.write_text("c 3 3\nv 0 1\nv 1 2\nv 2 3\n")
+    argv = {"bound": ["--k", "2", "--delta", "1", "--m", "1"],
+            "verify": ["--input", str(triangle_file), "--coloring", str(coloring)]}[command]
+    with open("/dev/full", "w") as full:
+        proc = run_python("-m", "harmcolor.cli", command, *argv, stdout=full,
+                          PYTHONUNBUFFERED=None)
+    assert proc.returncode == 3
+    assert proc.stderr == "error: [Errno 28] No space left on device\n"
+
+
+# sha256 of json.dumps([code, stdout, stderr]) of main(argv) at COLUMNS=80,
+# recorded when every command built the full parser: a command word first
+# now builds only its own subparser, and every text must stay the same
+CLI_TEXTS = {
+    "--help": "26106f10ecf4bdd8", "bogus": "664cca326053e79e", "": "cd403139c2b8f479",
+    "solve --input x extra": "06f48c481d8f5e59",
+    "gen --help": "85bdc2238c54082f", "solve --help": "f783dcbddd45d8ae",
+    "verify --help": "d0a6ca51cde09bbe", "exact --help": "ede37f2f067c1c5f",
+    "bound --help": "3dd23f4766bf56eb", "experiment --help": "01e053f7705b0e06",
+}
+
+
+@pytest.mark.parametrize("line", CLI_TEXTS)
+def test_help_and_usage_texts_are_unchanged(line, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err, code = in_process(line.split(), capsys)
+    digest = hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()[:16]
+    assert digest == CLI_TEXTS[line], out + err
+
+
+def test_a_command_builds_only_its_subparser_with_the_full_usage(monkeypatch, capsys):
+    full = build_parser()
+    for command in SUBPARSERS:
+        one = build_parser(command)
+        assert list(one._subparsers._group_actions[0].choices) == [command]
+        assert one.format_usage() == full.format_usage()
+    built = []
+    monkeypatch.setattr(harmcolor.cli, "build_parser",
+                        lambda command=None: built.append(command) or build_parser(command))
+    for argv in (["bound", "--k", "2", "--delta", "1", "--m", "1"], ["--help"], ["bogus"], []):
+        main(argv)
+    assert built == ["bound", None, None, None]
+
+
+def test_a_child_writes_what_main_writes(tmp_path, capsys):
+    gen = ["gen", "--k", "3", "--n", "20000", "--m", "20000", "--max-degree", "3", "--seed", "1"]
+    proc = run_python("-m", "harmcolor.cli", *gen, PYTHONUNBUFFERED=None)
+    assert proc.returncode == 0, proc.stderr
+    text = proc.stdout
+    assert text == in_process(gen, capsys)[0]
+    instance, coloring = tmp_path / "h.txt", tmp_path / "c.txt"
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(spec_dict(tmp_path)))
+    for argv, path in [(gen + ["--output", str(instance)], instance),
+                       (["solve", "--input", str(instance), "--t-policy", "lcl-min",
+                         "--output", str(coloring)], coloring),
+                       (["experiment", "--spec", str(spec)], tmp_path / "rows.csv")]:
+        proc = run_python("-m", "harmcolor.cli", *argv, PYTHONUNBUFFERED=None)
+        assert proc.returncode == 0, proc.stderr
+        written = path.read_text()
+        assert in_process(argv, capsys)[:2] == (proc.stdout, proc.stderr)
+        assert path.read_text() == written, argv[0]
+    assert instance.read_text() == text
+
+
+def test_children_do_not_depend_on_the_hash_seed(tmp_path):
+    # a seeded gen and a solve whose random scan resamples 563 times here
+    instance, coloring = tmp_path / "h.txt", tmp_path / "c.txt"
+    commands = [["gen", "--k", "3", "--n", "1000", "--m", "1000", "--max-degree", "3",
+                 "--seed", "7", "--output", str(instance)],
+                ["solve", "--input", str(instance), "--colors", "45", "--scan", "random",
+                 "--seed", "3", "--output", str(coloring)]]
+    runs = []
+    for hash_seed in ("0", "12345"):
+        run = []
+        for argv in commands:
+            proc = run_python("-m", "harmcolor.cli", *argv, PYTHONHASHSEED=hash_seed)
+            assert proc.returncode == 0, proc.stderr
+            run.append((proc.stdout, proc.stderr))
+        runs.append((run, instance.read_text(), coloring.read_text()))
+    assert runs[0] == runs[1]
+    assert "resamples_total=563 " in runs[0][0][1][0]
 
 
 def test_the_package_runs_without_numpy():
