@@ -13,17 +13,19 @@ __version__ = "0.1.0"
 # loads only the modules it runs, and ``python -m harmcolor.cli`` does not
 # find the CLI already imported
 _EXPORTS = {name: module for module, names in {
+    "_base": "FormatError GenerationFailure InfeasibleConfigError",
     "bounds": "LclResult bad_edge_prob_bound bad_edge_prob_exact lcl_condition lcl_min_colors "
               "lower_bound_colors monte_carlo_event_probs pattern_prob_bound remark_bound "
               "tau_grid_search theorem_bound theorem_ceil_colors",
-    "cli": "ExperimentSpec main run_experiment",
+    "cli": "main",
     "coloring": "BadEdge Coloring LocalEvents SamePattern bad_edges colors_used is_harmonious "
-                "local_bad_events parse_coloring pattern_collisions serialize_coloring",
-    "hypergraph": "FormatError GenerationFailure GeneratorConfig Hypergraph InfeasibleConfigError "
-                  "builtin_instance generate_random_bounded_degree max_degree parse_hypergraph "
-                  "serialize_hypergraph",
-    "solver": "NodeBudgetExceeded SolveReport SolverConfig TraceStep exact_harmonious_number "
-              "greedy_upper resample_solve sample_uniform_coloring",
+                "local_bad_events pattern_collisions serialize_coloring",
+    "exact": "NodeBudgetExceeded exact_harmonious_number greedy_upper",
+    "experiment": "ExperimentSpec run_experiment",
+    "generate": "GeneratorConfig builtin_instance generate_random_bounded_degree",
+    "hypergraph": "Hypergraph max_degree serialize_hypergraph",
+    "readers": "parse_coloring parse_hypergraph",
+    "solver": "SolveReport SolverConfig TraceStep resample_solve sample_uniform_coloring",
 }.items() for name in names.split()}
 __all__ = [*sorted(_EXPORTS), "__version__"]
 

@@ -20,16 +20,14 @@ builds the index on the same keys, only for a coloring that fails.
 from __future__ import annotations
 
 import random
-import sys
 from bisect import bisect_left, insort
-from collections import deque
 from functools import cached_property
 from itertools import compress, islice
 from operator import eq, itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
-from .hypergraph import (FormatError, Hypergraph, _block_columns, _Checked, _content_lines,
-                         _find_header, _line_blocks)
+from ._base import _Checked
+from .hypergraph import Hypergraph
 
 
 class _ColoringFields(NamedTuple):
@@ -332,66 +330,6 @@ def colors_used(c: Coloring) -> int:
     """Number of distinct color ids actually assigned."""
     return len(set(c.colors) - {0})
 
-
-def parse_coloring(text: str) -> tuple[Coloring, int]:
-    """Parse the coloring format: header ``c <t> <n>``, then ``v <vertex>
-    <color>`` lines. Returns (coloring, n) with n the declared vertex count.
-    Comments (#) and blank lines are skipped, and a line ends at LF. Each
-    block is checked at once against the vertices colored before it; only a
-    block that faults is read again by _color_lines, which names the first
-    fault's line."""
-    lineno, line, tokens, pos = _find_header(text)
-    t, n = _coloring_header(lineno, line, tokens)
-    colors = [0] * n
-    for block in _line_blocks(text, pos):
-        try:
-            vertices, hues = _block_columns(block, "v", 2) or ([], [])
-        except ValueError:  # read below, once the traceback and its tokens are freed
-            vertices = None
-        if vertices is None or vertices and (
-                min(vertices) < 0 or max(vertices) >= n or min(hues) < 1 or max(hues) > t
-                or len(set(vertices)) != len(vertices) or any(map(colors.__getitem__, vertices))):
-            _color_lines(t, n, colors, _content_lines(block, text.count("\n", 0, pos)))
-        else:
-            deque(map(colors.__setitem__, vertices, hues), 0)
-        pos += len(block) + 1
-    return Coloring(t=t, colors=colors), n
-
-
-def _coloring_header(lineno: int, line: str, tokens: list[str]) -> tuple[int, int]:
-    """(t, n) of the coloring header ``c <t> <n>``."""
-    if len(tokens) != 3 or tokens[0] != "c":
-        raise FormatError(f"expected header 'c <t> <n>', got {line!r}", lineno)
-    try:
-        t, n = int(tokens[1]), int(tokens[2])
-    except ValueError:
-        raise FormatError(f"non-integer field in header {line!r}", lineno) from None
-    if t < 1 or n < 0:
-        raise FormatError(f"header out of range: t={t}, n={n}", lineno)
-    if n > sys.maxsize:  # no list of n colors can exist
-        raise FormatError(f"vertex count must be at most {sys.maxsize}, got {n}", lineno)
-    return t, n
-
-
-def _color_lines(t: int, n: int, colors: list[int],
-                 lines: Iterator[tuple[int, str, list[str]]]) -> None:
-    """parse_coloring's per-line check: enters the content lines ``lines``
-    one at a time into ``colors``, the list of the header ``c <t> <n>``, and
-    raises a FormatError on the line of the first fault."""
-    for lineno, line, tokens in lines:
-        if tokens[0] != "v" or len(tokens) != 3:
-            raise FormatError(f"expected 'v <vertex> <color>', got {line!r}", lineno)
-        try:
-            vertex, color = int(tokens[1]), int(tokens[2])
-        except ValueError:
-            raise FormatError(f"non-integer field in {line!r}", lineno) from None
-        if not 0 <= vertex < n:
-            raise FormatError(f"vertex {vertex} outside 0..{n - 1}", lineno)
-        if not 1 <= color <= t:
-            raise FormatError(f"color {color} outside 1..{t}", lineno)
-        if colors[vertex]:
-            raise FormatError(f"vertex {vertex} colored twice", lineno)
-        colors[vertex] = color
 
 
 def serialize_coloring(c: Coloring, n: int) -> str:

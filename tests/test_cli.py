@@ -36,7 +36,8 @@ from harmcolor import (
     serialize_hypergraph,
 )
 from harmcolor.bounds import LCL_MAX_BITS, LCL_MAX_GRID, LCL_MAX_K, LCL_MAX_WORK
-from harmcolor.cli import CSV_COLUMNS, SUBPARSERS, build_parser
+from harmcolor.cli import SUBPARSERS, build_parser
+from harmcolor.experiment import CSV_COLUMNS
 from oracles import naive_bad_edges, naive_is_harmonious, naive_pattern_pairs
 
 
@@ -891,15 +892,16 @@ def test_experiment_spec_accepts_null_where_allowed(tmp_path):
     assert spec.t_fixed is None and spec.max_resamples is None
 
 
-def run_python(*args: str, stdout=subprocess.PIPE, **env: str | None) -> subprocess.CompletedProcess:
-    """Run the interpreter on args with this checkout's package on the path;
-    each keyword sets that variable in the child's environment, or removes
-    it when None."""
+def run_python(*args: str, stdout=subprocess.PIPE, preexec_fn=None,
+               **env: str | None) -> subprocess.CompletedProcess:
+    """Run the interpreter on args with this checkout's package on the path,
+    preexec_fn run in the child before it starts; each other keyword sets
+    that variable in the child's environment, or removes it when None."""
     src = str(Path(harmcolor.__file__).resolve().parents[1])
     child = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]), **env)
     return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
-                          text=True, timeout=120,
+                          text=True, timeout=120, preexec_fn=preexec_fn,
                           env={key: value for key, value in child.items() if value is not None})
 
 
@@ -953,6 +955,28 @@ def test_a_failed_flush_of_stdout_exits_3(command, tmp_path, triangle_file):
                           PYTHONUNBUFFERED=None)
     assert proc.returncode == 3
     assert proc.stderr == "error: [Errno 28] No space left on device\n"
+
+
+def full_stderr():
+    """Make the child's stderr /dev/full: a write there fails."""
+    os.dup2(os.open("/dev/full", os.O_WRONLY), 2)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("stderr", [lambda: os.close(2), full_stderr], ids=["closed", "full"])
+@pytest.mark.parametrize("command", ["bound", "verify"])
+def test_an_error_report_that_cannot_be_written_keeps_exit_3(command, stderr, tmp_path):
+    # stdout fails, so each command ends in an I/O error; its report cannot be
+    # written either: with stderr closed, sys.stderr is None and print would
+    # write the report to the failing stdout. The report is dropped and the
+    # exit code stands, where the report's own OSError escaped the handler
+    # and the child exited 1 with a traceback
+    argv = {"bound": ["--k", "2", "--delta", "1", "--m", "1"],
+            "verify": ["--input", str(tmp_path / "missing"), "--coloring", str(tmp_path / "x")]}
+    with open("/dev/full", "w") as full:
+        proc = run_python("-m", "harmcolor.cli", command, *argv[command], stdout=full,
+                          preexec_fn=stderr, PYTHONUNBUFFERED="1")
+    assert (proc.returncode, proc.stderr) == (3, "")
 
 
 # sha256 of json.dumps([code, stdout, stderr]) of main(argv) at COLUMNS=80,
@@ -1073,16 +1097,50 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
         proc = run_python("-S", "-c", LOAD_SET, command.split()[0], *args)
         assert proc.returncode == 0, proc.stderr
         loaded[command] = set(proc.stdout.splitlines()[-1].split())
-    assert loaded["gen"] == {"harmcolor.cli", "harmcolor.hypergraph"}
-    assert loaded["verify"] == loaded["gen"] | {"harmcolor.coloring"}
-    assert loaded["bound"] == loaded["gen"] | {"harmcolor.bounds", "fractions"}
-    # a fixed palette needs no bound: the solver imports bounds only for the exact search
+    front = {"harmcolor.cli", "harmcolor._base"}
+    assert loaded["gen"] == front | {"harmcolor.generate", "harmcolor.hypergraph"}
+    assert loaded["verify"] == front | {"harmcolor.hypergraph", "harmcolor.readers",
+                                        "harmcolor.coloring"}
+    # the bound table needs no instance code
+    assert loaded["bound"] == front | {"harmcolor.experiment", "harmcolor.bounds", "fractions"}
+    # a fixed palette needs no bound: the policies import bounds when they run
     assert loaded["solve --colors"] == loaded["verify"] | {"harmcolor.solver"}
     # the certificate at the default tau runs on ints: only a Fraction loads fractions
     assert loaded["solve"] == loaded["solve --colors"] | {"harmcolor.bounds"}
-    assert {"harmcolor.solver", "csv"} <= loaded["experiment"]
-    assert "fractions" not in loaded["experiment"]
+    assert loaded["exact"] == loaded["verify"] | {"harmcolor.exact", "harmcolor.bounds"}
+    # an experiment generates its instances: it reads no file
+    assert loaded["experiment"] == front | {
+        "harmcolor.experiment", "harmcolor.generate", "harmcolor.hypergraph",
+        "harmcolor.coloring", "harmcolor.solver", "harmcolor.exact", "harmcolor.bounds", "csv"}
     assert not any("dataclasses" in names for names in loaded.values())
+
+
+def test_no_module_imports_the_cli():
+    # python -m harmcolor.cli runs the front end as __main__, where an import
+    # of harmcolor.cli would compile it a second time; the entry of python -m
+    # harmcolor, __main__.py, is the one module that imports it
+    for path in Path(harmcolor.__file__).parent.glob("*.py"):
+        if path.name == "__main__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = "harmcolor" if node.level else ""
+                base = ".".join(filter(None, [base, node.module]))
+                modules = [base] + [f"{base}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            assert "harmcolor.cli" not in modules, f"{path.name}:{node.lineno}"
+
+
+def test_each_export_is_read_from_the_module_that_defines_it():
+    # a stale entry in the export map, or a name left imported at its old
+    # module, reads the export through a module other than its own
+    for name in harmcolor.__all__:
+        if name != "__version__":
+            home = getattr(harmcolor, name).__module__
+            assert home == f"harmcolor.{harmcolor._EXPORTS[name]}", name
 
 
 def test_the_package_loads_the_cli_lazily_and_exports_what_it_lists():

@@ -31,9 +31,9 @@ from harmcolor import (
     serialize_coloring,
     serialize_hypergraph,
 )
-from harmcolor import coloring, hypergraph
-from harmcolor.hypergraph import (LIVE_BLOCK, _find_header, _line_blocks, _LiveVertices,
-                                  _sample_ranks)
+from harmcolor import generate, hypergraph, readers
+from harmcolor.generate import LIVE_BLOCK, _LiveVertices, _sample_ranks
+from harmcolor.readers import _find_header, _line_blocks
 from oracles import naive_generate, naive_incidence
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -244,9 +244,10 @@ def test_rows_of_equal_hash_are_cleared_by_the_edge_by_edge_loop(monkeypatch):
     text = serialize_hypergraph(builtin_instance("k-star", 5, k=3))
     expected = parse_hypergraph(text)
     loops = []
-    count_calls(monkeypatch, hypergraph, "_edge_lines", loops)
+    count_calls(monkeypatch, readers, "_edge_lines", loops)
     count_calls(monkeypatch, hypergraph, "_canonical_rows", loops)
-    monkeypatch.setattr(hypergraph, "hash", lambda row: 0, raising=False)
+    for module in (hypergraph, readers):
+        monkeypatch.setattr(module, "hash", lambda row: 0, raising=False)
     assert parse_hypergraph(text) == expected and loops == ["_edge_lines"]
     assert Hypergraph(3, expected.n, list(expected.edges)) == expected
     assert loops == ["_edge_lines", "_canonical_rows"]
@@ -464,10 +465,8 @@ def no_readers(monkeypatch, kind):
     def reader(*args):
         raise AssertionError(f"a {kind} reader ran")
 
-    for module, name in {"lines": [(hypergraph, "_edge_lines"), (coloring, "_color_lines")],
-                         "blocks": [(hypergraph, "_block_columns"),
-                                    (coloring, "_block_columns")]}[kind]:
-        monkeypatch.setattr(module, name, reader)
+    for name in {"lines": ["_edge_lines", "_color_lines"], "blocks": ["_block_columns"]}[kind]:
+        monkeypatch.setattr(readers, name, reader)
 
 
 def refuse_block(*args):
@@ -546,7 +545,7 @@ def end_a_block_on(monkeypatch, text, line):
     """Set BLOCK_CHARS so that the first block after text's header, on
     line 1, ends on line ``line``, and return the blocks' last lines."""
     lfs = [match.start() for match in re.finditer("\n", text)]
-    monkeypatch.setattr(hypergraph, "BLOCK_CHARS", lfs[line - 1] - lfs[0] - 1)
+    monkeypatch.setattr(readers, "BLOCK_CHARS", lfs[line - 1] - lfs[0] - 1)
     return body_block_ends(text)
 
 
@@ -568,7 +567,7 @@ def test_the_block_readers_read_every_block(monkeypatch, blocks, shift):
         w = max(map(len, body)) + 2
         text = "\n".join([header] + [line.ljust(w - 1) for line in body[:-1]]
                          + [body[-1].ljust(w - 1 + shift)]) + "\n"
-        monkeypatch.setattr(hypergraph, "BLOCK_CHARS", 700 * w - 1)
+        monkeypatch.setattr(readers, "BLOCK_CHARS", 700 * w - 1)
         # without a cut, the last block ends with the empty line after the last LF
         assert body_block_ends(text) == ([1 + 700 * j for j in range(1, blocks)]
                                          + [1 + 700 * blocks + (shift < 0)])
@@ -581,7 +580,7 @@ PREAMBLE = ["# a comment", ""] * 550
 
 def test_a_long_preamble_is_read_by_the_block_readers(monkeypatch):
     no_readers(monkeypatch, "lines")
-    monkeypatch.setattr(hypergraph, "BLOCK_CHARS", 1024)
+    monkeypatch.setattr(readers, "BLOCK_CHARS", 1024)
     coloring = (Coloring(3, [1 + v % 3 for v in range(3000)]), 3000)
     for lines, parse, expected in [
             (instance_lines(3000), parse_hypergraph, builtin_instance("path", 3001)),
@@ -625,7 +624,7 @@ def last_lines_holding(text, line):
 def test_a_long_line_ends_its_block(monkeypatch):
     # 97 chars an edge line and up to 87 a coloring line; a comment line
     # longer than a block is the last line of the block it starts in
-    monkeypatch.setattr(hypergraph, "BLOCK_CHARS", 4096)
+    monkeypatch.setattr(readers, "BLOCK_CHARS", 4096)
     long_line = "# " + "x" * 70_000
     m = 1500
     h = Hypergraph(12, 10 ** 6 + 12 * m,
@@ -651,7 +650,7 @@ def test_a_block_ends_at_the_first_lf_past_block_chars(lines, final_lf, size, da
     text = "\n".join(lines) + "\n" * final_lf
     pos = data.draw(st.integers(0, len(text)))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(hypergraph, "BLOCK_CHARS", size)
+        patch.setattr(readers, "BLOCK_CHARS", size)
         blocks = [block.split("\n") for block in _line_blocks(text, pos)]
     # a final LF may end the last block, with no empty line after it
     joined = "\n".join(chain.from_iterable(blocks))
@@ -738,7 +737,7 @@ def two_blocks_apart(text, first, second):
 
 
 def test_a_repeat_two_blocks_after_its_first_copy_is_named_on_its_line(monkeypatch):
-    monkeypatch.setattr(hypergraph, "BLOCK_CHARS", 8192)  # about 750 lines a block
+    monkeypatch.setattr(readers, "BLOCK_CHARS", 8192)  # about 750 lines a block
     lines = instance_lines(3000)
     lines[2010] = lines[10]  # the edge of line 11 again, about 2000 lines later
     assert two_blocks_apart("\n".join(lines), 11, 2011)
@@ -789,13 +788,13 @@ def test_a_fault_costs_its_own_block(monkeypatch, fault):
     from instances import bounded_degree_edges
     m = 2 * 10 ** 4
     if fault == "colored twice":
-        parse, per_line = parse_coloring, (coloring, "_color_lines")
+        parse, per_line = parse_coloring, (readers, "_color_lines")
         clean = serialize_coloring(Coloring(400, [1 + v % 400 for v in range(m)]), m)
         lines = clean.split("\n")
         lines[-2] = "v 0 7"  # vertex 0 again, vertex m - 1 left uncolored
         message = "vertex 0 colored twice"
     else:
-        parse, per_line = parse_hypergraph, (hypergraph, "_edge_lines")
+        parse, per_line = parse_hypergraph, (readers, "_edge_lines")
         h = Hypergraph(3, m, bounded_degree_edges(1, 3, m, m, 3))
         clean = serialize_hypergraph(h)
         lines = clean.split("\n")
@@ -812,10 +811,9 @@ def test_a_fault_costs_its_own_block(monkeypatch, fault):
     assert len(body_block_ends(text)) > 10
     calls = []
     with pytest.MonkeyPatch.context() as patch:
-        for module in (hypergraph, coloring):
-            count_calls(patch, module, "_block_columns", calls)
+        count_calls(patch, readers, "_block_columns", calls)
         count_calls(patch, *per_line, calls)
-        count_calls(patch, hypergraph, "_rehash", calls)
+        count_calls(patch, readers, "_rehash", calls)
         with pytest.raises(FormatError) as err:
             parse(text)
     assert (str(err.value), err.value.line) == (f"line {m + 1}: {message}", m + 1)
@@ -920,7 +918,7 @@ def test_the_byte_path_gives_the_line_readers_verdict(parse, by_lines, files, da
     # blocks of a few lines each: a text spans many blocks, canonical and not
     text = data.draw(files)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(hypergraph, "BLOCK_CHARS", data.draw(st.integers(1, 48)))
+        patch.setattr(readers, "BLOCK_CHARS", data.draw(st.integers(1, 48)))
         assert read_outcome(parse, text) == read_outcome(by_lines, text)
 
 
@@ -946,11 +944,11 @@ def test_a_canonical_file_never_reaches_the_per_line_path(monkeypatch):
     def line_columns(*args):
         raise AssertionError("the per-line path ran")
 
-    monkeypatch.setattr(hypergraph, "_line_columns", line_columns)
+    monkeypatch.setattr(readers, "_line_columns", line_columns)
     h = generate_random_bounded_degree(GeneratorConfig(k=3, n=3000, m=3000, max_degree=3, seed=4))
     c = Coloring(400, [1 + v % 400 for v in range(3000)])
-    for size in (hypergraph.BLOCK_CHARS, 64):
-        monkeypatch.setattr(hypergraph, "BLOCK_CHARS", size)
+    for size in (readers.BLOCK_CHARS, 64):
+        monkeypatch.setattr(readers, "BLOCK_CHARS", size)
         for text, parse, expected in [(serialize_hypergraph(h), parse_hypergraph, h),
                                       (serialize_coloring(c, 3000), parse_coloring, (c, 3000))]:
             for variant in (text, text.rstrip("\n"), text.replace("\n", "\r\n")):
@@ -1141,7 +1139,7 @@ def test_generator_matches_the_naive_generator(cfg):
 def test_generator_matches_the_naive_generator_over_many_lists(cfg):
     # lists of 4 vertices: n <= 60 spans up to 15 of them
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(hypergraph, "LIVE_BLOCK", 4)
+        patch.setattr(generate, "LIVE_BLOCK", 4)
         assert generate_or_failure(generate_random_bounded_degree, cfg) == \
             generate_or_failure(naive_generate, cfg)
 

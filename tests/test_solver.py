@@ -37,8 +37,9 @@ from harmcolor import (
     serialize_hypergraph,
 )
 from harmcolor.coloring import EventIndex, _edge_keys, _verdict, edge_key
-from harmcolor.solver import (EVENT_SCANS, _forbidden, _placement_order, _uniform_color,
-                             _uniform_colors)
+from harmcolor._base import EVENT_SCANS
+from harmcolor.exact import _forbidden, _placement_order
+from harmcolor.solver import _uniform_color, _uniform_colors
 from oracles import (colored, coloring_of, naive_bad_edges, naive_forbidden, naive_h,
                      naive_pattern_pairs, naive_placement_order)
 
