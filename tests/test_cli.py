@@ -979,6 +979,13 @@ def test_an_error_report_that_cannot_be_written_keeps_exit_3(command, stderr, tm
     assert (proc.returncode, proc.stderr) == (3, "")
 
 
+def test_an_error_report_never_goes_to_stdout(tmp_path):
+    # with stderr closed, print(..., file=sys.stderr) writes to stdout
+    proc = run_python("-m", "harmcolor.cli", "verify", "--input", str(tmp_path / "missing"),
+                      "--coloring", str(tmp_path / "x"), preexec_fn=lambda: os.close(2))
+    assert (proc.returncode, proc.stdout) == (3, "")
+
+
 # sha256 of json.dumps([code, stdout, stderr]) of main(argv) at COLUMNS=80,
 # recorded when every command built the full parser: a command word first
 # now builds only its own subparser, and every text must stay the same
