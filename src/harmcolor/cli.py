@@ -17,13 +17,14 @@ import atexit
 import gc
 import os
 import sys
+from itertools import chain, islice
 from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn, Sequence
 
 # each command imports the module that does its work, and csv, fractions and
 # json, when it runs, so that a CLI child loads only what its command needs
 from ._base import (DEFAULT_NODE_BUDGET, EVENT_SCANS, T_POLICIES, FormatError,
-                    GenerationFailure)
+                    GenerationFailure, _report)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -34,17 +35,6 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-
-def _report(message: str) -> None:
-    """Print an error report on stderr. A process started with stderr closed
-    has no sys.stderr, where print would write to stdout, and a report that
-    stderr cannot take is dropped: the error's exit code stands either way."""
-    if sys.stderr is not None:
-        try:
-            print(message, file=sys.stderr, flush=True)
-        except OSError:
-            pass
 
 
 # ----------------------------------------------------------------- commands
@@ -85,11 +75,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
         t=t, seed=args.seed, max_resamples=args.max_resamples,
         event_scan=args.scan))
     summary = " ".join(f"{key}={value}" for key, value in report.as_record().items())
-    info = sys.stdout if args.output else sys.stderr
-    print(f"solve: {summary}", file=info)
+    info = print if args.output else _report  # stdout holds the coloring without --output
+    info(f"solve: {summary}")
     if not report.success:
-        print(f"solve: budget exhausted after {report.resamples_total} resamples; "
-              f"no harmonious coloring with t={t} found", file=info)
+        info(f"solve: budget exhausted after {report.resamples_total} resamples; "
+             f"no harmonious coloring with t={t} found")
         return EXIT_NEGATIVE
     text = serialize_coloring(report.coloring, instance.n)
     if args.output:
@@ -113,13 +103,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if ok:
         print(f"harmonious: t={coloring.t} colors_used={colors_used(coloring)}")
         return EXIT_OK
-    index = EventIndex(instance, coloring.colors, keyed)
-    for idx in index.bad:
-        verts = instance._row(idx)
-        cols = tuple(coloring.colors[v] for v in verts)
-        print(f"bad edge {idx}: vertices {verts} colored {cols}")
-    for e, f, i in index.pairs:
-        print(f"same pattern: edges {e} and {f} (|e\\f| = {i})")
+    index, colors = EventIndex(instance, coloring.colors, keyed), coloring.colors
+    # the lines are joined 4,096 at a time, as the serialisers do, so that an
+    # unbuffered stdout takes a long report in a few writes, not one per line
+    report = chain(
+        (f"bad edge {idx}: vertices {verts} colored {tuple(map(colors.__getitem__, verts))}\n"
+         for idx, verts in zip(index.bad, map(instance._row, index.bad))),
+        (f"same pattern: edges {e} and {f} (|e\\f| = {i})\n" for e, f, i in index.pairs))
+    while chunk := "".join(islice(report, 4096)):
+        sys.stdout.write(chunk)
     return EXIT_NEGATIVE
 
 

@@ -14,16 +14,19 @@ bad_edges, pattern_collisions and local_bad_events read one build each. Its
 ``refresh`` keeps both lists up to date for the resampler as a total
 coloring changes. is_harmonious decides on the edge keys alone, without it.
 Both key every edge in one bulk pass (_edge_keys); verify keys them once and
-builds the index on the same keys, only for a coloring that fails.
+builds the index on the same keys, only for a coloring that fails. An edge's
+key is an int, the product of one prime per distinct color (edge_key), so
+two keys are equal iff the two edges' color sets are.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
-from functools import cached_property
-from itertools import compress, islice
-from operator import eq, itemgetter
+from functools import cached_property, partial, reduce
+from itertools import combinations, compress, islice, repeat
+from math import isqrt, log, prod
+from operator import and_, eq, itemgetter, mul
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 from ._base import _Checked
@@ -100,13 +103,60 @@ def _colors_on(h: Hypergraph, c: Coloring) -> list[int]:
     return c.colors
 
 
-def edge_key(colors: list[int], edge: tuple[int, ...]) -> tuple[int, ...]:
-    """The sorted distinct colors of an edge under the list ``colors``. It
-    starts with 0 iff the edge has an uncolored vertex. Two rainbow edges
-    show the same pattern iff their keys are equal; an edge is rainbow iff
-    its key has k colors, none of them 0."""
-    # map keeps the loop out of a comprehension frame: refresh and _edge_keys' repeats call it
-    return tuple(sorted(set(map(colors.__getitem__, edge))))
+class _Primes(dict):
+    """Color -> prime, the factors of the edge keys: 2 for 0 (uncolored) and
+    one odd prime for each other color. A color the map was not built with
+    takes the least odd prime above every prime handed out so far, on its
+    first lookup."""
+
+    __slots__ = ("top",)
+
+    def __missing__(self, color: int) -> int:
+        p = self.top + 2
+        while not all(p % d for d in range(3, isqrt(p) + 1, 2)):
+            p += 2
+        self[color] = self.top = p
+        return p
+
+
+def _odd_primes(count: int) -> list[int]:
+    """The first count odd primes, from a sieve of the odd numbers up to
+    Rosser's bound x(ln x + ln ln x) on the x-th prime, x = count + 1."""
+    x = count + 1
+    limit = 64 if x < 6 else int(x * (log(x) + log(log(x)))) + 2
+    sieve = bytearray([1]) * (limit // 2)  # sieve[i] stands for 2i + 1
+    sieve[0] = 0
+    for i in range(1, isqrt(limit) // 2 + 1):
+        if sieve[i]:
+            start = 2 * i * (i + 1)  # the index of (2i + 1)^2
+            sieve[start::2 * i + 1] = bytes(len(range(start, len(sieve), 2 * i + 1)))
+    return list(islice(compress(range(1, limit, 2), sieve), count))
+
+
+def _prime_map(colors: list[int]) -> _Primes:
+    """A _Primes over the colors in ``colors``: its size follows the number
+    of distinct colors, not their values. The map first holds the colors,
+    then takes their primes in place, so that no set of them is built."""
+    primes = _Primes.fromkeys(colors)
+    primes.pop(0, None)
+    odd = _odd_primes(len(primes))
+    primes.update(zip(primes, odd))  # new values for the keys it iterates: no resize
+    primes.top = odd[-1] if odd else 1
+    primes[0] = 2
+    return primes
+
+
+def edge_key(colors: list[int], edge: tuple[int, ...], primes: _Primes) -> int:
+    """The product of the primes of an edge's distinct colors under the list
+    ``colors``, negated iff the edge repeats a color (0 included). It is even
+    iff the edge has an uncolored vertex. By unique factorisation two edges'
+    keys are equal iff their distinct-color sets are: two rainbow edges show
+    the same pattern iff their keys are equal, and an edge is rainbow iff its
+    key is positive and odd."""
+    # map keeps the loop out of a comprehension frame: refresh calls it per edge
+    distinct = set(map(colors.__getitem__, edge))
+    key = prod(map(primes.__getitem__, distinct))
+    return key if len(distinct) == len(edge) else -key
 
 
 def _pattern_size(ea: tuple[int, ...], eb: tuple[int, ...], colors: list[int]) -> int | None:
@@ -120,20 +170,22 @@ def _pattern_size(ea: tuple[int, ...], eb: tuple[int, ...], colors: list[int]) -
     return len(da)
 
 
-def _edge_keys(h: Hypergraph, colors: list[int]) -> tuple[list[tuple[int, ...]], list[int]]:
-    """The edge_key of every edge of h, by id, and the ascending ids of the
-    edges that repeat a color, 0 included: those keyed with fewer than k
-    entries. Each edge's colors are gathered column by column and sorted by
-    C-level calls, a repeat shows as equal neighbouring entries, and only a
-    repeat's sorted colors are then reduced to its distinct ones."""
-    rows = zip(*[map(colors.__getitem__, col) for col in h._cols])
-    keys = list(map(tuple, map(sorted, rows)))
-    same = zip(*[map(eq, map(itemgetter(j), keys), map(itemgetter(j + 1), keys))
-                 for j in range(h.k - 1)])
+def _edge_keys(h: Hypergraph, colors: list[int]) -> tuple[list[int], list[int], _Primes]:
+    """The edge_key of every edge of h, by id, the ascending ids of the edges
+    that repeat a color, 0 included, and the prime map the keys are made of.
+    Each edge's primes are gathered column by column and multiplied by
+    C-level calls, a repeat shows as two equal columns, and only a repeat is
+    then keyed again from its distinct primes."""
+    primes = _prime_map(colors)
+    by_vertex = list(map(primes.__getitem__, colors))
+    cols = [list(map(by_vertex.__getitem__, col)) for col in h._cols]
+    del by_vertex
+    keys = list(reduce(partial(map, mul), cols))
+    same = zip(*[map(eq, a, b) for a, b in combinations(cols, 2)])
     repeats = list(compress(range(len(keys)), map(any, same)))
     for idx in repeats:
-        keys[idx] = tuple(sorted(set(keys[idx])))
-    return keys, repeats
+        keys[idx] = -prod(set(map(itemgetter(idx), cols)))
+    return keys, repeats, primes
 
 
 class EventIndex:
@@ -145,11 +197,13 @@ class EventIndex:
     this list (see ``pick``).
 
     The build takes partial colorings. Every edge is keyed by edge_key, the
-    sorted tuple of its distinct colors, which starts with 0 iff the edge has
-    an uncolored vertex; all come from _edge_keys, or from ``keyed``, its
-    result when the caller has it. A fully colored edge is bad iff its key
-    has fewer than k colors, so only repeat edges can be bad; an edge with
-    an uncolored vertex is never bad. ``groups`` maps a key held by one edge
+    product of the primes of its distinct colors, which is even iff the edge
+    has an uncolored vertex and negative iff it repeats a color; all come
+    from _edge_keys, or from ``keyed``, its result when the caller has it.
+    The prime map ``primes`` travels with the keys, and refresh keys the
+    changed edges through it. A fully colored edge is bad iff its key is
+    negative, so only repeat edges can be bad; an edge with an uncolored
+    vertex is never bad. ``groups`` maps a key held by one edge
     to that edge's id, and a key shared by two or more edges to their ids in
     an ascending list; _join holds that rule for the build and refresh.
     For fully colored edges, equal pattern sets force equal full-edge color
@@ -171,8 +225,9 @@ class EventIndex:
     turns back into that edge's id.
     """
 
-    def __init__(self, h: Hypergraph, colors: list[int], keyed: tuple[list, list] | None = None):
-        keys, repeats = keyed or _edge_keys(h, colors)
+    def __init__(self, h: Hypergraph, colors: list[int],
+                 keyed: tuple[list, list, _Primes] | None = None):
+        keys, repeats, self.primes = keyed or _edge_keys(h, colors)
         self.h, self.k, self.colors, self.keys = h, h.k, colors, keys
         self.groups = groups = {}
         join, pairs_of, row, found = self._join, self._pairs, h._row, set()
@@ -180,15 +235,15 @@ class EventIndex:
             held = groups.setdefault(key, idx)
             if held != idx:
                 held = join(key, held, idx)
-                if key[0]:
+                if key & 1:
                     found.update(pairs_of(idx, held))
-            if not key[0]:  # a pair of two such edges is found from both; the set keeps one
+            if not key & 1:  # a pair of two such edges is found from both; the set keeps one
                 missing = [h._incident(v) for v in row(idx) if not colors[v]]
                 found.update(pairs_of(idx, set(missing[0]).intersection(*missing[1:])))
-        self.bad = [idx for idx in repeats if keys[idx][0]]
+        self.bad = [idx for idx in repeats if keys[idx] & 1]
         self.pairs = sorted(found)
 
-    def _join(self, key: tuple[int, ...], held: int | list[int], idx: int) -> list[int]:
+    def _join(self, key: int, held: int | list[int], idx: int) -> list[int]:
         """Enter edge idx into the group of key, which ``held`` (an id or an
         ascending id list) already holds, and return the group's id list."""
         if held.__class__ is int:
@@ -205,7 +260,7 @@ class EventIndex:
         confirmed by _pattern_size."""
         row, colors, key = self.h._row, self.colors, self.keys[idx]
         edge = row(idx)
-        if key[0] and len(key) == self.k:
+        if key > 0 and key & 1:
             members, k = set(edge), self.k
             for other in others:
                 if other != idx:
@@ -219,11 +274,11 @@ class EventIndex:
                     yield (idx, other, i) if idx < other else (other, idx, i)
 
     def refresh(self, edge_ids: Iterable[int]) -> None:
-        keys, groups, row, colors, k = self.keys, self.groups, self.h._row, self.colors, self.k
-        bad, pairs = self.bad, self.pairs
+        keys, groups, row, colors = self.keys, self.groups, self.h._row, self.colors
+        primes, bad, pairs = self.primes, self.bad, self.pairs
         for idx in edge_ids:
-            old, key = keys[idx], edge_key(colors, row(idx))
-            if key == old and len(key) == k:
+            old, key = keys[idx], edge_key(colors, row(idx), primes)
+            if key == old and key > 0:
                 continue  # all pairs within a rainbow group hold, whatever the color order
             held = groups[old]
             if held.__class__ is list:
@@ -241,9 +296,9 @@ class EventIndex:
                     del held[bisect_left(held, idx)]
                     if len(held) == 1:
                         groups[old] = held[0]
-                if len(key) < k <= len(old):
+                if key < 0 < old:
                     insort(bad, idx)
-                elif len(old) < k <= len(key):
+                elif old < 0 < key:
                     del bad[bisect_left(bad, idx)]
                 held = groups.setdefault(key, idx)
                 if held == idx:
@@ -293,12 +348,12 @@ def is_harmonious(h: Hypergraph, c: Coloring) -> bool:
     return _verdict(h, c)[0]
 
 
-def _verdict(h: Hypergraph, c: Coloring) -> tuple[bool, tuple[list[tuple[int, ...]], list[int]]]:
+def _verdict(h: Hypergraph, c: Coloring) -> tuple[bool, tuple[list[int], list[int], _Primes]]:
     """is_harmonious(h, c) and the _edge_keys it decided on, for verify to
     build its report's EventIndex on without keying any edge again."""
     colors = _colors_on(h, c)
-    keys, repeats = keyed = _edge_keys(h, colors)
-    if keys and not min(map(itemgetter(0), keys)):
+    keys, repeats, _ = keyed = _edge_keys(h, colors)
+    if 0 in colors and not all(map(and_, keys, repeat(1))):
         v = next(v for v in h.support if not colors[v])
         raise ValueError(f"partial coloring: vertex {v} lies in an edge but has no color")
     return not repeats and len(set(keys)) == h.m, keyed

@@ -14,7 +14,7 @@ from collections import namedtuple
 from itertools import product
 from typing import TYPE_CHECKING, Callable
 
-from ._base import DEFAULT_NODE_BUDGET, EVENT_SCANS, T_POLICIES, _Checked
+from ._base import DEFAULT_NODE_BUDGET, EVENT_SCANS, T_POLICIES, _Checked, _report
 
 if TYPE_CHECKING:
     import argparse
@@ -146,8 +146,8 @@ def run_experiment(spec: ExperimentSpec) -> list[dict[str, object]]:
             try:
                 cell_rows = _run_cell(spec, cell_index, k, n, m, dmax)
             except Exception as exc:  # noqa: BLE001 -- isolate the failing cell
-                print(f"warning: cell (k={k}, n={n}, m={m}, max_degree={dmax}) "
-                      f"failed: {exc}", file=sys.stderr)
+                _report(f"warning: cell (k={k}, n={n}, m={m}, max_degree={dmax}) "
+                        f"failed: {exc}")
                 continue
             for row in cell_rows:
                 writer.writerow(row)

@@ -130,8 +130,10 @@ def resample_solve(h: Hypergraph, cfg: SolverConfig) -> SolveReport:
 
     The events live in one coloring.EventIndex, built by one bulk pass over
     the edge keys, that both scans pick from and that each redraw refreshes
-    through the O(kΔ) edges meeting the scope, not all m edges. A refreshed
-    edge's pairs are found and re-confirmed within its key group alone. The
+    through the O(kΔ) edges meeting the scope, not all m edges. A key is an
+    int, the product of one prime per distinct color, so equal keys mean
+    equal color sets; a refreshed edge's pairs are found and re-confirmed
+    within its key group alone. The
     event lists are flat sorted lists, so each insert or delete there also
     shifts O(#events) entries. The instance's CSR incidence, whose slices
     the refreshes read, is built first: a hostile n fails in its build's

@@ -7,10 +7,12 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations
@@ -206,6 +208,40 @@ def test_verify_report_on_shared_key_groups_is_pinned(tmp_path, capsys):
     # the whole report byte for byte, as recorded when every key group was a list
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "a465074e63997ca1ccae405eedba47f4d768da83ce8c3bb02a25ae38544a4ddc")
+
+
+class CountingWriter(io.StringIO):
+    """A text stream that counts its write calls."""
+
+    writes = 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        return super().write(text)
+
+
+def test_a_long_verify_report_is_pinned_and_written_in_chunks(tmp_path):
+    # 3,000 groups of two disjoint edges, one pair each; every third group
+    # is a pair of bad edges: 2,000 bad edges and 3,000 pairs, 5,000 lines,
+    # which reach stdout in two writes of at most 4,096 lines
+    h = builtin_instance("matching", 6000, k=2)
+    colors = []
+    for j in range(3000):
+        group = [3 * j + 1, 3 * j + 1] if j % 3 == 0 else [3 * j + 1, 3 * j + 2]
+        colors += group + group
+    instance, coloring = tmp_path / "long.hg", tmp_path / "long.col"
+    instance.write_text(serialize_hypergraph(h))
+    coloring.write_text(serialize_coloring(Coloring(t=9000, colors=colors), h.n))
+    out = CountingWriter()
+    with redirect_stdout(out):
+        assert main(["verify", "--input", str(instance), "--coloring", str(coloring)]) == 1
+    text = out.getvalue()
+    assert (len(text.splitlines()), out.writes) == (5000, 2)
+    assert text.startswith("bad edge 0: vertices (0, 1) colored (1, 1)\n")
+    assert text.endswith("same pattern: edges 5998 and 5999 (|e\\f| = 2)\n")
+    # the whole report byte for byte, as recorded when it was printed line by line
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3087fb07f7a0f452686c4b891d76539bb489a34d86cf48aafe6727dbdb8b355a")
 
 
 def test_verify_partial_coloring_is_a_format_problem(tmp_path, triangle_file, capsys):
@@ -984,6 +1020,71 @@ def test_an_error_report_never_goes_to_stdout(tmp_path):
     proc = run_python("-m", "harmcolor.cli", "verify", "--input", str(tmp_path / "missing"),
                       "--coloring", str(tmp_path / "x"), preexec_fn=lambda: os.close(2))
     assert (proc.returncode, proc.stdout) == (3, "")
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_the_pipeline_passes_the_benchmarks_independent_checks(k, tmp_path, monkeypatch):
+    # gen -> solve --t-policy lcl-min -> verify as CLI children, as the
+    # benchmark runs them, checked by bench/checks.py, which reads the files
+    # without harmcolor: an edge key that merged two color sets would let
+    # verify pass a coloring that these checks refuse
+    monkeypatch.syspath_prepend(str(BENCH))
+    import checks
+    from instances import coloring_text
+    m, delta = 200, 3
+    hg, col, bad = tmp_path / "g.hg", tmp_path / "g.col", tmp_path / "bad.col"
+    cli = ("-m", "harmcolor.cli")
+    gen = run_python(*cli, "gen", "--k", str(k), "--n", str(2 * m), "--m", str(m),
+                     "--max-degree", str(delta), "--seed", str(k), "--output", str(hg))
+    assert gen.returncode == 0, gen.stderr
+    solve = run_python(*cli, "solve", "--input", str(hg), "--t-policy", "lcl-min",
+                       "--seed", "1", "--output", str(col))
+    assert solve.returncode == 0, solve.stderr
+    verify = run_python(*cli, "verify", "--input", str(hg), "--coloring", str(col))
+    got_k, n, edges = checks.read_instance(hg.read_text())
+    assert (got_k, n, len(edges)) == (k, 2 * m, m)
+    assert checks.instance_problems(k, n, edges, delta) == []
+    t, colors = checks.read_coloring(col.read_text())
+    degree = max(Counter(v for e in edges for v in e).values())
+    assert t == max(checks.certified_palette(k, degree, m), k)
+    assert checks.harmonious_problem(edges, colors, t) is None
+    used = len({c for c in colors if c is not None})
+    assert (verify.returncode, verify.stdout) == (0, f"harmonious: t={t} colors_used={used}\n")
+    # a uniform coloring from a small palette fails, and its report is checked
+    # line by line against the definitions
+    rng = random.Random(k)
+    colors = [rng.randint(1, 2 * k) for _ in range(n)]
+    bad.write_text(coloring_text(2 * k, colors))
+    verify = run_python(*cli, "verify", "--input", str(hg), "--coloring", str(bad))
+    assert verify.returncode == 1 and verify.stdout
+    assert checks.violation_report_problems(verify.stdout, edges, colors) == []
+
+
+def test_solve_without_output_writes_only_the_coloring_with_stderr_closed(tmp_path):
+    # the summary line goes where the error reports go: with stderr closed it
+    # is dropped, where print(..., file=sys.stderr) put it ahead of the header
+    instance, written = tmp_path / "g.hg", tmp_path / "g.col"
+    instance.write_text(serialize_hypergraph(builtin_instance("cycle", 40)))
+    argv = ["-m", "harmcolor.cli", "solve", "--input", str(instance), "--colors", "200"]
+    assert run_python(*argv, "--output", str(written)).returncode == 0
+    proc = run_python(*argv, preexec_fn=lambda: os.close(2))
+    assert (proc.returncode, proc.stdout) == (0, written.read_text())
+    assert proc.stdout.startswith("c 200 40\n")
+
+
+def test_an_experiment_warning_never_goes_to_stdout(tmp_path):
+    # k = 3 edges on n = 4 vertices cannot number m = 100: the cell fails, and
+    # its warning, with stderr closed, is dropped instead of written to stdout
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"k": 3, "n": 4, "m": [100, 3], "max_degree": 3,
+                                "trials": 1, "t_policy": "lcl-min"}))
+    rows = tmp_path / "rows.csv"
+    proc = run_python("-m", "harmcolor.cli", "experiment", "--spec", str(spec),
+                      "--output", str(rows), preexec_fn=lambda: os.close(2))
+    assert (proc.returncode, proc.stdout) == (0, f"wrote {rows}: 1 rows\n")
 
 
 # sha256 of json.dumps([code, stdout, stderr]) of main(argv) at COLUMNS=80,

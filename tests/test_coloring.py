@@ -182,8 +182,8 @@ def test_the_build_confirms_each_pair_of_a_shared_key_once(monkeypatch):
     assert sorted(map(len, shared.values())) == [2, 2, 3, 3]
     # a rainbow group's pairs show one pattern each without a check: only the
     # non-rainbow groups' pairs are confirmed
-    assert len(calls) == sum(comb(len(held), 2) for key, held in shared.items()
-                             if len(key) < h.k) == 4
+    assert len(calls) == sum(comb(len(held), 2) for held in shared.values()
+                             if len({c.colors[v] for v in h.edges[held[0]]}) < h.k) == 4
     assert index.pairs == naive_pattern_pairs(h, c)
 
 

@@ -36,7 +36,7 @@ from harmcolor import (
     serialize_coloring,
     serialize_hypergraph,
 )
-from harmcolor.coloring import EventIndex, _edge_keys, _verdict, edge_key
+from harmcolor.coloring import EventIndex, _edge_keys, _odd_primes, _prime_map, _verdict, edge_key
 from harmcolor._base import EVENT_SCANS
 from harmcolor.exact import _forbidden, _placement_order
 from harmcolor.solver import _uniform_color, _uniform_colors
@@ -305,17 +305,19 @@ def test_every_step_takes_an_event_the_oracles_see(run):
 @st.composite
 def recoloring_walks(draw):
     """A small instance, a tight palette, a start coloring and a walk of
-    recolorings, each of one to k vertices."""
+    recolorings, each of one to k vertices. The palette is 1..t or, shifted,
+    a few colors just below 2**40."""
     k = draw(st.integers(2, 3))
     n = draw(st.integers(k + 1, 7))
     edges = draw(st.lists(st.sampled_from(list(combinations(range(n), k))),
                           min_size=1, max_size=12, unique=True))
     t = draw(st.integers(k, k + 2))
-    color = st.integers(1, t)
+    base = draw(st.sampled_from([0, 2 ** 40 - 8]))
+    color = st.integers(base + 1, base + t)
     start = draw(st.lists(color, min_size=n, max_size=n))
     moves = draw(st.lists(st.dictionaries(st.integers(0, n - 1), color, min_size=1, max_size=k),
                           max_size=25))
-    return Hypergraph(k, n, edges), t, start, moves
+    return Hypergraph(k, n, edges), base + t, start, moves
 
 
 def walk_event_indexes(h: Hypergraph, t: int, start: list[int], moves: list[dict[int, int]]):
@@ -329,13 +331,16 @@ def walk_event_indexes(h: Hypergraph, t: int, start: list[int], moves: list[dict
         for v, c in move.items():
             colors[v] = c
         index.refresh({idx for v in move for idx in h.incidence[v]})
+        check_keys_against_color_sets(h, colors, index.keys)
         holders: dict[tuple[int, ...], list[int]] = {}
         for idx, e in enumerate(h.edges):
-            holders.setdefault(edge_key(colors, e), []).append(idx)
-        # every edge once, under its current key: a lone holder as its id,
-        # two or more as their ascending list
-        assert index.groups == {key: ids[0] if len(ids) == 1 else ids
-                                for key, ids in holders.items()}
+            holders.setdefault(color_set(colors, e), []).append(idx)
+        # every edge once, in the group of its color set, under its current
+        # key: a lone holder as its id, two or more as their ascending list
+        assert sorted(index.groups.values(), key=first_id) == sorted(
+            [ids[0] if len(ids) == 1 else ids for ids in holders.values()], key=first_id)
+        for key, held in index.groups.items():
+            assert all(index.keys[idx] == key for idx in ([held] if isinstance(held, int) else held))
         current = Coloring(t=t, colors=list(colors))
         bad, pairs = naive_bad_edges(h, current), naive_pattern_pairs(h, current)
         assert index.bad == bad and index.pairs == pairs
@@ -346,6 +351,27 @@ def walk_event_indexes(h: Hypergraph, t: int, start: list[int], moves: list[dict
             assert index.pick(random.Random(seed)) == events[rank]
         else:
             assert index.pick() is None and index.pick(random.Random(seed)) is None
+
+
+def color_set(colors: list[int], edge: tuple[int, ...]) -> tuple[int, ...]:
+    """The oracle of an edge's key: its distinct colors, 0 included, sorted."""
+    return tuple(sorted({colors[v] for v in edge}))
+
+
+def first_id(held: int | list[int]) -> int:
+    return held if isinstance(held, int) else held[0]
+
+
+def check_keys_against_color_sets(h: Hypergraph, colors: list[int], keys: list[int]) -> None:
+    """Two edges share a key iff they share a color set; a key is negative
+    iff its edge repeats a color and even iff its edge has an uncolored
+    vertex."""
+    sets = [color_set(colors, e) for e in h.edges]
+    assert len(keys) == h.m
+    for (a, sa), (b, sb) in combinations(zip(keys, sets), 2):
+        assert (a == b) == (sa == sb)
+    assert [key < 0 for key in keys] == [len(s) < h.k for s in sets]
+    assert [key & 1 == 0 for key in keys] == [0 in s for s in sets]
 
 
 @given(recoloring_walks())
@@ -382,13 +408,17 @@ def test_fixed_walks_track_the_oracles(name):
 @st.composite
 def partial_colorings(draw):
     """An instance with k = 2..5 and m >= 0, a small palette and a color
-    list with 0s, so that edges repeat colors and hold several 0s."""
+    list with 0s, so that edges repeat colors and hold several 0s. The
+    palette is 1..t or, shifted, a few colors just below 2**40."""
     k = draw(st.integers(2, 5))
     n = draw(st.integers(k, 8))
     edges = draw(st.lists(st.sampled_from(list(combinations(range(n), k))),
                           max_size=10, unique=True))
     t = draw(st.integers(1, 4))
-    return Hypergraph(k, n, edges), t, draw(st.lists(st.integers(0, t), min_size=n, max_size=n))
+    base = draw(st.sampled_from([0, 2 ** 40 - 8]))
+    colors = draw(st.lists(st.sampled_from([0, *range(base + 1, base + t + 1)]),
+                           min_size=n, max_size=n))
+    return Hypergraph(k, n, edges), base + t, colors
 
 
 # an edge with two 0s and a repeat, one with a 0 alone, a rainbow one, and m = 0
@@ -408,14 +438,36 @@ def test_bulk_edge_keys_match_edge_key_and_the_oracles(case):
 
 
 def check_bulk_edge_keys(case):
-    """The bulk pass gives every edge its edge_key and lists exactly the
-    edges whose key is shorter than k; the index built on it agrees with
-    the oracles on groups, bad edges and pairs."""
+    """The bulk pass gives every edge its edge_key, partitions the edges as
+    their color sets do, with the sign marking a repeat and the parity an
+    uncolored vertex, and lists exactly the repeat edges; the index built
+    on it agrees with the oracles on groups, bad edges and pairs."""
     h, t, colors = case
-    keys, repeats = _edge_keys(h, colors)
-    assert keys == [edge_key(colors, e) for e in h.edges]
-    assert repeats == [idx for idx, key in enumerate(keys) if len(key) < h.k]
+    keys, repeats, primes = _edge_keys(h, colors)
+    assert keys == [edge_key(colors, e, primes) for e in h.edges]
+    check_keys_against_color_sets(h, colors, keys)
+    assert repeats == [idx for idx, e in enumerate(h.edges) if len(color_set(colors, e)) < h.k]
     walk_event_indexes(h, t, colors, [])
+
+
+def test_the_prime_map_holds_the_colors_in_use_and_extends_by_the_next_prime():
+    odd = [p for p in range(3, 2000, 2) if all(p % d for d in range(3, int(p ** 0.5) + 1, 2))]
+    for count in [*range(30), 100, len(odd)]:
+        assert _odd_primes(count) == odd[:count]
+    # a palette of 2**32 or 2**40 colors maps only the colors in use, 0 to 2
+    primes = _prime_map([0, 2 ** 40, 7, 2 ** 32, 7, 0])
+    assert primes[0] == 2 and sorted(primes.values()) == [2, 3, 5, 7] and primes.top == 7
+    # a color first met after the build takes the least prime above the others
+    assert [primes[c] for c in (1, 2 ** 40 + 1, 1, 9)] == [11, 13, 11, 17]
+    assert len(primes) == 7 and primes.top == 17
+
+
+def test_a_palette_of_2_to_the_32_colors_solves_on_a_map_of_the_colors_in_use():
+    h = generate_random_bounded_degree(GeneratorConfig(k=3, n=60, m=40, max_degree=3, seed=5))
+    report = resample_solve(h, SolverConfig(t=2 ** 32, seed=0))
+    assert report.success and is_harmonious(h, report.coloring)
+    keys, repeats, primes = _edge_keys(h, report.coloring.colors)
+    assert not repeats and len(primes) == len(set(report.coloring.colors)) + 1 <= h.n + 1
 
 
 def golden_instance(seed: int, k: int, n: int, m: int, dmax: int | None = None) -> Hypergraph:
